@@ -25,10 +25,10 @@ This module is the vectorized counterpart. Two ideas:
   identical to the scalar algorithm's.
 
 * **Column batching** (many diffusions): independent diffusions — distinct
-  seeds, teleport values α, and thresholds ε — are columns of dense
+  seeds, teleport values α, and thresholds ε — are columns of
   ``(n, B)`` approximation/residual matrices. One frontier sweep then
-  pushes every active (node, column) pair with a single ``np.add.at``
-  scatter over the rows of the residual matrix, amortizing the CSR gather
+  pushes every active (node, column) pair with a single ``bincount``
+  scatter over the distinct arc targets, amortizing the CSR gather
   across the whole batch.
 
 Work accounting matches the scalar algorithm: ``num_pushes`` counts
@@ -36,10 +36,17 @@ Work accounting matches the scalar algorithm: ``num_pushes`` counts
 ``pushed_volume`` records ``Σ_pushes d_u`` — the quantity the classic
 ``O(1/(ε α))`` bound controls via ``ε α Σ_pushes d_u ≤ ||s||_1``.
 
-The memory cost is ``O(n B)`` for the dense column matrices (the frontier
-*computation* stays proportional to the active support). For the graph
-sizes this library targets that trade is decisively worth the vectorized
-inner loop; shard the columns for very large ``n × B``.
+Outside the wide path no sweep or stage does ``O(n)`` work. A sweep changes the residual only on the
+rows it pushes and on their arc targets, so the next sweep tests only
+those candidate rows; it expands only the pushed (node, column) pairs
+along their arcs; and it scatters into the distinct targets. A sweep
+thus costs its pushed volume plus ``candidates × B``, the output-sized
+work of Section 3.3. The heat-kernel stages are held the same way, as
+(support rows, values). Only a frontier holding a quarter of the arcs
+switches a sweep or stage to one sparse matmul over the whole adjacency,
+the cheaper schedule once the support saturates the graph. The outputs
+are still dense ``(n, B)`` matrices, so memory is ``O(n B)``; shard the
+columns for very large ``n × B``.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from repro.diffusion._csr import gather_csr_arcs
 from repro.diffusion.push import PushResult
 from repro.diffusion.seeds import indicator_seed
 from repro.exceptions import InvalidParameterError
+from repro.graph.matrices import adjacency_matrix
 
 __all__ = [
     "BatchHeatKernelResult",
@@ -151,6 +159,64 @@ def _as_seed_matrix(graph, seeds):
     return np.column_stack(columns)
 
 
+# OpenBLAS contracts a product of at most this many multiply-adds with a
+# small-matrix kernel whose rounding depends on the operand's row count;
+# larger products round each row the same wherever it sits.
+_BLAS_SMALL_PRODUCT = 1_000_000
+
+
+def _distinct(values, slot_of):
+    """Sorted distinct ``values`` and the index of each entry among them.
+
+    ``slot_of`` is a length-``n`` scratch map read and written only at
+    ``values``, so the cost follows ``values.size``, not ``n``, and only
+    the distinct values are sorted.
+    """
+    order = np.arange(values.size)
+    slot_of[values] = order
+    distinct = np.sort(values[slot_of[values] == order])
+    slot_of[distinct] = np.arange(distinct.size)
+    return distinct, slot_of[values]
+
+
+def _sorted_union(rows, targets):
+    """Union of two sorted arrays of distinct node ids, sorted."""
+    pos = np.searchsorted(targets, rows)
+    inside = pos < targets.size
+    inside[inside] = targets[pos[inside]] == rows[inside]
+    # Two sorted runs: the stable sort (timsort) merges them in one pass.
+    return np.sort(np.concatenate((targets, rows[~inside])), kind="stable")
+
+
+def _spread(graph, rows, share, mask, slot_of):
+    """Scatter ``share[i, c]`` along every arc leaving ``rows[i]``.
+
+    Returns ``(targets, sums)``: the sorted distinct arc targets and the
+    ``(targets.size, B)`` matrix ``sums[j, c] = Σ_i w(rows[i], targets[j])
+    share[i, c]`` over the (row, column) pairs set in ``mask``.  Unset
+    pairs carry zero charge and are never expanded, so the cost is the
+    pushed arc volume, not frontier arcs × B.  Each bin adds its terms in
+    (row, arc) order, the order of a CSR matmul over the same rows, so the
+    sums are bitwise those of the full scatter.
+    """
+    num_columns = share.shape[1]
+    arc_positions, counts = gather_csr_arcs(graph.indptr, rows)
+    targets, slots = _distinct(graph.indices[arc_positions], slot_of)
+    pair_row, pair_col = np.nonzero(mask)
+    # ``row_arcs`` is an indptr over ``arc_positions``: gathering it per
+    # (row, column) pair lists that pair's arcs, in row-major pair order.
+    row_arcs = np.concatenate(([0], np.cumsum(counts)))
+    pair_arcs, pair_counts = gather_csr_arcs(row_arcs, pair_row)
+    contributions = graph.weights[arc_positions[pair_arcs]] * np.repeat(
+        share[pair_row, pair_col], pair_counts
+    )
+    flat = slots[pair_arcs] * num_columns + np.repeat(pair_col, pair_counts)
+    sums = np.bincount(
+        flat, weights=contributions, minlength=targets.size * num_columns
+    )
+    return targets, sums.reshape(targets.size, num_columns)
+
+
 def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
                    max_pushes=None):
     """Run many independent ACL push diffusions in synchronized sweeps.
@@ -220,36 +286,55 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     else:
         push_caps = np.full(num_columns, float(max_pushes))
 
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    approximation = np.zeros((graph.num_nodes, num_columns))
-    residual = seed_matrix[:, seed_idx].copy()
-    thresholds = degrees[:, None] * eps_col[None, :]
-
-    from scipy import sparse
-
-    adjacency = sparse.csr_matrix(
-        (weights, indices, indptr),
-        shape=(graph.num_nodes, graph.num_nodes),
-    )
-    deg_counts = np.diff(indptr)
+    n = graph.num_nodes
+    deg_counts = np.diff(graph.indptr)
     retained = 0.5 * (1.0 - alpha_col)
+    slot_of = np.empty(n, dtype=np.int64)
+    # Built on the first wide sweep only: a run that stays narrow never
+    # pays for an O(n B) threshold matrix or an O(m) sparse matrix.
+    thresholds = adjacency = None
 
     num_pushes = np.zeros(num_columns, dtype=np.int64)
     work = np.zeros(num_columns, dtype=np.int64)
     pushed_volume = np.zeros(num_columns)
     num_sweeps = 0
 
+    # A sweep changes the residual only on the rows it pushes and on
+    # their arc targets, so the next frontier lies among those rows.
+    # ``candidates is None`` means every row is scanned (after a wide
+    # sweep, whose candidate set would be most of the graph anyway).
+    candidates = np.flatnonzero(seed_matrix.any(axis=1))
+    approximation = np.zeros((n, num_columns))
+    residual = seed_matrix[:, seed_idx].copy()
+
     while True:
-        active = residual >= thresholds
-        rows = np.flatnonzero(active.any(axis=1))
+        if candidates is None:
+            if thresholds is None:
+                thresholds = degrees[:, None] * eps_col
+            active = residual >= thresholds
+            rows = np.flatnonzero(active.any(axis=1))
+            mask = None
+        else:
+            active = None
+            candidate_mask = (
+                residual[candidates] >= degrees[candidates, None] * eps_col
+            )
+            hit = candidate_mask.any(axis=1)
+            rows = candidates[hit]
+            mask = candidate_mask[hit]
         if rows.size == 0:
             break
         num_sweeps += 1
         frontier_arcs = int(deg_counts[rows].sum())
 
-        if 4 * frontier_arcs >= indices.size:
-            # Dense sweep: the frontier covers most arcs, so one sparse
+        if 4 * frontier_arcs >= graph.indices.size:
+            # Wide sweep: the frontier covers most arcs, so one sparse
             # matmul over the whole adjacency beats gathering CSR slices.
+            if active is None:
+                active = np.zeros((n, num_columns), dtype=bool)
+                active[rows] = mask
+            if adjacency is None:
+                adjacency = adjacency_matrix(graph)
             pushed = np.where(active, residual, 0.0)
             num_pushes += active.sum(axis=0)
             work += (1 + deg_counts) @ active
@@ -257,34 +342,25 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             approximation += alpha_col * pushed
             spread = adjacency @ (pushed / (2.0 * degrees[:, None]))
             residual += (1.0 - alpha_col) * spread + retained * pushed - pushed
+            candidates = None
         else:
-            # Sparse sweep: gather only the frontier's CSR slices and
-            # scatter-add through a flattened bincount (markedly faster
-            # than np.add.at); work stays proportional to the frontier.
-            mask = active[rows]
+            # Narrow sweep: gather only the frontier's CSR slices and
+            # scatter-add through one bincount over the distinct arc
+            # targets, so every array here is sized by the frontier and
+            # its neighbourhood, never by n.
+            if mask is None:
+                mask = active[rows]
             pushed = np.where(mask, residual[rows], 0.0)
             num_pushes += mask.sum(axis=0)
-            arc_positions, counts = gather_csr_arcs(indptr, rows)
-            work += (1 + counts) @ mask
+            work += (1 + deg_counts[rows]) @ mask
             pushed_volume += degrees[rows] @ mask
             approximation[rows] += alpha_col * pushed
             residual[rows] -= pushed
-            if arc_positions.size:
-                share = (
-                    (1.0 - alpha_col) * pushed / (2.0 * degrees[rows, None])
-                )
-                arc_src = np.repeat(np.arange(rows.size), counts)
-                contributions = weights[arc_positions, None] * share[arc_src]
-                flat = (
-                    indices[arc_positions, None] * num_columns
-                    + np.arange(num_columns)
-                )
-                residual += np.bincount(
-                    flat.ravel(),
-                    weights=contributions.ravel(),
-                    minlength=residual.size,
-                ).reshape(residual.shape)
+            share = (1.0 - alpha_col) * pushed / (2.0 * degrees[rows, None])
+            targets, spread = _spread(graph, rows, share, mask, slot_of)
+            residual[targets] += spread
             residual[rows] += retained * pushed
+            candidates = _sorted_union(rows, targets)
 
         if np.any(num_pushes > push_caps):
             worst = int(np.argmax(num_pushes - push_caps))
@@ -390,7 +466,7 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     does not involve ``t`` at all — the diffusion time only enters through
     the Taylor weights ``e^{-t} t^k / k!`` and the truncation order. So
     the synchronized recursion runs over the *unique* ``(seed, ε)``
-    columns (one sparse matmul per stage for the whole batch), and every
+    columns (one scatter per stage for the whole batch), and every
     ``t`` in the grid is accumulated from the shared stages with its own
     weights, truncated at its own order. The whole t-grid costs one
     recursion.
@@ -464,25 +540,19 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     terms_col = np.tile(np.repeat(terms_t, num_eps), num_seeds)
     max_terms = int(terms_t.max())
 
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     n = graph.num_nodes
-    deg_counts = np.diff(indptr)
-
-    from scipy import sparse
-
-    adjacency = sparse.csr_matrix(
-        (weights, indices, indptr), shape=(n, n)
-    )
+    deg_counts = np.diff(graph.indptr)
+    adjacency = None
 
     # The rounded stage recursion is t-free, so it runs over the unique
     # (seed, epsilon) columns only; every t reads the shared stages.
     u_eps = np.tile(epsilons, num_seeds)
-    thresholds = degrees[:, None] * u_eps[None, :]
     u_of_seed = np.repeat(np.arange(num_seeds), num_eps)
 
     num_unique = u_eps.size
     work_u = np.zeros(num_unique, dtype=np.int64)
     touched_u = np.zeros((n, num_unique), dtype=bool)
+    slot_of = np.empty(n, dtype=np.int64)
 
     # Taylor weight schedule: W[k, ti] = e^{-t} t^k / k! while the t still
     # accumulates, 0 beyond its truncation order — per-t truncation is a
@@ -494,41 +564,93 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     weight_schedule[np.arange(max_terms + 1)[:, None] > terms_t[None, :]] = 0.0
 
     # The accumulated output is a linear functional of the stage history,
-    # so rounded stages are written straight into a block buffer and all
-    # t-weights are applied with one compiled tensordot per block instead
-    # of T strided adds per stage.
+    # so rounded stages are queued as (rows, values) and all t-weights are
+    # applied with one compiled tensordot per block of stages, over the
+    # union of the block's rows, instead of T strided adds per stage.
     block_size = min(16, max_terms + 1)
-    history = np.zeros((block_size, n, num_unique))
-    block_ks = []
+    block = []
     accumulated = np.zeros((n, num_unique, num_ts))
 
     def flush():
-        if block_ks:
-            accumulated[...] += np.tensordot(
-                history[: len(block_ks)],
-                weight_schedule[block_ks],
-                axes=([0], [0]),
-            )
-            block_ks.clear()
+        if block:
+            ks, supports, values = zip(*block)
+            # Multiply-adds the contraction spends per history row.
+            row_cost = len(block) * num_unique * num_ts
+            if (n * row_cost <= _BLAS_SMALL_PRODUCT
+                    or sum(rows.size for rows in supports) >= n):
+                # Small graph or wide block: one history row per node.
+                union, num_used, num_rows = slice(None), n, n
+                positions = [
+                    rows if len(kept) < n else slice(None)
+                    for rows, kept in zip(supports, values)
+                ]
+            else:
+                # Padding rows keep the product out of the small-matrix
+                # kernel, so each row rounds as in the one-row-per-node
+                # layout of a large graph.
+                union = np.unique(np.concatenate(supports))
+                positions = [np.searchsorted(union, rows) for rows in supports]
+                values = [
+                    compact(rows, kept) for rows, kept in zip(supports, values)
+                ]
+                num_used = union.size
+                num_rows = max(num_used, _BLAS_SMALL_PRODUCT // row_cost + 1)
+            history = np.zeros((len(block), num_rows, num_unique))
+            for slot, (where, kept) in enumerate(zip(positions, values)):
+                history[slot, where] = kept
+            accumulated[union] += np.tensordot(
+                history, weight_schedule[list(ks)], axes=([0], [0])
+            )[:num_used]
+            block.clear()
 
-    def round_into_buffer(vector, k):
-        """Threshold ``vector`` into the next history slot; return it.
+    def round_stage(k, vector, rows=None):
+        """Threshold stage ``k`` and queue it for the Taylor weights.
 
-        The kept stage is ``vector * keep`` — a bool mask multiply,
-        bitwise identical to the scalar ``np.where`` rounding for the
-        nonnegative charges diffused here.
+        ``vector`` holds the stage on ``rows``, or on every row when
+        ``None`` (a wide stage, which stays dense).  Returns the kept stage
+        as ``(support, values, keep)``: the rows that keep any column, and
+        the kept values and mask on those rows, or on every row for a wide
+        stage.  The kept values are ``vector * keep`` — a bool mask
+        multiply, bitwise identical to the scalar ``np.where`` rounding for
+        the nonnegative charges diffused here.
         """
-        keep = vector >= thresholds
-        slot = history[len(block_ks)]
-        np.multiply(vector, keep, out=slot)
-        touched_u[...] |= keep
-        block_ks.append(k)
-        if len(block_ks) == block_size:
+        nonlocal wide_thresholds
+        if rows is None:
+            if wide_thresholds is None:
+                wide_thresholds = degrees[:, None] * u_eps
+            keep = vector >= wide_thresholds
+            support = np.flatnonzero(keep.any(axis=1))
+            values = np.multiply(vector, keep, out=vector)
+            touched_u[...] |= keep
+        else:
+            keep = vector >= degrees[rows, None] * u_eps
+            hit = keep.any(axis=1)
+            support, keep = rows[hit], keep[hit]
+            values = vector[hit] * keep
+            touched_u[support] |= keep
+        block.append((k, support, values))
+        if len(block) == block_size:
             flush()
-        return slot, keep
+        return support, values, keep
+
+    def compact(rows, values):
+        """A stage's ``values`` on its support ``rows`` only."""
+        return values if len(values) == rows.size else values[rows]
+
+    def dense(rows, values):
+        """A stage's ``values`` on every row."""
+        if len(values) == n:
+            return values
+        full = np.zeros((n, num_unique))
+        full[rows] = values
+        return full
 
     seed_mass_u = seed_matrix.sum(axis=0)[u_of_seed]
-    stage, keep = round_into_buffer(seed_matrix[:, u_of_seed], 0)
+    seed_rows = np.flatnonzero(seed_matrix.any(axis=1))
+    wide_thresholds = None
+    rows, stage, keep = round_stage(
+        0, seed_matrix[seed_rows][:, u_of_seed], seed_rows
+    )
 
     # Per-t metadata outputs, viewed as (seed, t, epsilon) so each t's
     # slice aligns with the (seed, epsilon) recursion matrix.
@@ -539,53 +661,61 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     touched = np.zeros((n, num_columns), dtype=bool)
     touched_view = touched.reshape(n, num_seeds, num_ts, num_eps)
 
-    def snapshot(ti):
-        """Freeze t-column metadata when its Taylor order is exhausted.
-
-        The walk step ``q ↦ A (q / d)`` conserves ℓ1 mass exactly (in
-        exact arithmetic), so the mass dropped by rounding up to this
-        stage is the seed mass minus the current stage mass — one reduce
-        per t instead of two per stage.
-        """
-        dropped_view[:, ti, :] = (
-            seed_mass_u - stage.sum(axis=0)
-        ).reshape(num_seeds, num_eps)
-        work_view[:, ti, :] = work_u.reshape(num_seeds, num_eps)
-        touched_view[:, :, ti, :] = touched_u.reshape(n, num_seeds, num_eps)
-
     for k in range(1, max_terms + 1):
-        # The support of the current stage is exactly the entries its
-        # rounding kept, so the frontier comes from the (cheap, bool)
-        # keep mask rather than another pass over the float matrix.
-        rows = np.flatnonzero(keep.any(axis=1))
+        # The support of the current stage is exactly the rows its
+        # rounding kept, so every array below is sized by that support
+        # and its neighbourhood, not by n — unless the support is wide.
         if rows.size:
-            frontier_arcs = int(deg_counts[rows].sum())
-            if 4 * frontier_arcs >= indices.size:
-                # Wide stage: the union support covers most arcs, so one
-                # sparse matmul over the whole adjacency is cheapest.
-                work_u += (1 + deg_counts) @ keep
-                new_stage = adjacency @ (stage / degrees[:, None])
-            else:
-                # Narrow stage: slice the support's adjacency rows and use
-                # symmetry (A[:, rows] = A[rows, :].T) so the scatter is
-                # still one compiled sparse matmul, with cost proportional
-                # to the support volume — not to n.
-                work_u += (1 + deg_counts[rows]) @ keep[rows]
-                new_stage = adjacency[rows, :].T @ (
-                    stage[rows] / degrees[rows, None]
+            work_u += (1 + deg_counts[rows]) @ compact(rows, keep)
+            if 4 * int(deg_counts[rows].sum()) >= graph.indices.size:
+                # Wide stage: the support covers most arcs, so one sparse
+                # matmul over the whole adjacency is cheapest.
+                if adjacency is None:
+                    adjacency = adjacency_matrix(graph)
+                new_stage = adjacency @ (
+                    dense(rows, stage) / degrees[:, None]
                 )
+                rows, stage, keep = round_stage(k, new_stage)
+            else:
+                # Narrow stage: gather the support's CSR slices and
+                # scatter through one bincount over the distinct targets.
+                targets, new_stage = _spread(
+                    graph, rows, compact(rows, stage) / degrees[rows, None],
+                    compact(rows, keep), slot_of,
+                )
+                rows, stage, keep = round_stage(k, new_stage, targets)
         else:
-            new_stage = np.zeros_like(stage)
-        stage, keep = round_into_buffer(new_stage, k)
+            rows, stage, keep = round_stage(k, compact(rows, stage), rows)
         for ti in np.flatnonzero(terms_t == k):
-            snapshot(ti)
+            # Freeze t-column metadata when its Taylor order is exhausted.
+            # The walk step ``q ↦ A (q / d)`` conserves ℓ1 mass exactly
+            # (in exact arithmetic), so the mass dropped by rounding up to
+            # this stage is the seed mass minus the current stage mass.
+            # numpy sums a single column pairwise, where the zeros off
+            # the support would regroup the terms, so that case sums the
+            # dense column; wider stages are summed row by row either way.
+            stage_mass = (
+                stage.sum(axis=0) if num_unique > 1
+                else dense(rows, stage).sum(axis=0)
+            )
+            dropped_view[:, ti, :] = (
+                seed_mass_u - stage_mass
+            ).reshape(num_seeds, num_eps)
+            work_view[:, ti, :] = work_u.reshape(num_seeds, num_eps)
+            reached = np.flatnonzero(touched_u.any(axis=1))
+            touched_view[reached, :, ti, :] = touched_u[reached].reshape(
+                -1, num_seeds, num_eps
+            )
     flush()
 
-    # (n, seed·eps, t) -> the C-ordered (n, seed, t, eps) output grid.
-    approximation = np.ascontiguousarray(
-        accumulated.reshape(n, num_seeds, num_eps, num_ts)
-        .transpose(0, 1, 3, 2)
-    ).reshape(n, num_columns)
+    # (row, seed·eps, t) -> the C-ordered (row, seed, t, eps) output grid.
+    # Only rows some stage kept can carry output.
+    reached = np.flatnonzero(touched_u.any(axis=1))
+    approximation = np.zeros((n, num_columns))
+    approximation[reached] = (
+        accumulated[reached].reshape(-1, num_seeds, num_eps, num_ts)
+        .transpose(0, 1, 3, 2).reshape(-1, num_columns)
+    )
 
     tail_by_t = [
         poisson_tail(float(t), int(m)) for t, m in zip(ts, terms_t)

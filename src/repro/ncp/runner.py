@@ -478,25 +478,41 @@ def _save_chunk(path, candidates):
 
 
 def _load_chunk(path):
-    """Load a memoized chunk; ``None`` (cache miss) if unreadable."""
+    """Load a memoized chunk; ``None`` (cache miss) if unreadable.
+
+    Every npz member is inflated once per chunk: indexing the ``NpzFile``
+    decompresses the member anew, so per-candidate indexing would make
+    the read quadratic in the chunk size.
+    """
     try:
         with np.load(path, allow_pickle=False) as data:
-            offsets = np.concatenate(([0], np.cumsum(data["lengths"])))
+            lengths = data["lengths"]
+            nodes = data["nodes"]
+            conductances = data["conductances"]
+            methods = data["methods"]
             refinement = (
                 data["refinement"] if "refinement" in data.files else None
             )
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            sizes = {conductances.size, methods.size, lengths.size}
+            if refinement is not None:
+                sizes.add(refinement.size)
+            if (len(sizes) > 1 or np.any(lengths < 0)
+                    or offsets[-1] != nodes.size):
+                # Members of disagreeing length: a torn or foreign entry.
+                return None
             return [
                 ClusterCandidate(
-                    nodes=data["nodes"][offsets[i]:offsets[i + 1]].copy(),
-                    conductance=float(data["conductances"][i]),
-                    method=str(data["methods"][i]),
+                    nodes=nodes[offsets[i]:offsets[i + 1]].copy(),
+                    conductance=float(conductances[i]),
+                    method=str(methods[i]),
                     refinement=(
                         _decode_refinement(str(refinement[i]))
                         if refinement is not None
                         else ()
                     ),
                 )
-                for i in range(data["lengths"].size)
+                for i in range(lengths.size)
             ]
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, TypeError,
             EOFError, zlib.error, struct.error):

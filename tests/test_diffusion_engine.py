@@ -486,6 +486,102 @@ class TestBatchHeatKernel:
             batch.column(-1)
 
 
+@pytest.fixture(scope="module")
+def sparse_support_case():
+    """R-MAT graph plus low-degree seeds whose diffusions stay local.
+
+    Small enough for the exact resolvent, large enough that the supports
+    cover only a few percent of the nodes, which is where the kernels run
+    their compact (support-indexed) path.
+    """
+    from repro.datasets.scale import rmat_graph
+
+    graph = rmat_graph(12, seed=0)
+    order = np.argsort(graph.degrees, kind="stable")
+    n = graph.num_nodes
+    seeds = [int(order[i]) for i in (n // 10, n // 3, n // 2)]
+    return graph, seeds
+
+
+@pytest.fixture
+def compact_path_only(monkeypatch):
+    """Fail the test if a kernel falls back to its full-adjacency path."""
+    import repro.diffusion.engine as engine
+
+    def no_wide_path(graph):
+        raise AssertionError("a wide sweep or stage ran")
+
+    monkeypatch.setattr(engine, "adjacency_matrix", no_wide_path)
+
+
+class TestCompactKernelPath:
+    ALPHAS = (0.15, 0.3)
+    EPS = (2e-3, 5e-3)
+
+    def test_ppr_columns_meet_the_paper_guarantees(
+            self, sparse_support_case, compact_path_only):
+        from repro.diffusion.push import push_invariant_residual
+
+        graph, seeds = sparse_support_case
+        batch = batch_ppr_push(
+            graph, seeds, alphas=self.ALPHAS, epsilons=self.EPS
+        )
+        support = (batch.approximation > 0) | (batch.residual > 0)
+        assert support.any(axis=1).sum() < 0.05 * graph.num_nodes
+        b = 0
+        for seed_node in seeds:
+            s = indicator_seed(graph, [seed_node])
+            for alpha in self.ALPHAS:
+                exact = lazy_pagerank_exact(graph, alpha, s)
+                for epsilon in self.EPS:
+                    column = batch.column(b)
+                    bound = epsilon * graph.degrees
+                    assert np.all(
+                        np.abs(column.approximation - exact) <= bound + 1e-12
+                    )
+                    assert np.all(column.residual < bound)
+                    assert push_invariant_residual(graph, column, s) < 1e-10
+                    single = batch_ppr_push(
+                        graph, [seed_node], alphas=(alpha,),
+                        epsilons=(epsilon,),
+                    )
+                    assert batch.num_pushes[b] == single.num_pushes[0]
+                    assert batch.work[b] == single.work[0]
+                    assert batch.pushed_volume[b] == pytest.approx(
+                        single.pushed_volume[0], rel=1e-15
+                    )
+                    assert np.array_equal(
+                        column.approximation, single.approximation[:, 0]
+                    )
+                    b += 1
+
+    def test_hk_columns_match_the_scalar_oracle(
+            self, sparse_support_case, compact_path_only):
+        graph, seeds = sparse_support_case
+        ts = (3.0, 10.0)
+        batch = batch_hk_push(graph, seeds, ts=ts, epsilons=self.EPS)
+        assert batch.touched_mask.any(axis=1).sum() < 0.05 * graph.num_nodes
+        b = 0
+        for seed_node in seeds:
+            s = indicator_seed(graph, [seed_node])
+            for t in ts:
+                for epsilon in self.EPS:
+                    scalar = heat_kernel_push(graph, s, t, epsilon=epsilon)
+                    column = batch.column(b)
+                    assert np.allclose(
+                        column.approximation, scalar.approximation,
+                        rtol=0, atol=1e-13,
+                    )
+                    assert np.array_equal(column.touched, scalar.touched)
+                    assert column.work == scalar.work
+                    # Same rounding decisions; the engine books the dropped
+                    # mass by conservation, so it agrees to roundoff.
+                    assert column.dropped_mass == pytest.approx(
+                        scalar.dropped_mass, abs=1e-15
+                    )
+                    b += 1
+
+
 class TestVectorizedTruncatedWalk:
     def test_matches_scalar_trajectory(self, whiskered):
         s = degree_weighted_indicator_seed(whiskered, [7])

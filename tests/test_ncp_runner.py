@@ -12,6 +12,8 @@ the mixing-time non-convergence lie.
 
 from __future__ import annotations
 
+import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +35,13 @@ from repro.ncp.profile import (
 )
 from repro.ncp.runner import (
     _load_chunk,
+    _save_chunk,
     graph_fingerprint,
     plan_chunks,
     run_ncp_ensemble,
 )
 from repro.partition.metrics import graph_conductance_exact
+from repro.refine import RefinementStep
 
 
 def candidate_signature(candidates):
@@ -235,6 +239,69 @@ class TestRunnerMemoization:
             candidate_signature(first.candidates)
         )
         assert _load_chunk(target) is not None
+
+    def test_chunk_members_are_inflated_once(self, tmp_path, monkeypatch):
+        # Regression: _load_chunk indexed the NpzFile once per candidate,
+        # and every index inflates the whole member again, so a memo read
+        # grew quadratically with the number of candidates in the chunk.
+        step = RefinementStep(
+            refiner="mqi(max_rounds=100)", pre_conductance=0.5,
+            post_conductance=0.25, rounds=3, converged=True, changed=True,
+        )
+        candidates = [
+            ClusterCandidate(
+                nodes=np.arange(i, i + 2 + i % 5),
+                conductance=1.0 / (i + 2),
+                method="spectral",
+                refinement=(step,),
+            )
+            for i in range(60)
+        ]
+        entry = tmp_path / "chunk.npz"
+        _save_chunk(entry, candidates)
+        reads = Counter()
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counting_getitem(self, key):
+            reads[key] += 1
+            return getitem(self, key)
+
+        monkeypatch.setattr(
+            np.lib.npyio.NpzFile, "__getitem__", counting_getitem
+        )
+        loaded = _load_chunk(entry)
+        assert candidate_signature(loaded) == (
+            candidate_signature(candidates)
+        )
+        assert [c.refinement for c in loaded] == [(step,)] * 60
+        assert set(reads) == {
+            "lengths", "nodes", "conductances", "methods", "refinement",
+        }
+        assert max(reads.values()) == 1
+
+    @pytest.mark.parametrize(
+        "member", ["lengths", "nodes", "conductances", "methods"]
+    )
+    def test_members_of_disagreeing_length_are_a_miss(self, tmp_path,
+                                                      member):
+        # A torn entry: one member comes from a write of another chunk.
+        candidates = [
+            ClusterCandidate(
+                nodes=np.arange(size), conductance=0.5, method="spectral"
+            )
+            for size in (2, 3)
+        ]
+        whole, part = tmp_path / "whole.npz", tmp_path / "part.npz"
+        _save_chunk(whole, candidates)
+        _save_chunk(part, candidates[:1])
+        torn = tmp_path / "torn.npz"
+        with zipfile.ZipFile(whole) as full, zipfile.ZipFile(part) as cut, \
+                zipfile.ZipFile(torn, "w") as out:
+            for name in full.namelist():
+                source = cut if name == f"{member}.npy" else full
+                out.writestr(name, source.read(name))
+        assert _load_chunk(whole) is not None
+        assert _load_chunk(torn) is None
 
     def test_scalar_engine_never_served_batched_entries(self, whiskered,
                                                         tmp_path):
