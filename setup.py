@@ -20,7 +20,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    # scipy 1.8 added maximum_flow(method=...), which MQI calls.
+    install_requires=["numpy", "scipy>=1.8"],
     extras_require={
         # The optional JIT kernel tier: `pip install -e .[jit]` makes the
         # registered "numba" backend compile the CSR frontier loops; the

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.fft import dct
 
 from repro._validation import as_rng, check_int
 from repro.exceptions import InvalidParameterError
@@ -63,6 +62,9 @@ def srdt_sketch_apply(matrix, sketch_size, seed=None):
     ``C`` the orthonormal DCT-II, ``P`` a uniform row sample of size ``k``.
     Works for arbitrary ``n`` (no power-of-two padding needed).
     """
+    # Imported here so ``import repro`` does not load scipy.fft.
+    from scipy.fft import dct
+
     A = np.asarray(matrix, dtype=float)
     if A.ndim == 1:
         A = A[:, None]

@@ -19,20 +19,47 @@ the source) is such an ``A'``. Iterating to a fixed point yields a set that
 is *optimal among subsets of the original side* — a strictly flow-based
 object, which is why its clusters score well on conductance but can be
 stringy (the Figure 1 tradeoff).
+
+Solving a round
+---------------
+When every edge at a node of ``A`` has an integer weight, a round is
+built in numpy (one CSR gather of the side's arcs, one ``bincount`` for
+the boundary weights) as an *integer* network and solved by scipy's
+compiled Dinic (``scipy.sparse.csgraph.maximum_flow``).  Dividing by
+``g = gcd(c, v)`` keeps the capacities small: with ``V = v/g`` and
+``C = c/g`` the arcs carry ``V · w``, ``V · boundary(u)`` and
+``C · d(u)``, which is the network above scaled by ``1/g``.  A round
+improves nothing iff the flow value equals ``V · c``, an exact integer
+test with no tolerance.  The improved set is ``A`` minus the nodes
+reachable from the source in the residual graph.  That reachable set is
+the *minimal* source side of a minimum cut, the same for every maximum
+flow, so the result does not depend on which max-flow the solver finds.
+
+scipy stores capacities as int32 and wraps larger values silently, so a
+round whose side has a non-integer weight, or whose network would need a
+capacity above ``2**31 - 1``, runs on the pure-Python
+:class:`~repro.partition.maxflow.FlowNetwork` instead, with float
+capacities and a relative tolerance on the stopping test.  The input
+alone decides which path runs; both return the same subset wherever both
+apply.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
+from repro.diffusion._csr import gather_csr_arcs
 from repro.exceptions import PartitionError
 from repro.partition.maxflow import FlowNetwork
 from repro.partition.metrics import conductance
 
 _REL_EPS = 1e-12
+_INT32_MAX = 2**31 - 1
 
 
 @dataclass
@@ -67,8 +94,111 @@ class MQIResult:
 
 
 def _one_round(graph, side):
-    """One MQI max-flow round; returns an improved subset or ``None``."""
-    side = np.asarray(sorted(int(u) for u in side), dtype=np.int64)
+    """One MQI max-flow round; returns an improved subset or ``None``.
+
+    ``side`` is a sorted array of distinct node ids.  The round runs on
+    the compiled solver whenever :func:`_integer_network` can build the
+    network exactly, and on :func:`_float_round` otherwise.
+    """
+    built = _integer_network(graph, side)
+    if built is None:
+        return _float_round(graph, side)
+    reached = _min_cut_source_side(*built)
+    if reached is None:
+        return None  # the flow saturates every sink arc: no improvement
+    keep = np.ones(side.size, dtype=bool)
+    keep[reached[reached < side.size]] = False
+    improved = side[keep]
+    if improved.size == 0 or improved.size == side.size:
+        return None
+    return improved
+
+
+def _integer_network(graph, side):
+    """The round's network with exact int32 capacities.
+
+    Returns ``(network, saturated)``: a ``(k+2) × (k+2)`` int32
+    ``csr_array`` whose rows ``0..k-1`` are the side, row ``k`` the
+    source and row ``k+1`` the sink, and the flow value ``V·cut`` that
+    means no improvement.  Returns ``None`` when the side has no
+    boundary, a side arc has a non-integer weight, or a capacity exceeds
+    ``2**31 - 1``; scipy would wrap such a capacity silently.
+    """
+    k = side.size
+    arcs, counts = gather_csr_arcs(graph.indptr, side)
+    heads = graph.indices[arcs]
+    weights = graph.weights[arcs]
+    rows = np.repeat(np.arange(k), counts)
+    local = np.minimum(np.searchsorted(side, heads), k - 1)
+    inside = side[local] == heads
+    boundary = np.bincount(
+        rows[~inside], weights=weights[~inside], minlength=k
+    )
+    degrees = graph.degrees[side]
+    # A sink arc carries C·d(u) >= d(u), so a degree above int32 already
+    # rules the network out; below it the float sums of integer weights
+    # are exact.
+    if (not boundary.any() or degrees.max() > _INT32_MAX
+            or np.any(weights != np.floor(weights))):
+        return None
+    boundary = boundary.astype(np.int64)
+    degrees = degrees.astype(np.int64)
+    internal = weights[inside].astype(np.int64)
+    cut, volume = int(boundary.sum()), int(degrees.sum())
+    common = math.gcd(cut, volume)
+    vol_scale, cut_scale = volume // common, cut // common
+    widest = max(int(internal.max(initial=0)), int(boundary.max()))
+    if (vol_scale * widest > _INT32_MAX
+            or cut_scale * int(degrees.max()) > _INT32_MAX):
+        return None
+    # Each side row holds its internal arcs in CSR order, then its sink
+    # arc; the gathered arcs are already grouped by row, so every arc's
+    # slot is known without a sort.
+    internal_rows = rows[inside]
+    fed = np.flatnonzero(boundary)
+    indptr = np.zeros(k + 3, dtype=np.int64)
+    indptr[1:k + 1] = np.cumsum(np.bincount(internal_rows, minlength=k) + 1)
+    indptr[k + 1:] = indptr[k] + fed.size
+    internal_arcs = np.arange(internal_rows.size) + internal_rows
+    sink_arcs = indptr[1:k + 1] - 1
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    capacity = np.empty(indptr[-1], dtype=np.int64)
+    indices[internal_arcs] = local[inside]
+    capacity[internal_arcs] = vol_scale * internal
+    indices[sink_arcs] = k + 1
+    capacity[sink_arcs] = cut_scale * degrees
+    indices[indptr[k]:] = fed
+    capacity[indptr[k]:] = vol_scale * boundary[fed]
+    network = sparse.csr_array(
+        (capacity.astype(np.int32), indices, indptr.astype(np.int32)),
+        shape=(k + 2, k + 2),
+    )
+    return network, vol_scale * cut
+
+
+def _min_cut_source_side(network, saturated):
+    """Solve an :func:`_integer_network` with scipy's compiled Dinic.
+
+    Returns the nodes reachable from the source in the residual graph,
+    or ``None`` when the flow value equals ``saturated``.
+    """
+    # Imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
+    # which ``import repro`` otherwise never loads.
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    source, sink = network.shape[0] - 2, network.shape[0] - 1
+    solved = maximum_flow(network, source, sink, method="dinic")
+    if solved.flow_value == saturated:
+        return None
+    # int64: a reverse residual cap(u, x) + flow(x, u) may exceed int32.
+    residual = network.astype(np.int64) - solved.flow.astype(np.int64)
+    return breadth_first_order(
+        residual > 0, source, directed=True, return_predecessors=False
+    )
+
+
+def _float_round(graph, side):
+    """The :class:`FlowNetwork` round: float capacities, tolerant test."""
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[side] = True
     degrees = graph.degrees
@@ -129,8 +259,7 @@ def mqi(graph, nodes, *, max_rounds=100):
     -------
     MQIResult
     """
-    side = np.asarray(sorted(int(u) for u in np.atleast_1d(
-        np.asarray(nodes, dtype=np.int64))), dtype=np.int64)
+    side = np.unique(np.asarray(nodes, dtype=np.int64))
     if side.size == 0 or side.size >= graph.num_nodes:
         raise PartitionError("MQI needs a nonempty proper subset")
     volume = float(graph.degrees[side].sum())

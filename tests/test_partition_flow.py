@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import maximum_flow
 
 from repro.exceptions import FlowError, PartitionError
+from repro.graph.build import from_edges
 from repro.graph.generators import (
     barbell_graph,
     lollipop_graph,
@@ -23,6 +27,11 @@ from repro.partition.multilevel import (
     multilevel_bisection,
     recursive_bisection_clusters,
 )
+
+# ``repro.partition.mqi`` the module (the package re-exports the function
+# under the same name), for its private round helpers.
+mqi_module = importlib.import_module("repro.partition.mqi")
+INT32_MAX = 2**31 - 1
 
 
 class TestMaxFlow:
@@ -127,6 +136,79 @@ class TestMQI:
         big = list(range(ring.num_nodes - 3))
         with pytest.raises(PartitionError, match="vol"):
             mqi(ring, big)
+
+    def test_duplicate_ids_do_not_inflate_the_volume(self):
+        g = lollipop_graph(12, 24)
+        side = list(range(10, 36))
+        result = mqi(g, side + list(range(10, 15)))
+        assert np.array_equal(result.nodes, mqi(g, side).nodes)
+
+    def test_duplicate_ids_are_not_repeated_in_the_result(self):
+        g = lollipop_graph(12, 24)
+        result = mqi(g, list(range(20, 36)) + [20, 21])
+        assert np.array_equal(result.nodes, np.arange(20, 36))
+        assert result.initial_conductance == pytest.approx(
+            conductance(g, np.arange(20, 36))
+        )
+
+
+def _reweighted_lollipop(weight_of):
+    """``lollipop_graph(12, 24)`` with edge ``{u, v}`` weighted
+    ``weight_of(u, v)``."""
+    base = lollipop_graph(12, 24)
+    edges = [(u, v) for u, v, _w in base.edges()]
+    return from_edges(
+        base.num_nodes, edges, [float(weight_of(u, v)) for u, v in edges]
+    )
+
+
+class TestCompiledMQIRound:
+    """The compiled round (integer network, scipy Dinic) against the
+    :class:`FlowNetwork` round it replaces, which stays as the fallback."""
+
+    def test_non_integer_weights_take_the_fallback(self):
+        g = _reweighted_lollipop(
+            lambda u, v: 1.5 if (u + v) % 3 == 0 else 1.0
+        )
+        side = np.arange(10, 36)
+        assert mqi_module._integer_network(g, side) is None
+        improved = mqi_module._one_round(g, side)
+        assert np.array_equal(improved, mqi_module._float_round(g, side))
+        assert np.array_equal(improved, np.arange(12, 36))
+
+    def test_capacity_beyond_int32_takes_the_fallback(self):
+        g = _reweighted_lollipop(lambda u, v: 10**6 * (1 + (u + v) % 3))
+        side = np.arange(10, 36)
+        # Every weight and degree fits in int32; only V·w does not, and
+        # scipy would wrap that capacity silently.
+        assert g.degrees.max() <= INT32_MAX
+        assert mqi_module._integer_network(g, side) is None
+        improved = mqi_module._one_round(g, side)
+        assert np.array_equal(improved, mqi_module._float_round(g, side))
+        assert np.array_equal(improved, np.arange(12, 36))
+
+    def test_total_flow_beyond_int32_stays_compiled(self):
+        base = ring_of_cliques(6, 5)
+        edges = [(u, v) for u, v, _w in base.edges()]
+        g = from_edges(base.num_nodes, edges, [5e6] * len(edges))
+        side = np.array([0, 1, 4, 5, 6, 9, 11, 14, 17, 18, 21, 23, 25])
+        network, _saturated = mqi_module._integer_network(g, side)
+        assert network.data.max() <= INT32_MAX
+        solved = maximum_flow(
+            network, side.size, side.size + 1, method="dinic"
+        )
+        assert solved.flow_value > INT32_MAX
+        improved = mqi_module._one_round(g, side)
+        assert improved is not None
+        assert np.array_equal(improved, mqi_module._float_round(g, side))
+
+    def test_zero_cut_side_is_already_optimal(self):
+        two_triangles = from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        )
+        side = np.array([0, 1, 2])
+        assert mqi_module._integer_network(two_triangles, side) is None
+        assert mqi_module._one_round(two_triangles, side) is None
 
 
 class TestFlowImprove:

@@ -30,16 +30,22 @@ settings.load_profile("repro")
 
 
 @st.composite
-def connected_graphs(draw, min_nodes=3, max_nodes=16):
-    """Random connected weighted graphs: random tree + extra edges."""
+def connected_graphs(draw, min_nodes=3, max_nodes=16, integer_weights=False):
+    """Random connected weighted graphs: random tree + extra edges.
+
+    Weights are floats in [0.25, 4], or integers in 1..5 with
+    ``integer_weights``.
+    """
+    if integer_weights:
+        weight = st.integers(1, 5).map(float)
+    else:
+        weight = st.floats(0.25, 4.0, allow_nan=False, allow_infinity=False)
     n = draw(st.integers(min_nodes, max_nodes))
     edges = {}
     # Random spanning tree guarantees connectivity.
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
-        edges[(u, v)] = draw(
-            st.floats(0.25, 4.0, allow_nan=False, allow_infinity=False)
-        )
+        edges[(u, v)] = draw(weight)
     extra = draw(st.integers(0, min(12, n * (n - 1) // 2 - (n - 1))))
     for _ in range(extra):
         u = draw(st.integers(0, n - 1))
@@ -48,7 +54,7 @@ def connected_graphs(draw, min_nodes=3, max_nodes=16):
             continue
         key = (min(u, v), max(u, v))
         if key not in edges:
-            edges[key] = draw(st.floats(0.25, 4.0, allow_nan=False))
+            edges[key] = draw(weight)
     pairs = sorted(edges)
     return from_edges(n, pairs, [edges[p] for p in pairs])
 
@@ -392,6 +398,23 @@ class TestFlowInvariants:
             return
         result = mqi(graph, side)
         assert result.conductance <= conductance(graph, side) + 1e-9
+
+    @given(connected_graphs(min_nodes=4, integer_weights=True),
+           st.integers(0, 10_000))
+    def test_compiled_mqi_round_matches_flow_network(self, graph, salt):
+        import importlib
+
+        mqi_module = importlib.import_module("repro.partition.mqi")
+        rng = np.random.default_rng(salt)
+        k = int(rng.integers(1, graph.num_nodes))
+        side = np.sort(rng.choice(graph.num_nodes, size=k, replace=False))
+        assert mqi_module._integer_network(graph, side) is not None
+        compiled = mqi_module._one_round(graph, side)
+        oracle = mqi_module._float_round(graph, side)
+        if compiled is None or oracle is None:
+            assert compiled is None and oracle is None
+        else:
+            assert np.array_equal(compiled, oracle)
 
 
 class TestRefinerInvariants:

@@ -335,3 +335,29 @@ def test_facade_and_subpackage_exports_agree():
     assert api.get_backend("numpy") is repro.get_backend("numpy")
     assert api.EngineBackend is repro.EngineBackend
     assert api.registered_backends() == repro.registered_backends()
+
+
+def test_import_repro_defers_heavy_scipy_modules():
+    # scipy.fft and scipy.sparse.csgraph (which pulls in
+    # scipy.sparse.linalg) are imported by the functions that use them,
+    # so every process that imports repro stays smaller.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = (
+        "import sys, repro; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.fft', 'scipy.sparse.csgraph'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]", proc.stdout
