@@ -59,7 +59,6 @@ from repro import backends, core, datasets, diffusion, dynamics, graph
 from repro import execution
 from repro import linalg, ncp, partition, refine, regularization
 from repro import api
-from repro import cli
 from repro.backends import (
     EngineBackend,
     UnknownBackendError,
@@ -123,6 +122,16 @@ from repro.refine import (
 )
 
 __version__ = "1.4.0"
+
+
+def __getattr__(name):
+    # ``repro.cli`` (argparse wiring and the lint analyzers) is imported on
+    # first access, so library users and NCP runs never pay for it.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module("repro.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BatchPushResult",

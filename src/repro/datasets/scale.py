@@ -53,8 +53,8 @@ def rmat_graph(scale, edge_factor=16, *, a=0.57, b=0.19, c=0.19,
     defaults are the Graph500 parameters).  Self-loops are dropped and
     duplicates collapsed, so the realized simple-edge count lands a few
     percent below ``edge_factor * n``.  Each level's draws are
-    whole-array NumPy operations: a million-edge graph generates in
-    well under a second.
+    whole-array NumPy operations: ``rmat_graph(17)`` (1.86M edges after
+    compaction) takes about 1 s on a 2-vCPU host.
 
     Parameters
     ----------
@@ -90,15 +90,31 @@ def rmat_graph(scale, edge_factor=16, *, a=0.57, b=0.19, c=0.19,
     rng = as_rng(seed)
     n = 1 << scale
     m = n * edge_factor
-    u = np.zeros(m, dtype=np.int64)
-    v = np.zeros(m, dtype=np.int64)
+    # scale <= 30, so node ids fit int32; every level shifts in place and
+    # draws into one reused buffer (the same draws, in the same order).
+    u = np.zeros(m, dtype=np.int32)
+    v = np.zeros(m, dtype=np.int32)
+    draw = np.empty(m)
+    row_bit = np.empty(m, dtype=bool)
+    col_bit = np.empty(m, dtype=bool)
+    flip = np.empty(m, dtype=bool)
     p_lower = a + b  # probability the row bit stays in the upper half
+    p_left_upper, p_left_lower = a / (a + b), c / (c + d)
     for _ in range(scale):
-        row_bit = rng.random(m) >= p_lower
-        p_left = np.where(row_bit, c / (c + d), a / (a + b))
-        col_bit = rng.random(m) >= p_left
-        u = (u << 1) | row_bit
-        v = (v << 1) | col_bit
+        rng.random(out=draw)
+        np.greater_equal(draw, p_lower, out=row_bit)
+        u <<= 1
+        u |= row_bit
+        # col_bit = draw >= (p_left_lower if row_bit else p_left_upper),
+        # selected with exact compares and boolean masks.
+        rng.random(out=draw)
+        np.greater_equal(draw, p_left_upper, out=col_bit)
+        np.greater_equal(draw, p_left_lower, out=flip)
+        flip ^= col_bit
+        flip &= row_bit
+        col_bit ^= flip
+        v <<= 1
+        v |= col_bit
     if permute:
         relabeling = rng.permutation(n)
         u = relabeling[u]

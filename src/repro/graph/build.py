@@ -54,9 +54,7 @@ def from_edges(num_nodes, edges, weights=None, *, combine="sum"):
         edge_arr = as_int
     edge_arr = edge_arr.astype(np.int64, copy=False)
     m = edge_arr.shape[0]
-    if weights is None:
-        weight_arr = np.ones(m)
-    else:
+    if weights is not None:
         weight_arr = np.asarray(weights, dtype=float)
         if weight_arr.shape != (m,):
             raise GraphError(
@@ -67,45 +65,93 @@ def from_edges(num_nodes, edges, weights=None, *, combine="sum"):
             raise GraphError(f"edge endpoints must lie in [0, {num_nodes})")
         if np.any(edge_arr[:, 0] == edge_arr[:, 1]):
             raise GraphError("self-loops are not allowed")
-        if np.any(weight_arr <= 0) or not np.all(np.isfinite(weight_arr)):
+        if weights is not None and (
+            np.any(weight_arr <= 0) or not np.all(np.isfinite(weight_arr))
+        ):
             raise GraphError("edge weights must be positive and finite")
 
-    lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-    hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-    key = lo * np.int64(num_nodes) + hi
-    unique_key, inverse = np.unique(key, return_inverse=True)
-    if unique_key.size != key.size:
+    # Canonical key lo * n + hi per edge, sorted once.
+    key = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
+    key *= np.int64(num_nodes)
+    key += np.maximum(edge_arr[:, 0], edge_arr[:, 1])
+    if weights is None or bool(np.all(weight_arr == 1.0)):
+        # Unit weights: only the sorted keys matter, no permutation.
+        key.sort()
+        sorted_weights = None
+    else:
+        # Stable, so equal keys keep their input order: the order in
+        # which combine="sum" accumulates them.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        sorted_weights = weight_arr[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
         if combine == "error":
             raise GraphError("duplicate edges present and combine='error'")
-        if combine == "sum":
-            merged = np.zeros(unique_key.size)
-            np.add.at(merged, inverse, weight_arr)
-        elif combine == "max":
-            merged = np.full(unique_key.size, -np.inf)
-            np.maximum.at(merged, inverse, weight_arr)
-        else:
+        if combine not in ("sum", "max"):
             raise GraphError(f"unknown combine mode {combine!r}")
-        weight_arr = merged
+        starts = np.flatnonzero(first)
+        if sorted_weights is None:
+            # Summing k unit weights gives exactly k; max gives 1.
+            weight_arr = (
+                np.diff(np.append(starts, key.size)).astype(float)
+                if combine == "sum" else None
+            )
+        elif combine == "sum":
+            weight_arr = np.zeros(starts.size)
+            np.add.at(weight_arr, np.cumsum(first) - 1, sorted_weights)
+        else:
+            weight_arr = np.maximum.reduceat(sorted_weights, starts)
+        key = key[starts]
     else:
-        order = np.argsort(key)
-        unique_key = key[order]
-        weight_arr = weight_arr[order]
-    lo = unique_key // num_nodes if num_nodes else unique_key
-    hi = unique_key % num_nodes if num_nodes else unique_key
-    return _from_unique_undirected(num_nodes, lo, hi, weight_arr)
+        weight_arr = sorted_weights
+    return _csr_from_sorted_keys(num_nodes, key, weight_arr)
 
 
-def _from_unique_undirected(num_nodes, lo, hi, weights):
-    """Assemble CSR arrays from deduplicated edges with ``lo < hi``."""
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    wts = np.concatenate([weights, weights])
-    order = np.lexsort((dst, src))
-    src, dst, wts = src[order], dst[order], wts[order]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(indptr, dst, wts, validate=False)
+def _csr_from_sorted_keys(num_nodes, key, weights):
+    """Symmetric CSR graph from strictly increasing ``lo * n + hi`` keys.
+
+    Each key is one edge with ``lo < hi``; ``weights`` is aligned with
+    ``key``, or ``None`` when every weight is 1.0. Because the keys are
+    sorted, the forward arcs ``lo -> hi`` are already in CSR order, and
+    sorting the mirrored keys ``hi * n + lo`` puts the reverse arcs in CSR
+    order too. Every row is its reverse arcs (neighbours below the row)
+    followed by its forward arcs (neighbours above it), so each arc's slot
+    is its rank in its own list plus a per-row offset derived from the
+    per-row arc counts.
+    """
+    n = num_nodes
+    lo, hi = np.divmod(key, n)
+    fwd_count = np.bincount(lo, minlength=n)
+    rev_count = np.bincount(hi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fwd_count + rev_count, out=indptr[1:])
+    rank = np.arange(key.size, dtype=np.int64)
+    indices = np.empty(2 * key.size, dtype=np.int64)
+    arc_weights = np.ones(2 * key.size)
+    # Forward arc i of row lo lands after the row's reverse arcs:
+    # indptr[lo] + rev_count[lo] + (i - fwd_start[lo]) == i + rev_end[lo].
+    slot = rank + np.cumsum(rev_count)[lo]
+    indices[slot] = hi
+    if weights is not None:
+        arc_weights[slot] = weights
+    # The mirrored keys are unique too, so any sort orders them the same.
+    rkey = hi * np.int64(n) + lo
+    if weights is None:
+        rkey.sort()
+        rhi, rlo = np.divmod(rkey, n)
+    else:
+        order = np.argsort(rkey)
+        rhi, rlo = hi[order], lo[order]
+    # Reverse arc j of row hi: indptr[hi] + (j - rev_start[hi])
+    # == j + fwd_start[hi].
+    slot = rank + (np.cumsum(fwd_count) - fwd_count)[rhi]
+    indices[slot] = rlo
+    if weights is not None:
+        arc_weights[slot] = weights[order]
+    return Graph(indptr, indices, arc_weights, validate=False)
 
 
 def from_dense(matrix, *, tol=0.0):
@@ -216,7 +262,11 @@ def connected_component_labels(graph):
     adjacency = sparse.csr_matrix(
         (graph.weights, graph.indices, graph.indptr), shape=(n, n)
     )
-    count, raw = csgraph.connected_components(adjacency, directed=False)
+    # The CSR is symmetric, so its strong components are its connected
+    # components; asking for them skips scipy's transpose-and-add.
+    count, raw = csgraph.connected_components(
+        adjacency, directed=True, connection="strong"
+    )
     # Renumber scipy's labels into first-discovery (min-node-id) order so
     # the result is exchangeable with the Graph method's.
     first_node = np.full(count, n, dtype=np.int64)

@@ -42,8 +42,12 @@ class Graph:
     validate:
         When true (the default) the arrays are checked for structural
         soundness: symmetry, positivity, sortedness, and absence of
-        self-loops and parallel edges. Construction through the public
-        builders in :mod:`repro.graph.build` always validates.
+        self-loops and parallel edges, with whole-array checks that
+        scale to millions of arcs. The builders in
+        :mod:`repro.graph.build` validate their *inputs* (ids, weights,
+        self-loops, duplicates) and then construct with
+        ``validate=False``, since the CSR they assemble is sound by
+        construction.
 
     Notes
     -----
@@ -100,31 +104,37 @@ class Graph:
         if indptr[-1] != indices.size:
             raise GraphError("indptr[-1] must equal the number of stored arcs")
         n = indptr.size - 1
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= n:
-                raise GraphError("neighbor ids must lie in [0, n)")
-            if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-                raise GraphError("edge weights must be positive and finite")
-        for u in range(n):
-            row = indices[indptr[u]:indptr[u + 1]]
-            if np.any(row == u):
-                raise GraphError(f"self-loop at node {u} is not allowed")
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise GraphError(
-                    f"adjacency of node {u} must be strictly sorted "
-                    "(no parallel edges)"
-                )
-        # Symmetry: each arc (u, v, w) must have a mirror (v, u, w).
-        if indices.size:
-            src = np.repeat(np.arange(n), np.diff(indptr))
-            order_fwd = np.lexsort((indices, src))
-            order_bwd = np.lexsort((src, indices))
-            if not (
-                np.array_equal(src[order_fwd], indices[order_bwd])
-                and np.array_equal(indices[order_fwd], src[order_bwd])
-                and np.allclose(weights[order_fwd], weights[order_bwd])
-            ):
-                raise GraphError("adjacency structure is not symmetric")
+        if not indices.size:
+            return
+        if indices.min() < 0 or indices.max() >= n:
+            raise GraphError("neighbor ids must lie in [0, n)")
+        if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+            raise GraphError("edge weights must be positive and finite")
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        # The first offending node wins; at one node a self-loop is reported
+        # before an unsorted row.
+        loops = src[indices == src]
+        same_row = src[1:] == src[:-1]
+        unsorted = src[1:][same_row & (indices[1:] <= indices[:-1])]
+        first_loop = int(loops[0]) if loops.size else n
+        first_unsorted = int(unsorted[0]) if unsorted.size else n
+        if first_loop < n and first_loop <= first_unsorted:
+            raise GraphError(f"self-loop at node {first_loop} is not allowed")
+        if first_unsorted < n:
+            raise GraphError(
+                f"adjacency of node {first_unsorted} must be strictly sorted "
+                "(no parallel edges)"
+            )
+        # Symmetry: each arc (u, v, w) must have a mirror (v, u, w). Rows are
+        # strictly sorted, so the arcs are already in (src, dst) order and the
+        # (dst, src) keys are unique.
+        mirror = np.argsort(indices.astype(np.int64) * n + src)
+        if not (
+            np.array_equal(src, indices[mirror])
+            and np.array_equal(indices, src[mirror])
+            and np.allclose(weights, weights[mirror])
+        ):
+            raise GraphError("adjacency structure is not symmetric")
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from repro._validation import check_int, check_positive, check_real
 from repro.exceptions import InvalidParameterError
@@ -108,6 +107,9 @@ def expm_action_lanczos(operator, vector, t, *, num_steps=40):
     norm = float(np.linalg.norm(v))
     if norm == 0:
         return np.zeros(n)
+    # Imported here so ``import repro`` does not load scipy.linalg.
+    from scipy.linalg import eigh_tridiagonal
+
     decomposition = lanczos(operator, n, min(num_steps, n), v0=v)
     values, vectors = eigh_tridiagonal(
         decomposition.alphas, decomposition.betas

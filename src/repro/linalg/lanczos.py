@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from repro._validation import as_rng, check_int
 from repro.exceptions import InvalidParameterError
@@ -54,6 +53,9 @@ class LanczosDecomposition:
         """All Ritz values and Ritz vectors of the current decomposition."""
         if self.num_steps == 0:
             raise InvalidParameterError("empty Lanczos decomposition")
+        # Imported here so ``import repro`` does not load scipy.linalg.
+        from scipy.linalg import eigh_tridiagonal
+
         values, vectors = eigh_tridiagonal(self.alphas, self.betas)
         return values, self.basis @ vectors
 

@@ -658,6 +658,11 @@ max_cluster_size, seed:
         pipeline = as_pipeline(grid)
         grid = pipeline.grid
         refiners = pipeline.refiners
+    if refiners:
+        # The flow refiners solve with scipy.sparse.csgraph. Importing it
+        # here, before a process executor forks its per-run pool, lets the
+        # workers inherit it instead of importing it again on every run.
+        import scipy.sparse.csgraph  # noqa: F401
     num_workers = check_int(num_workers, "num_workers", minimum=0)
     start_time = time.perf_counter()
 

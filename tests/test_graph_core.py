@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EmptyGraphError, GraphError
 from repro.graph.build import (
@@ -263,3 +265,138 @@ class TestValidationOnConstruction:
         weights = np.ones(4)
         with pytest.raises(GraphError, match="sorted"):
             Graph(indptr, indices, weights)
+
+
+def _reference_from_edges(num_nodes, edges, weights, combine):
+    """``from_edges`` spelled out: a dict merged in input order, then rows."""
+    merged = {}
+    for (u, v), w in zip(edges, weights):
+        key = (min(u, v), max(u, v))
+        if key not in merged:
+            merged[key] = w
+        elif combine == "error":
+            raise GraphError("duplicate edges present and combine='error'")
+        elif combine == "sum":
+            merged[key] = merged[key] + w
+        else:
+            merged[key] = max(merged[key], w)
+    rows = [[] for _ in range(num_nodes)]
+    for (u, v), w in merged.items():
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    indptr, indices, arc_weights = [0], [], []
+    for row in rows:
+        for v, w in sorted(row):
+            indices.append(v)
+            arc_weights.append(w)
+        indptr.append(len(indices))
+    return Graph(
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(arc_weights, dtype=np.float64),
+        validate=True,
+    )
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edge lists on a few nodes: many duplicates, both endpoint orders."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        ),
+        max_size=40,
+    ))
+    kind = draw(st.sampled_from(["none", "unit", "float"]))
+    if kind == "none":
+        weights = None
+    elif kind == "unit":
+        weights = [1.0] * len(pairs)
+    else:
+        # Decimal fractions make float sums depend on their order.
+        weight = st.one_of(
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]),
+            st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
+        )
+        weights = draw(st.lists(
+            weight, min_size=len(pairs), max_size=len(pairs)
+        ))
+    return n + draw(st.integers(0, 2)), pairs, weights
+
+
+class TestFromEdgesMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_lists(), st.sampled_from(["sum", "max", "error"]))
+    def test_bitwise_equal_to_dict_reference(self, case, combine):
+        num_nodes, pairs, weights = case
+        reference_weights = [1.0] * len(pairs) if weights is None else weights
+        try:
+            expected = _reference_from_edges(
+                num_nodes, pairs, reference_weights, combine
+            )
+        except GraphError:
+            with pytest.raises(GraphError, match="duplicate"):
+                from_edges(num_nodes, pairs, weights, combine=combine)
+            return
+        graph = from_edges(num_nodes, pairs, weights, combine=combine)
+        for name in ("indptr", "indices", "weights"):
+            got, want = getattr(graph, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def _reference_validation_error(indptr, indices, weights):
+    """The CSR checks of ``Graph._validate`` as a per-node loop."""
+    n = len(indptr) - 1
+    rows = [
+        list(zip(indices[indptr[u]:indptr[u + 1]],
+                 weights[indptr[u]:indptr[u + 1]]))
+        for u in range(n)
+    ]
+    for u, row in enumerate(rows):
+        ids = [v for v, _ in row]
+        if u in ids:
+            return f"self-loop at node {u} is not allowed"
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            return (f"adjacency of node {u} must be strictly sorted "
+                    "(no parallel edges)")
+    arcs = {(u, v): w for u, row in enumerate(rows) for v, w in row}
+    if any(arcs.get((v, u)) != w for (u, v), w in arcs.items()):
+        return "adjacency structure is not symmetric"
+    return None
+
+
+@st.composite
+def _csr_arrays(draw):
+    """Small CSR arrays, mostly malformed: loops, unsorted, asymmetric."""
+    n = draw(st.integers(1, 6))
+    rows = [
+        draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)
+    ]
+    if draw(st.booleans()):
+        # Symmetrize and sort, so valid graphs and late failures occur too.
+        pairs = {(u, v) for u, row in enumerate(rows) for v in row}
+        pairs |= {(v, u) for u, v in pairs}
+        rows = [sorted(v for w, v in pairs if w == u) for u in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    weights = np.array(
+        draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=indices.size,
+                      max_size=indices.size)),
+        dtype=np.float64,
+    )
+    return indptr, indices, weights
+
+
+class TestValidateMatchesLoopReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_csr_arrays())
+    def test_same_verdict_and_message(self, arrays):
+        expected = _reference_validation_error(*arrays)
+        if expected is None:
+            Graph(*arrays)
+        else:
+            with pytest.raises(GraphError) as info:
+                Graph(*arrays)
+            assert str(info.value) == expected

@@ -224,6 +224,21 @@ class TestIO:
         g = read_edge_list(target)
         assert g.num_edges == 2
 
+    def test_duplicate_weighted_lines_sum_in_file_order(self, tmp_path):
+        target = tmp_path / "g.tsv"
+        target.write_text(
+            "0 1 0.1\n2 1 0.7\n1 0 0.2\n0 1 0.3\n1 2 1.5\n",
+            encoding="utf-8",
+        )
+        g = read_edge_list(target)
+        assert g.num_edges == 2
+        # Float addition is not associative: file order is what counts.
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert g.edge_weight(0, 1) == (0.1 + 0.2) + 0.3
+        assert g.edge_weight(1, 0) == (0.1 + 0.2) + 0.3
+        assert g.edge_weight(1, 2) == 0.7 + 1.5
+        assert g.indices.dtype == np.int64 and g.weights.dtype == np.float64
+
     def test_integral_float_ids_accepted(self, tmp_path):
         target = tmp_path / "g.tsv"
         target.write_text("0.0\t1.0\t2.0\n", encoding="utf-8")

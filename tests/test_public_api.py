@@ -337,10 +337,8 @@ def test_facade_and_subpackage_exports_agree():
     assert api.registered_backends() == repro.registered_backends()
 
 
-def test_import_repro_defers_heavy_scipy_modules():
-    # scipy.fft and scipy.sparse.csgraph (which pulls in
-    # scipy.sparse.linalg) are imported by the functions that use them,
-    # so every process that imports repro stays smaller.
+def _loaded_modules_after(code, prefixes):
+    """Run ``code`` in a fresh interpreter; the loaded module names it left."""
     import os
     import subprocess
     import sys
@@ -352,12 +350,56 @@ def test_import_repro_defers_heavy_scipy_modules():
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     probe = (
-        "import sys, repro; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.fft', 'scipy.sparse.csgraph'))))"
+        f"import sys\n{code}\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env=env, timeout=120, check=True,
     )
-    assert proc.stdout.strip() == "[]", proc.stdout
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_repro_defers_heavy_scipy_modules():
+    # scipy.fft, scipy.sparse.csgraph (which pulls in scipy.sparse.linalg),
+    # scipy.linalg and the CLI are imported where they are used, so every
+    # process that imports repro stays smaller.
+    loaded = _loaded_modules_after("import repro", (
+        "scipy.fft", "scipy.sparse.csgraph", "scipy.linalg", "repro.cli",
+    ))
+    assert loaded == "[]", loaded
+
+
+def test_lazy_cli_attribute_still_resolves():
+    loaded = _loaded_modules_after(
+        "import repro\n"
+        "assert 'repro.cli' not in sys.modules\n"
+        "assert callable(repro.cli.main)\n"
+        "from repro import *\n"
+        "assert cli is repro.cli\n"
+        "try:\n"
+        "    repro.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')",
+        ("repro.cli",),
+    )
+    assert "'repro.cli'" in loaded, loaded
+
+
+def test_ppr_and_heat_kernel_run_loads_no_scipy_linalg():
+    # The deferred imports must not come back inside an NCP pass: a PPR
+    # plus heat-kernel ensemble needs neither scipy.linalg nor the CLI.
+    # (An MQI pass imports scipy.sparse.csgraph, whose own package init
+    # loads scipy.linalg, so it is not covered here.)
+    loaded = _loaded_modules_after(
+        "from repro import run_ncp_ensemble\n"
+        "from repro.datasets import load_graph\n"
+        "from repro.dynamics import PPR, DiffusionGrid, HeatKernel\n"
+        "graph = load_graph('whiskered', 0)\n"
+        "for spec in (PPR(), HeatKernel()):\n"
+        "    run_ncp_ensemble(graph, DiffusionGrid(spec, num_seeds=4, seed=0))",
+        ("scipy.linalg", "repro.cli"),
+    )
+    assert loaded == "[]", loaded
