@@ -73,8 +73,7 @@ def time_spec_columns(graph, spec, seed_nodes, backend):
     """Drain one spec's full diffusion grid through ``iter_columns``.
 
     One untimed single-seed warm-up drain runs first so per-process
-    one-time costs (numba JIT compilation above all) never reach the
-    timing.
+    one-time costs never reach the timing.
     """
     for _ in spec.iter_columns(
         graph, seed_nodes[:1], epsilons=EPSILONS, backend=backend

@@ -22,13 +22,6 @@ setup(
     python_requires=">=3.10",
     # scipy 1.8 added maximum_flow(method=...), which MQI calls.
     install_requires=["numpy", "scipy>=1.8"],
-    extras_require={
-        # The optional JIT kernel tier: `pip install -e .[jit]` makes the
-        # registered "numba" backend compile the CSR frontier loops; the
-        # package works (and tests pass) without it — the backend then
-        # degrades to the numpy reference with a RuntimeWarning.
-        "jit": ["numba>=0.59"],
-    },
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

@@ -20,7 +20,7 @@ Subpackages
     specs, ``Pipeline`` workloads, ``RefinerKind`` entries, alias table.
 ``repro.backends``
     The kernel-backend registry: ``EngineBackend`` entries behind the
-    canonical ``numpy`` / ``scalar`` / ``numba`` names, alias table.
+    canonical ``numpy`` / ``scalar`` names, alias table.
 ``repro.execution``
     The executor registry: ``ExecutorKind`` entries behind the canonical
     ``serial`` / ``process`` / ``chaos`` names, retry + straggler
@@ -121,7 +121,7 @@ from repro.refine import (
     get_refiner,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 
 def __getattr__(name):

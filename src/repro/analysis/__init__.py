@@ -4,16 +4,15 @@ The repo's correctness rests on conventions no unit test can see from
 the outside: dispatch goes through the registries instead of string
 comparisons (PRs 3/5/7), candidate ensembles replay byte-for-byte at
 any worker count, ``_CACHE_VERSION`` bumps whenever serialized chunk
-fields change, deprecation shims resolve-then-warn under one message
-prefix, and ``@njit`` kernels stay in nopython territory.  This package
+fields change, and process pools are built only in the execution layer.
+This package
 turns those conventions into an AST-based invariant checker, structured
 the same way the runtime is:
 
 * **Registry** — :class:`LintRule` entries under canonical ids with an
-  alias table and :class:`UnknownRuleError` did-you-mean errors,
-  mirroring :class:`~repro.dynamics.DynamicsKind` /
-  :class:`~repro.refine.RefinerKind` /
-  :class:`~repro.backends.EngineBackend`.  Registering a rule enrolls
+  alias table and :class:`UnknownRuleError` did-you-mean errors: the
+  same :class:`~repro._registry.Registry` as the dynamics, refiner,
+  backend and executor registries.  Registering a rule enrolls
   it in ``repro lint``, ``repro lint --list``, and the fixture-based
   test harness automatically.
 * **Harness** — one parse and one AST walk per file no matter how many

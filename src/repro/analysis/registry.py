@@ -1,8 +1,8 @@
 """The LintRule registry: canonical rule ids, aliases, did-you-mean.
 
-Mirrors the other three registries (:class:`~repro.dynamics.DynamicsKind`,
-:class:`~repro.refine.RefinerKind`, :class:`~repro.backends.EngineBackend`):
-frozen records under canonical keys, an alias table, and an unknown-name
+The same :class:`~repro._registry.Registry` as the dynamics, refiner,
+backend and executor registries: frozen records under canonical keys, an
+alias table (a rule's ``code`` is a spelling too), and an unknown-name
 error that inherits both :class:`~repro.exceptions.InvalidParameterError`
 (hence ``ValueError``) and ``KeyError`` with a did-you-mean suggestion.
 
@@ -14,9 +14,9 @@ harness (``tests/test_lint.py`` parametrizes over
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro._registry import Registry
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
@@ -98,87 +98,11 @@ class LintRule:
         return not any(part in posix for part in self.exempt)
 
 
-_REGISTRY = {}
-_ALIASES = {}
-
-
-def _normalize(name):
-    return str(name).strip().lower().replace("-", "_").replace(" ", "_")
-
-
-def _unknown(name):
-    known = sorted(_REGISTRY)
-    aliases = sorted(
-        a for a in _ALIASES if _normalize(_ALIASES[a]) != a
-    )
-    close = difflib.get_close_matches(_normalize(name), sorted(_ALIASES), n=1)
-    hint = ""
-    if close:
-        hint = f"; did you mean {_ALIASES[close[0]]!r}?"
-    return UnknownRuleError(
-        f"unknown lint rule {name!r}: registered rules are {known} "
-        f"(aliases: {aliases}){hint}"
-    )
-
-
-def register_rule(rule, *, overwrite=False):
-    """Register a :class:`LintRule` under its key, code, and aliases.
-
-    Raises :class:`~repro.exceptions.InvalidParameterError` when the key
-    or an alias collides with an existing entry (pass ``overwrite=True``
-    to replace a previous registration).  Returns the rule, so
-    registration can be used as an expression.
-    """
-    if not isinstance(rule, LintRule):
-        raise InvalidParameterError(
-            f"register_rule needs a LintRule; got {rule!r}"
-        )
-    key = rule.key
-    names = [_normalize(key), _normalize(rule.code)]
-    names += [_normalize(alias) for alias in rule.aliases]
-    if not overwrite:
-        for name in names:
-            if name in _ALIASES and _ALIASES[name] != key:
-                raise InvalidParameterError(
-                    f"lint-rule name {name!r} already registered "
-                    f"for {_ALIASES[name]!r}"
-                )
-        if key in _REGISTRY:
-            raise InvalidParameterError(
-                f"lint rule {key!r} already registered; pass "
-                "overwrite=True to replace it"
-            )
-    _REGISTRY[key] = rule
-    for name in names:
-        _ALIASES[name] = key
-    return rule
-
-
-def unregister_rule(name):
-    """Remove a registered rule (and its aliases) by name, code, or alias."""
-    key = resolve_rule_name(name)
-    del _REGISTRY[key]
-    for alias in [a for a, k in _ALIASES.items() if k == key]:
-        del _ALIASES[alias]
-
-
-def resolve_rule_name(rule):
-    """Canonical rule key for a name, code, alias, or LintRule."""
-    if isinstance(rule, LintRule):
-        return rule.key
-    key = _ALIASES.get(_normalize(rule))
-    if key is None:
-        raise _unknown(rule)
-    return key
-
-
-def get_rule(rule):
-    """Look up a :class:`LintRule` by name, code, alias, or identity."""
-    if isinstance(rule, LintRule):
-        return rule
-    return _REGISTRY[resolve_rule_name(rule)]
-
-
-def registered_rules():
-    """Mapping of canonical rule key -> :class:`LintRule`."""
-    return dict(_REGISTRY)
+RULES = Registry(
+    "lint rule", LintRule, UnknownRuleError, spellings=("code",)
+)
+register_rule = RULES.register
+unregister_rule = RULES.unregister
+resolve_rule_name = RULES.resolve
+get_rule = RULES.get
+registered_rules = RULES.registered

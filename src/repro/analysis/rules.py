@@ -19,17 +19,14 @@ past PRs established by hand:
 * **R004 exception-policy** — no bare/swallowing broad handlers (the
   PR 2 bug class), and no raising builtin ``KeyError``/``ValueError``
   where the dual-inheritance ``repro`` exception types are required.
-* **R005 shim-policy** — deprecation shims resolve-then-warn and carry
-  the ``"repro API deprecation"`` prefix the test suite promotes to an
-  error.
-* **R006 numba-purity** — ``@njit`` kernels stay in nopython territory:
-  no f-strings, dict/set literals, try blocks, or closures over modules
-  other than ``np``/``math``.
 * **R007 executor-discipline** — process pools are an execution-layer
   concern: ``ProcessPoolExecutor`` is constructed only inside
   :mod:`repro.execution`; everything else goes through the executor
   registry (``run_ncp_ensemble(executor=...)``) so retry, straggler
   re-dispatch, and resume apply uniformly.
+
+R005 and R006 were retired in 2.0 together with the code they checked;
+their codes are not reused.
 """
 
 from __future__ import annotations
@@ -343,133 +340,6 @@ class ExceptionPolicyVisitor(RuleVisitor):
             ))
 
 
-_SHIM_PREFIX = "repro API deprecation"
-
-
-def _first_literal_chunk(node):
-    """The leading string literal of a Constant/JoinedStr message."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr) and node.values:
-        head = node.values[0]
-        if isinstance(head, ast.Constant) and isinstance(head.value, str):
-            return head.value
-    return None
-
-
-class ShimPolicyVisitor(RuleVisitor):
-    """R005: shims resolve-then-warn and carry the deprecation prefix."""
-
-    def _category(self, node):
-        if len(node.args) >= 2:
-            return _terminal_name(node.args[1])
-        for keyword in node.keywords:
-            if keyword.arg == "category":
-                return _terminal_name(keyword.value)
-        return None
-
-    def visit_Call(self, node):
-        dotted = _dotted(node.func) or ""
-        if not dotted.endswith("warnings.warn") and dotted != "warn":
-            return
-        if self._category(node) != "DeprecationWarning":
-            return
-        message = _first_literal_chunk(node.args[0]) if node.args else None
-        if message is None or not message.startswith(_SHIM_PREFIX):
-            self.add(node, (
-                "DeprecationWarning without the "
-                f"{_SHIM_PREFIX + ': '!r} prefix: emit shim warnings "
-                "through repro._deprecation.warn_deprecated so the test "
-                "suite's warning-to-error promotion sees them"
-            ))
-
-    def visit_FunctionDef(self, node):
-        # Resolve-then-warn: inside one shim, the replacement must be
-        # resolved (so invalid input raises) before the warning fires.
-        warns, resolves = [], []
-        for inner in ast.walk(node):
-            if not isinstance(inner, ast.Call):
-                continue
-            name = _terminal_name(inner.func)
-            if name == "warn_deprecated":
-                warns.append(inner)
-            elif name is not None and name.startswith("resolve_"):
-                resolves.append(inner)
-        if warns and resolves:
-            first_resolve = min(call.lineno for call in resolves)
-            for call in warns:
-                if call.lineno < first_resolve:
-                    self.add(call, (
-                        f"shim {node.name!r} warns before resolving: call "
-                        "resolve_* first so invalid input raises without "
-                        "emitting the deprecation warning"
-                    ))
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-
-# Modules an @njit body may close over (numba's nopython-supported set).
-_NJIT_ALLOWED_MODULES = frozenset({"np", "numpy", "math", "numba"})
-
-
-def _is_njit_decorator(node):
-    if isinstance(node, ast.Call):
-        node = node.func
-    name = _terminal_name(node)
-    return name in {"njit", "jit"}
-
-
-class NumbaPurityVisitor(RuleVisitor):
-    """R006: @njit kernels avoid object-mode constructs."""
-
-    def __init__(self, rule, ctx):
-        super().__init__(rule, ctx)
-        self._imported_modules = set()
-
-    def visit_Import(self, node):
-        for alias in node.names:
-            self._imported_modules.add(
-                (alias.asname or alias.name).split(".")[0]
-            )
-
-    def visit_FunctionDef(self, node):
-        if not any(_is_njit_decorator(d) for d in node.decorator_list):
-            return
-        parameters = {a.arg for a in node.args.args}
-        parameters |= {a.arg for a in node.args.kwonlyargs}
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.JoinedStr):
-                self.add(inner, (
-                    f"f-string inside @njit kernel {node.name!r}: "
-                    "nopython mode cannot format strings (build messages "
-                    "outside the kernel)"
-                ))
-            elif isinstance(inner, (ast.Dict, ast.DictComp)):
-                self.add(inner, (
-                    f"dict literal inside @njit kernel {node.name!r}: "
-                    "reflected dicts force object mode; use typed arrays "
-                    "or numba.typed.Dict"
-                ))
-            elif isinstance(inner, ast.Try):
-                self.add(inner, (
-                    f"try/except inside @njit kernel {node.name!r}: "
-                    "exception handling is object-mode; hoist it to the "
-                    "python wrapper"
-                ))
-            elif (
-                isinstance(inner, ast.Attribute)
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id in self._imported_modules
-                and inner.value.id not in _NJIT_ALLOWED_MODULES
-                and inner.value.id not in parameters
-            ):
-                self.add(inner, (
-                    f"@njit kernel {node.name!r} closes over module "
-                    f"{inner.value.id!r}: only np/math are nopython-"
-                    "safe; pass data in as arrays"
-                ))
-
-
 class ExecutorDisciplineVisitor(RuleVisitor):
     """R007: ``ProcessPoolExecutor`` is built only in ``repro.execution``."""
 
@@ -532,26 +402,6 @@ def register_builtin_rules():
         ),
         aliases=("exceptions",),
         visitor=ExceptionPolicyVisitor,
-    ))
-    register_rule(LintRule(
-        key="shim-policy",
-        code="R005",
-        description=(
-            "deprecation shims resolve-then-warn and carry the 'repro "
-            "API deprecation' prefix the suite promotes to an error"
-        ),
-        aliases=("shims",),
-        visitor=ShimPolicyVisitor,
-    ))
-    register_rule(LintRule(
-        key="numba-purity",
-        code="R006",
-        description=(
-            "@njit kernels stay nopython: no f-strings, dict literals, "
-            "try blocks, or closures over modules beyond np/math"
-        ),
-        aliases=("numba",),
-        visitor=NumbaPurityVisitor,
     ))
     register_rule(LintRule(
         key="executor-discipline",

@@ -23,7 +23,8 @@ import ast
 import re
 
 from repro.analysis.findings import LintFinding
-from repro.analysis.registry import _ALIASES, _normalize
+from repro._registry import normalize
+from repro.analysis.registry import UnknownRuleError, resolve_rule_name
 
 __all__ = ["ModuleContext", "RuleVisitor", "run_rules"]
 
@@ -42,14 +43,17 @@ def _pragma_rules(spec):
     """Normalize a pragma's rule list to canonical keys (or ``all``)."""
     names = set()
     for token in spec.split(","):
-        token = _normalize(token)
+        token = normalize(token)
         if not token:
             continue
         if token == _ALL:
             return {_ALL}
-        # Unknown pragma names are kept verbatim: a pragma for a rule
-        # registered later (or third-party) must not crash the run.
-        names.add(_ALIASES.get(token, token))
+        try:
+            names.add(resolve_rule_name(token))
+        except UnknownRuleError:
+            # Unknown pragma names are kept verbatim: a pragma for a rule
+            # registered later (or third-party) must not crash the run.
+            names.add(token)
     return names
 
 

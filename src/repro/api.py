@@ -14,8 +14,8 @@ vocabulary:
   or local-clustering entry point.
 * **Kernel backends** — :class:`EngineBackend` and its registry
   (:func:`get_backend`, :func:`register_backend`,
-  :func:`registered_backends`): the ``numpy`` / ``scalar`` / ``numba``
-  inner-loop families behind every ``backend=`` keyword.
+  :func:`registered_backends`): the ``numpy`` / ``scalar`` inner-loop
+  families behind every ``backend=`` keyword.
 * **Executors** — :class:`ExecutorKind` and its registry
   (:func:`get_executor`, :func:`register_executor`,
   :func:`registered_executors`): the ``serial`` / ``process`` /

@@ -1,29 +1,24 @@
 """The EngineBackend registry: pluggable kernel backends.
 
 PRs 1-2 grew a scalar-reference / vectorized-engine pair for every hot
-loop, but the *selection* was smeared across three ad-hoc stringly flags
-(``engine=`` on the dynamics specs, ``implementation=`` on the truncated
-walk and the sweep scan).  This package replaces all of them with one
-first-class layer, mirroring the :class:`~repro.dynamics.DynamicsKind`
-and :class:`~repro.refine.RefinerKind` registries:
+loop; this package selects between them through one first-class layer,
+a :class:`~repro._registry.Registry` like the dynamics and refiner
+registries:
 
 * **Interface** — :class:`EngineBackend`: a frozen record of the CSR
   scatter-add inner loops (PPR push, heat-kernel stage recursion,
   lazy-walk step, sweep prefix scan) plus grid drivers, under a
   canonical key and alias table.
-* **Registry** — canonical names ``numpy`` / ``scalar`` / ``numba``.
-  ``numpy`` is the vectorized reference (and the parity oracle every
-  other backend is tested against); ``scalar`` is the node-at-a-time
-  Python loop family; ``numba`` JIT-compiles the frontier loops and
-  degrades gracefully to ``numpy`` — with a single ``RuntimeWarning``
-  per process — when numba is not installed.
+* **Registry** — canonical names ``numpy`` / ``scalar``.  ``numpy`` is
+  the vectorized reference (and the parity oracle every other backend is
+  tested against); ``scalar`` is the node-at-a-time Python loop family.
 * **Errors** — :class:`UnknownBackendError`, both
   :class:`~repro.exceptions.InvalidParameterError` (hence ``ValueError``)
   and ``KeyError``, with a did-you-mean suggestion.
 
-The legacy ``engine="batched"`` / ``implementation="vectorized"`` values
-are registered as aliases of ``numpy``, so every deprecation shim is one
-:func:`resolve_backend_name` call.
+The pre-registry flag values (``"batched"``, ``"vectorized"``,
+``"oracle"``, ...) stay registered as aliases, so older run manifests'
+``backend`` values still resolve.
 
 Registering a backend is enough to make the test suite parity-check it
 against ``numpy`` and the bench CLI time it (see
@@ -32,9 +27,9 @@ against ``numpy`` and the bench CLI time it (see
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 
+from repro._registry import Registry
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
@@ -68,12 +63,11 @@ class EngineBackend:
     Attributes
     ----------
     key:
-        Canonical registry name (``"numpy"``, ``"scalar"``, ``"numba"``).
+        Canonical registry name (``"numpy"``, ``"scalar"``).
     description:
         One-line summary shown in ``--help`` and the architecture docs.
     aliases:
-        Accepted alternative names (the legacy ``engine=`` /
-        ``implementation=`` vocabulary lives here).
+        Accepted alternative names.
     ppr_grid:
         ``(graph, seed_nodes, *, alphas, epsilons)`` -> iterator of PPR
         columns in (seed, alpha, epsilon) order, epsilon fastest.
@@ -92,10 +86,6 @@ class EngineBackend:
     prefix_scan:
         ``(graph, order, max_size, max_volume, min_size)`` ->
         ``(profile, (phi, position, volume))`` sweep scan.
-    probe:
-        Optional zero-argument availability check; backends with
-        optional dependencies report importability here without
-        triggering their fallback warning.
     """
 
     key: str
@@ -107,98 +97,18 @@ class EngineBackend:
     hk_push: object = field(default=None, repr=False)
     walk_step: object = field(default=None, repr=False)
     prefix_scan: object = field(default=None, repr=False)
-    probe: object = field(default=None, repr=False)
-
-    def available(self):
-        """Whether the backend can run natively (vs. falling back)."""
-        if self.probe is None:
-            return True
-        return bool(self.probe())
 
 
-_REGISTRY = {}
-_ALIASES = {}
-
-
-def _normalize(name):
-    return str(name).strip().lower().replace("-", "_").replace(" ", "_")
-
-
-def _unknown(name):
-    known = sorted(_REGISTRY)
-    aliases = sorted(a for a in _ALIASES if a not in _REGISTRY)
-    close = difflib.get_close_matches(_normalize(name), sorted(_ALIASES), n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return UnknownBackendError(
-        f"unknown backend {name!r}: registered backends are {known} "
-        f"(aliases: {aliases}){hint}"
-    )
-
-
-def register_backend(backend, *, overwrite=False):
-    """Register an :class:`EngineBackend` under its key and aliases.
-
-    Raises :class:`~repro.exceptions.InvalidParameterError` when the key
-    or an alias collides with an existing entry (pass ``overwrite=True``
-    to replace a previous registration).  Returns the backend, so
-    registration can be used as an expression.
-    """
-    if not isinstance(backend, EngineBackend):
-        raise InvalidParameterError(
-            f"register_backend needs an EngineBackend; got {backend!r}"
-        )
-    key = _normalize(backend.key)
-    names = [key] + [_normalize(alias) for alias in backend.aliases]
-    if not overwrite:
-        for name in names:
-            if name in _ALIASES and _ALIASES[name] != key:
-                raise InvalidParameterError(
-                    f"backend name {name!r} already registered "
-                    f"for {_ALIASES[name]!r}"
-                )
-        if key in _REGISTRY:
-            raise InvalidParameterError(
-                f"backend {key!r} already registered; pass overwrite=True "
-                "to replace it"
-            )
-    _REGISTRY[key] = backend
-    for name in names:
-        _ALIASES[name] = key
-    return backend
-
-
-def unregister_backend(name):
-    """Remove a registered backend (and its aliases) by name or alias."""
-    key = resolve_backend_name(name)
-    del _REGISTRY[key]
-    for alias in [a for a, k in _ALIASES.items() if k == key]:
-        del _ALIASES[alias]
-
-
-def resolve_backend_name(backend):
-    """Canonical backend key for a name, alias, or EngineBackend."""
-    if isinstance(backend, EngineBackend):
-        return _normalize(backend.key)
-    key = _ALIASES.get(_normalize(backend))
-    if key is None:
-        raise _unknown(backend)
-    return key
-
-
-def get_backend(backend):
-    """Look up an :class:`EngineBackend` by name, alias, or identity."""
-    if isinstance(backend, EngineBackend):
-        return backend
-    return _REGISTRY[resolve_backend_name(backend)]
-
-
-def registered_backends():
-    """Mapping of canonical backend key -> :class:`EngineBackend`."""
-    return dict(_REGISTRY)
+BACKENDS = Registry("backend", EngineBackend, UnknownBackendError)
+register_backend = BACKENDS.register
+unregister_backend = BACKENDS.unregister
+resolve_backend_name = BACKENDS.resolve
+get_backend = BACKENDS.get
+registered_backends = BACKENDS.registered
 
 
 def _register_builtin_backends():
-    from repro.backends import _numba, _numpy, _scalar
+    from repro.backends import _numpy, _scalar
 
     register_backend(EngineBackend(
         key="numpy",
@@ -227,22 +137,6 @@ def _register_builtin_backends():
         hk_push=_scalar.hk_push,
         walk_step=_scalar.walk_step,
         prefix_scan=_scalar.prefix_scan,
-    ))
-    register_backend(EngineBackend(
-        key="numba",
-        description=(
-            "JIT-compiled frontier loops (@njit over the CSR arrays, "
-            "cached, nopython); optional — falls back to 'numpy' with a "
-            "RuntimeWarning when numba is not installed"
-        ),
-        aliases=("jit", "njit"),
-        ppr_grid=_numba.ppr_grid,
-        hk_grid=_numba.hk_grid,
-        ppr_push=_numba.ppr_push,
-        hk_push=_numba.hk_push,
-        walk_step=_numba.walk_step,
-        prefix_scan=_numba.prefix_scan,
-        probe=_numba.numba_available,
     ))
 
 

@@ -1,9 +1,8 @@
 """The ``numpy`` backend: vectorized reference kernels.
 
 These are the batched/vectorized engines of PRs 1-2, re-homed behind the
-backend interface.  The ``numpy`` backend is the *reference* every other
-backend is parity-tested against, and the fallback the ``numba`` backend
-degrades to when numba is not installed.
+backend interface.  The ``numpy`` backend is the default and the
+*reference* every other backend is parity-tested against.
 """
 
 from __future__ import annotations

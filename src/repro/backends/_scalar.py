@@ -3,7 +3,7 @@
 These are the original pre-batching kernels (the FIFO ACL push, the
 one-column heat-kernel series, the per-node walk spread, the incremental
 sweep scan).  They are slow but transparent, and the parity oracle family
-every vectorized or JIT backend is measured against.
+every vectorized backend is measured against.
 """
 
 from __future__ import annotations

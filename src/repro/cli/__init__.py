@@ -14,7 +14,7 @@ into a reproducible one-liner:
   writing ``BENCH_engine.json``;
 * ``repro lint`` — the AST-based invariant checker
   (:mod:`repro.analysis`): registry dispatch, determinism, cache
-  versioning, exception/shim policy, @njit purity.
+  versioning, exception policy, executor discipline.
 
 Every run that produces files also writes a JSON **run manifest**
 (:mod:`repro.cli.manifest`) next to them — resolved spec, graph

@@ -2,11 +2,11 @@
 
 Times every registered dynamics' full diffusion grid through the same
 ``spec.iter_columns`` entry point the NCP pipeline uses, once per
-registered :mod:`repro.backends` backend (numpy / scalar / numba / any
+registered :mod:`repro.backends` backend (numpy / scalar / any
 third-party registration), and writes ``BENCH_engine.json`` (one
 section per dynamics, one timing entry per backend) plus a run manifest
 into ``--out``.  Each (dynamics, backend) pair gets one untimed warm-up
-drain first, so numba JIT compilation never pollutes the timings.
+drain first, so one-time costs never pollute the timings.
 Because dispatch goes through both registries, a newly registered
 dynamics or backend benchmarks itself with no changes here.  The
 pre-backend ``scalar_seconds`` / ``batched_seconds`` / ``speedup`` keys
@@ -46,7 +46,7 @@ def configure_parser(subparsers):
             "Benchmark the registered kernel backends against each "
             "other: every registered dynamics' default grid is drained "
             "through spec.iter_columns once per backend (after an "
-            "untimed warm-up, so numba JIT compilation is excluded) and "
+            "untimed warm-up, so one-time costs are excluded) and "
             "the timings are written to BENCH_engine.json "
             "(+ manifest.json) in --out."
         ),
@@ -102,7 +102,7 @@ def _time_columns(graph, spec, seed_nodes, epsilons, backend, rounds):
     """Best-of-``rounds`` wall time to drain one spec's diffusion grid.
 
     One untimed warm-up drain (a single seed) runs first so one-time
-    costs — numba JIT compilation above all — never reach the timings.
+    costs never reach the timings.
     """
     for _column in spec.iter_columns(
         graph, seed_nodes[:1], epsilons=epsilons, backend=backend
@@ -166,7 +166,6 @@ def run(args):
             "backends": {
                 name: {
                     "backend": name,
-                    "available": registered_backends()[name].available(),
                     "seconds": seconds,
                     "speedup_vs_numpy": (
                         reference / seconds
@@ -196,7 +195,7 @@ def run(args):
             vs = entry["speedup_vs_numpy"]
             rows.append([
                 f"{key} ({axes} x {len(epsilons)} eps)",
-                name + ("" if entry["available"] else " (fallback)"),
+                name,
                 timings[name],
                 f"{vs:.1f}x" if vs is not None else "--",
             ])

@@ -93,8 +93,7 @@ def configure_parser(subparsers):
         default=None,
         metavar="NAME",
         help="kernel backend for the diffusion and sweep (numpy, scalar, "
-             "numba, ...; default: each dynamics' historical local "
-             "default)",
+             "...; default: each dynamics' historical local default)",
     )
     parser.add_argument(
         "--out",

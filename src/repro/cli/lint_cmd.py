@@ -32,9 +32,8 @@ def configure_parser(subparsers):
             "Run the AST-based invariant checker (repro.analysis) over "
             "python files or directories: registry dispatch instead of "
             "string comparisons, cache-version discipline, determinism "
-            "hazards, exception policy, deprecation-shim policy, and "
-            "@njit kernel purity.  Exits 0 on a clean tree, 1 on "
-            "findings, 2 on usage errors."
+            "hazards, exception policy, and executor discipline.  "
+            "Exits 0 on a clean tree, 1 on findings, 2 on usage errors."
         ),
     )
     parser.add_argument(

@@ -5,7 +5,7 @@ Every ``python -m repro`` subcommand that produces output files writes a
 the result byte for byte:
 
 * the **resolved arguments** — graph source, dynamics spec strings, seed,
-  seed count, epsilons, engine — plus a ready-made ``replay_argv`` token
+  seed count, epsilons, backend — plus a ready-made ``replay_argv`` token
   list that omits execution-only flags (``--out``, ``--workers``,
   ``--cache-dir``), since those may vary without changing the result;
 * the **graph record** — suite name or file path, node/edge counts, and

@@ -127,14 +127,7 @@ def configure_parser(subparsers):
         metavar="NAME",
         help="kernel backend for the diffusion and sweep inner loops: "
              "any registered repro.backends name or alias (numpy, "
-             "scalar, numba, ...; default: numpy)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("batched", "scalar"),
-        default=None,
-        help="(deprecated) legacy alias for --backend "
-             "(batched -> numpy)",
+             "scalar, ...; default: numpy)",
     )
     parser.add_argument(
         "--workers",
@@ -275,7 +268,6 @@ def _apply_resume_arguments(args, arguments):
     max_size = arguments.get("max_cluster_size")
     args.max_cluster_size = None if max_size is None else int(max_size)
     args.backend = arguments.get("backend")
-    args.engine = None
     args.seeds_per_chunk = int(arguments["seeds_per_chunk"])
     args.buckets = int(arguments["buckets"])
     if args.cache_dir is None:
@@ -303,16 +295,9 @@ def run(args):
             "one of --graph or --resume is required"
         )
     graph, record = resolve_graph(args)
-    backend = args.backend
-    if args.engine is not None:
-        if backend is not None:
-            raise InvalidParameterError(
-                "pass --backend or the deprecated --engine, not both"
-            )
-        backend = args.engine
-    # resolve_backend_name canonicalizes legacy values without warning:
-    # replaying an old manifest's '--engine batched' argv must stay quiet.
-    backend = resolve_backend_name("numpy" if backend is None else backend)
+    backend = resolve_backend_name(
+        "numpy" if args.backend is None else args.backend
+    )
     requests = parse_dynamics_list(args.dynamics)
     refiners = (
         parse_refiner_chain(args.refine) if args.refine is not None else ()

@@ -15,8 +15,8 @@ O(support volume).
 Every registered backend (see :mod:`repro.backends`) provides the spread
 step under the same semantics (trajectory recording, support accounting,
 dropped-mass bookkeeping): the default ``numpy`` step gathers the
-support's CSR slices and scatters through one bincount, ``scalar`` is the
-per-node Python parity oracle, and ``numba`` JIT-compiles the loop.
+support's CSR slices and scatters through one bincount, and ``scalar`` is
+the per-node Python parity oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro._validation import (
     check_int,
     check_probability,
     check_vector,
 )
-from repro.backends import get_backend, resolve_backend_name
+from repro.backends import get_backend
 from repro.exceptions import InvalidParameterError
 
 
@@ -62,8 +61,7 @@ class TruncatedWalkResult:
 
 
 def truncated_lazy_walk(graph, seed_vector, num_steps, *, epsilon,
-                        alpha=0.5, keep_trajectory=True, backend=None,
-                        implementation=None):
+                        alpha=0.5, keep_trajectory=True, backend=None):
     """Run ``num_steps`` of the truncated lazy random walk.
 
     Parameters
@@ -85,8 +83,6 @@ def truncated_lazy_walk(graph, seed_vector, num_steps, *, epsilon,
         providing the spread step; default ``"numpy"``. Every backend
         performs the same substochastic update restricted to the current
         support.
-    implementation:
-        Deprecated alias for ``backend`` (``"vectorized"`` -> ``"numpy"``).
 
     Returns
     -------
@@ -101,16 +97,6 @@ def truncated_lazy_walk(graph, seed_vector, num_steps, *, epsilon,
     num_steps = check_int(num_steps, "num_steps", minimum=0)
     epsilon = check_probability(epsilon, "epsilon")
     alpha = check_probability(alpha, "alpha")
-    if implementation is not None:
-        if backend is not None:
-            raise InvalidParameterError(
-                "pass backend= or the deprecated implementation=, not both"
-            )
-        backend = resolve_backend_name(implementation)
-        warn_deprecated(
-            "truncated_lazy_walk(implementation=...)",
-            "truncated_lazy_walk(backend=...)",
-        )
     ops = get_backend("numpy" if backend is None else backend)
     seed = check_vector(seed_vector, graph.num_nodes, "seed_vector")
     if np.any(seed < 0):

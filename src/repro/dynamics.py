@@ -19,12 +19,10 @@ Three layers:
   seed.  A spec with a single-point axis doubles as a point parameter for
   the seed → cluster drivers.
 * **Grids** — :class:`DiffusionGrid`: a spec × epsilons × seed-sampling
-  plan, replacing the ``alphas=... ts=... steps=... walk_alpha=...`` kwarg
-  soup that the runner used to carry for all dynamics at once.
-* **The registry** — :class:`DynamicsKind` entries merge the NCP-side
-  dispatch (previously the runner's private ``_DYNAMICS`` tuple) with the
-  implicit-regularization framework (previously
-  ``repro.core.framework._REGISTRY``) under canonical names plus an alias
+  plan, the one workload description every NCP entry point takes.
+* **The registry** — :class:`DynamicsKind` entries pair the NCP-side
+  dispatch with the implicit-regularization framework
+  (:mod:`repro.core.framework`) under canonical names plus an alias
   table, so ``get_dynamics("ppr")``, ``get_dynamics("pagerank")`` and
   ``get_dynamics(PPR())`` all return the *same* registry object the
   runner dispatches on.
@@ -34,8 +32,8 @@ New dynamics plug in by registering a spec type and a
 the benchmarks are needed (see ``tests/test_dynamics_registry.py`` for a
 worked example).
 
-This is the pattern's original instance; its siblings are
-:class:`~repro.refine.RefinerKind` (refiners),
+The registry is a :class:`~repro._registry.Registry`, the one
+implementation shared with :class:`~repro.refine.RefinerKind` (refiners),
 :class:`~repro.backends.EngineBackend` (kernel backends),
 :class:`~repro.analysis.LintRule` (lint rules), and
 :class:`~repro.execution.ExecutorKind` (ensemble execution strategies).
@@ -46,12 +44,12 @@ depend on that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from repro._deprecation import DEPRECATION_REMOVAL_VERSION, warn_deprecated
+from repro._registry import Registry
 from repro._validation import check_int, check_positive, check_probability
 from repro.backends import get_backend, resolve_backend_name
 from repro.backends._common import seed_vector as _seed_vector
@@ -103,25 +101,6 @@ def _axis(value, name, check):
     if not values:
         raise InvalidParameterError(f"{name} axis must be nonempty")
     return values
-
-
-def _resolve_backend(backend, engine, where):
-    """Map a (backend=, deprecated engine=) pair to one backend value.
-
-    ``engine`` is the pre-registry stringly flag; its vocabulary
-    (``"batched"``/``"scalar"``) is registered as backend aliases, so the
-    shim is one :func:`~repro.backends.resolve_backend_name` call.
-    Returns ``None`` when neither was given (callers pick their default).
-    """
-    if engine is not None:
-        if backend is not None:
-            raise InvalidParameterError(
-                f"pass backend= or the deprecated engine= to {where}, "
-                "not both"
-            )
-        backend = resolve_backend_name(engine)
-        warn_deprecated(f"{where}(engine=...)", f"{where}(backend=...)")
-    return backend
 
 
 class _SpecBase:
@@ -197,17 +176,14 @@ class PPR(_SpecBase):
     def from_grid_params(cls, params):
         return cls(alpha=params["alphas"])
 
-    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None,
-                     engine=None):
+    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
         """Iterate one diffusion vector per (seed, alpha, epsilon) point.
 
         Columns enumerate seed (slowest) x alpha x epsilon (fastest) —
         the same order for every backend, so candidate ensembles line up
         column-for-column.  ``backend`` names a registered
-        :class:`~repro.backends.EngineBackend` (default ``"numpy"``);
-        ``engine`` is the deprecated pre-registry alias.
+        :class:`~repro.backends.EngineBackend` (default ``"numpy"``).
         """
-        backend = _resolve_backend(backend, engine, "PPR.iter_columns")
         ops = get_backend("numpy" if backend is None else backend)
         return ops.ppr_grid(
             graph, list(seed_nodes), alphas=self.alpha,
@@ -258,17 +234,12 @@ class HeatKernel(_SpecBase):
     def from_grid_params(cls, params):
         return cls(t=params["ts"])
 
-    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None,
-                     engine=None):
+    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
         """Iterate one diffusion vector per (seed, t, epsilon) grid point.
 
         ``backend`` names a registered
-        :class:`~repro.backends.EngineBackend` (default ``"numpy"``);
-        ``engine`` is the deprecated pre-registry alias.
+        :class:`~repro.backends.EngineBackend` (default ``"numpy"``).
         """
-        backend = _resolve_backend(
-            backend, engine, "HeatKernel.iter_columns"
-        )
         ops = get_backend("numpy" if backend is None else backend)
         return ops.hk_grid(
             graph, list(seed_nodes), ts=self.t, epsilons=tuple(epsilons)
@@ -342,18 +313,15 @@ class LazyWalk(_SpecBase):
     def grid_size(self, epsilons):
         return len(self.steps) * len(tuple(epsilons))
 
-    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None,
-                     engine=None):
+    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
         """Iterate one charge vector per (seed, epsilon, step) grid point.
 
         The walk is run once to the largest requested step count per
         (seed, epsilon); the prefix trajectory supplies every smaller
         step count for free, in sorted-unique order.  ``backend`` names a
         registered :class:`~repro.backends.EngineBackend` providing the
-        spread step (default ``"numpy"``); ``engine`` is the deprecated
-        pre-registry alias.
+        spread step (default ``"numpy"``).
         """
-        backend = _resolve_backend(backend, engine, "LazyWalk.iter_columns")
         ops = get_backend("numpy" if backend is None else backend)
         return self._walk_columns(graph, seed_nodes, tuple(epsilons), ops)
 
@@ -447,16 +415,12 @@ class DynamicsKind(ApproximateComputation):
         ``factory(graph) -> spec`` producing the default single-point spec
         for the seed -> cluster drivers (the walk's default step count
         depends on the graph size).
-    legacy_axes:
-        Maps the pre-registry kwarg soup (``alphas``/``ts``/``steps``/
-        ``walk_alpha``) onto a spec; only the deprecation shims call it.
     """
 
     key: str = ""
     aliases: tuple = ()
     spec_type: type = None
     local_spec_factory: Callable = None
-    legacy_axes: Callable = field(default=None, repr=False)
 
     def default_spec(self):
         """The spec with this dynamics' default NCP grid axes."""
@@ -469,13 +433,6 @@ class DynamicsKind(ApproximateComputation):
     def local_spec(self, graph=None):
         """The default single-point spec for local clustering."""
         return self.local_spec_factory(graph)
-
-    def spec_from_legacy(self, *, alphas=None, ts=None, steps=None,
-                         walk_alpha=None):
-        """Build a spec from the deprecated per-dynamics kwarg soup."""
-        return self.legacy_axes(
-            alphas=alphas, ts=ts, steps=steps, walk_alpha=walk_alpha
-        )
 
 
 @dataclass(frozen=True)
@@ -499,9 +456,6 @@ class DiffusionGrid:
     backend:
         Registered backend name or alias (see :mod:`repro.backends`);
         normalized to the canonical key, default ``"numpy"``.
-    engine:
-        Deprecated alias for ``backend`` (``"batched"`` -> ``"numpy"``);
-        always ``None`` after construction.
     """
 
     dynamics: object
@@ -510,7 +464,6 @@ class DiffusionGrid:
     seed: object = None
     max_cluster_size: int = None
     backend: str = None
-    engine: object = field(default=None, repr=False)
 
     def __post_init__(self):
         spec = self.dynamics
@@ -528,14 +481,14 @@ class DiffusionGrid:
         check_int(self.num_seeds, "num_seeds", minimum=1)
         if self.max_cluster_size is not None:
             check_int(self.max_cluster_size, "max_cluster_size", minimum=1)
-        backend = _resolve_backend(self.backend, self.engine, "DiffusionGrid")
-        # Normalize so grids built via the shim compare (and hash) equal
+        # Normalize so grids built from an alias compare (and hash) equal
         # to grids built with the canonical name.
-        object.__setattr__(self, "engine", None)
         object.__setattr__(
             self,
             "backend",
-            resolve_backend_name("numpy" if backend is None else backend),
+            resolve_backend_name(
+                "numpy" if self.backend is None else self.backend
+            ),
         )
 
     @property
@@ -574,99 +527,20 @@ def as_diffusion_grid(grid):
 # --------------------------------------------------------------------------
 # The registry.
 
-_REGISTRY = {}      # canonical key -> DynamicsKind
-_ALIASES = {}       # normalized spelling -> canonical key
-_SPEC_TYPES = {}    # spec type -> canonical key
-
-
-def _normalize(name):
-    return str(name).strip().lower().replace("-", "_").replace(" ", "_")
-
-
-def register_dynamics(kind, *, overwrite=False):
-    """Register a :class:`DynamicsKind` under its key, aliases, and names.
-
-    Returns the kind, so definitions can be written as
-    ``KIND = register_dynamics(DynamicsKind(...))``.  Registering an
-    already-taken spelling raises unless ``overwrite`` is set.
-    """
-    if not isinstance(kind, DynamicsKind):
-        raise InvalidParameterError(
-            f"register_dynamics expects a DynamicsKind; got {kind!r}"
-        )
-    if not kind.key or kind.spec_type is None:
-        raise InvalidParameterError(
-            "a DynamicsKind needs both a canonical key and a spec_type"
-        )
-    spellings = {_normalize(kind.key), _normalize(kind.name)}
-    spellings.update(_normalize(alias) for alias in kind.aliases)
-    if not overwrite:
-        if kind.key in _REGISTRY:
-            raise InvalidParameterError(
-                f"dynamics key {kind.key!r} is already registered; pass "
-                f"overwrite=True to replace it"
-            )
-        taken = sorted(s for s in spellings if s in _ALIASES)
-        if taken:
-            raise InvalidParameterError(
-                f"dynamics spellings already registered: {taken}"
-            )
-    for spelling in spellings:
-        _ALIASES[spelling] = kind.key
-    _REGISTRY[kind.key] = kind
-    _SPEC_TYPES[kind.spec_type] = kind.key
-    return kind
-
-
-def unregister_dynamics(key):
-    """Remove a registered dynamics (used by extension tests)."""
-    key = resolve_dynamics_name(key)
-    kind = _REGISTRY.pop(key)
-    for spelling in [s for s, k in _ALIASES.items() if k == key]:
-        del _ALIASES[spelling]
-    _SPEC_TYPES.pop(kind.spec_type, None)
-    return kind
-
-
-def resolve_dynamics_name(dynamics):
-    """Canonical key for a name, alias, spec instance, spec type, or kind."""
-    if isinstance(dynamics, DynamicsKind):
-        candidate = dynamics.key
-    elif isinstance(dynamics, type):
-        candidate = _SPEC_TYPES.get(dynamics)
-    elif isinstance(dynamics, str):
-        candidate = _ALIASES.get(_normalize(dynamics))
-    else:
-        # Exact spec-type match only: a subclass is its own dynamics and
-        # must be registered itself (see TestExtensionPoint).
-        candidate = _SPEC_TYPES.get(type(dynamics))
-    if candidate is None or candidate not in _REGISTRY:
-        raise UnknownDynamicsError(
-            f"unknown dynamics {dynamics!r}; choose from "
-            f"{sorted(_REGISTRY)} (aliases: {sorted(_ALIASES)})"
-        )
-    return candidate
-
-
-def get_dynamics(dynamics):
-    """Look up the registry entry for a name, alias, spec, or kind.
-
-    ``get_dynamics("ppr")``, ``get_dynamics("pagerank")``,
-    ``get_dynamics(PPR)`` and ``get_dynamics(PPR(alpha=0.1))`` all return
-    the same :class:`DynamicsKind` object — the one every consumer
-    dispatches on.
-    """
-    return _REGISTRY[resolve_dynamics_name(dynamics)]
-
-
-def registered_dynamics():
-    """Snapshot of the registry: canonical key -> :class:`DynamicsKind`."""
-    return dict(_REGISTRY)
+DYNAMICS = Registry(
+    "dynamics", DynamicsKind, UnknownDynamicsError, spellings=("name",),
+    specs=True,
+)
+register_dynamics = DYNAMICS.register
+unregister_dynamics = DYNAMICS.unregister
+resolve_dynamics_name = DYNAMICS.resolve
+get_dynamics = DYNAMICS.get
+registered_dynamics = DYNAMICS.registered
 
 
 def canonical_dynamics():
     """The paper's three canonical dynamics (Section 3.1), in paper order."""
-    return [_REGISTRY["hk"], _REGISTRY["ppr"], _REGISTRY["walk"]]
+    return [get_dynamics(key) for key in ("hk", "ppr", "walk")]
 
 
 def _default_nibble_steps(graph):
@@ -686,9 +560,6 @@ HEAT_KERNEL = register_dynamics(DynamicsKind(
     aliases=("heat_kernel", "heatkernel", "heat-kernel"),
     spec_type=HeatKernel,
     local_spec_factory=lambda graph=None: HeatKernel(t=5.0),
-    legacy_axes=lambda *, alphas, ts, steps, walk_alpha: HeatKernel(
-        t=ts if ts is not None else (3.0, 10.0, 30.0)
-    ),
 ))
 
 PAGERANK = register_dynamics(DynamicsKind(
@@ -701,9 +572,6 @@ PAGERANK = register_dynamics(DynamicsKind(
     aliases=("pagerank", "acl", "personalized_pagerank", "spectral"),
     spec_type=PPR,
     local_spec_factory=lambda graph=None: PPR(alpha=0.1),
-    legacy_axes=lambda *, alphas, ts, steps, walk_alpha: PPR(
-        alpha=alphas if alphas is not None else (0.01, 0.05, 0.15)
-    ),
 ))
 
 LAZY_WALK = register_dynamics(DynamicsKind(
@@ -717,9 +585,5 @@ LAZY_WALK = register_dynamics(DynamicsKind(
     spec_type=LazyWalk,
     local_spec_factory=lambda graph=None: LazyWalk(
         steps=_default_nibble_steps(graph), walk_alpha=0.5
-    ),
-    legacy_axes=lambda *, alphas, ts, steps, walk_alpha: LazyWalk(
-        steps=steps if steps is not None else (4, 16, 64),
-        walk_alpha=walk_alpha if walk_alpha is not None else 0.5,
     ),
 ))

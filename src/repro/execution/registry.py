@@ -1,9 +1,7 @@
 """The ExecutorKind registry: pluggable ensemble-execution strategies.
 
-The fifth registry, mirroring :class:`~repro.dynamics.DynamicsKind`,
-:class:`~repro.refine.RefinerKind`,
-:class:`~repro.backends.EngineBackend`, and
-:class:`~repro.analysis.LintRule`: a frozen record per strategy under a
+The same :class:`~repro._registry.Registry` as the dynamics, refiner,
+backend and lint-rule registries: a frozen record per strategy under a
 canonical key (``serial`` / ``process`` / ``chaos``) with an alias
 table, a did-you-mean :class:`UnknownExecutorError`, and
 register/resolve/get/unregister functions.  Each entry binds a frozen
@@ -18,9 +16,9 @@ and the ``repro ncp --executor`` flag to accept it by name (see
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 
+from repro._registry import Registry
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
@@ -87,94 +85,14 @@ class ExecutorKind:
     replayable: bool = True
 
 
-_REGISTRY = {}
-_ALIASES = {}
-
-
-def _normalize(name):
-    return str(name).strip().lower().replace("-", "_").replace(" ", "_")
-
-
-def _unknown(name):
-    known = sorted(_REGISTRY)
-    aliases = sorted(a for a in _ALIASES if a not in _REGISTRY)
-    close = difflib.get_close_matches(_normalize(name), sorted(_ALIASES), n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return UnknownExecutorError(
-        f"unknown executor {name!r}: registered executors are {known} "
-        f"(aliases: {aliases}){hint}"
-    )
-
-
-def register_executor(kind, *, overwrite=False):
-    """Register an :class:`ExecutorKind` under its key and aliases.
-
-    Raises :class:`~repro.exceptions.InvalidParameterError` when the key
-    or an alias collides with an existing entry (pass ``overwrite=True``
-    to replace a previous registration).  Returns the kind, so
-    registration can be used as an expression.
-    """
-    if not isinstance(kind, ExecutorKind):
-        raise InvalidParameterError(
-            f"register_executor needs an ExecutorKind; got {kind!r}"
-        )
-    key = _normalize(kind.key)
-    names = [key] + [_normalize(alias) for alias in kind.aliases]
-    if not overwrite:
-        for name in names:
-            if name in _ALIASES and _ALIASES[name] != key:
-                raise InvalidParameterError(
-                    f"executor name {name!r} already registered "
-                    f"for {_ALIASES[name]!r}"
-                )
-        if key in _REGISTRY:
-            raise InvalidParameterError(
-                f"executor {key!r} already registered; pass overwrite=True "
-                "to replace it"
-            )
-    _REGISTRY[key] = kind
-    for name in names:
-        _ALIASES[name] = key
-    return kind
-
-
-def unregister_executor(name):
-    """Remove a registered executor (and its aliases) by name or alias."""
-    key = resolve_executor_name(name)
-    del _REGISTRY[key]
-    for alias in [a for a, k in _ALIASES.items() if k == key]:
-        del _ALIASES[alias]
-
-
-def resolve_executor_name(executor):
-    """Canonical executor key for a name, alias, kind, or spec instance."""
-    if isinstance(executor, ExecutorKind):
-        return _normalize(executor.key)
-    for key, kind in _REGISTRY.items():
-        if kind.spec_type is not None and isinstance(executor,
-                                                    kind.spec_type):
-            return key
-    if not isinstance(executor, str):
-        raise InvalidParameterError(
-            f"cannot resolve an executor from {executor!r}: pass a "
-            "registered name/alias, an ExecutorKind, or a spec instance"
-        )
-    key = _ALIASES.get(_normalize(executor))
-    if key is None:
-        raise _unknown(executor)
-    return key
-
-
-def get_executor(executor):
-    """Look up an :class:`ExecutorKind` by name, alias, spec, or identity."""
-    if isinstance(executor, ExecutorKind):
-        return executor
-    return _REGISTRY[resolve_executor_name(executor)]
-
-
-def registered_executors():
-    """Mapping of canonical executor key -> :class:`ExecutorKind`."""
-    return dict(_REGISTRY)
+EXECUTORS = Registry(
+    "executor", ExecutorKind, UnknownExecutorError, specs=True
+)
+register_executor = EXECUTORS.register
+unregister_executor = EXECUTORS.unregister
+resolve_executor_name = EXECUTORS.resolve
+get_executor = EXECUTORS.get
+registered_executors = EXECUTORS.registered
 
 
 def as_executor_spec(executor):
@@ -185,7 +103,7 @@ def as_executor_spec(executor):
     through unchanged.
     """
     kind = get_executor(executor)
-    if kind.spec_type is not None and isinstance(executor, kind.spec_type):
+    if type(executor) is kind.spec_type:
         return executor
     return kind.spec_type()
 

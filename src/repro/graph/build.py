@@ -37,11 +37,13 @@ def from_edges(num_nodes, edges, weights=None, *, combine="sum"):
     Raises
     ------
     GraphError
-        On self-loops, out-of-range ids, nonpositive weights, or duplicates
-        when ``combine="error"``.
+        On self-loops, out-of-range ids, nonpositive weights, an unknown
+        ``combine`` mode, or duplicates when ``combine="error"``.
     """
     if num_nodes < 0:
         raise GraphError(f"num_nodes must be >= 0; got {num_nodes}")
+    if combine not in ("sum", "max", "error"):
+        raise GraphError(f"unknown combine mode {combine!r}")
     edge_arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if edge_arr.size == 0:
         edge_arr = edge_arr.reshape(0, 2)
@@ -90,8 +92,6 @@ def from_edges(num_nodes, edges, weights=None, *, combine="sum"):
     if not first.all():
         if combine == "error":
             raise GraphError("duplicate edges present and combine='error'")
-        if combine not in ("sum", "max"):
-            raise GraphError(f"unknown combine mode {combine!r}")
         starts = np.flatnonzero(first)
         if sorted_weights is None:
             # Summing k unit weights gives exactly k; max gives 1.

@@ -15,9 +15,6 @@ from repro.ncp.profile import (
     cluster_ensemble_ncp,
     flow_cluster_ensemble_ncp,
     grid_candidates_for_seed_nodes,
-    hk_cluster_ensemble_ncp,
-    spectral_cluster_ensemble_ncp,
-    walk_cluster_ensemble_ncp,
 )
 from repro.ncp.runner import (
     GridChunk,
@@ -44,9 +41,6 @@ __all__ = [
     "flow_cluster_ensemble_ncp",
     "graph_fingerprint",
     "grid_candidates_for_seed_nodes",
-    "hk_cluster_ensemble_ncp",
     "plan_chunks",
     "run_ncp_ensemble",
-    "spectral_cluster_ensemble_ncp",
-    "walk_cluster_ensemble_ncp",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dynamics import PPR, DiffusionGrid, warn_deprecated
+from repro.dynamics import PPR, DiffusionGrid
 from repro.exceptions import InvalidParameterError
 from repro.ncp.niceness import cluster_niceness
 from repro.ncp.profile import (
@@ -214,8 +214,6 @@ def figure1_comparison(
     grid=None,
     num_buckets=10,
     num_seeds=None,
-    alphas=None,
-    epsilons=None,
     min_cluster_size=4,
     seed=None,
     niceness_seed=0,
@@ -241,35 +239,19 @@ def figure1_comparison(
     any registered chain — e.g. ``(FlowImprove(dilation_radius=2),)`` —
     swaps in through :mod:`repro.refine`), and ``num_buckets`` controls
     the size resolution of the panels.
-
-    Passing the old ``alphas=`` / ``epsilons=`` keywords instead of a
-    grid is deprecated; the equivalent PPR grid is constructed and a
-    :class:`DeprecationWarning` is emitted.
     """
     from repro.ncp.runner import run_ncp_ensemble
 
     if grid is None:
-        if alphas is not None or epsilons is not None:
-            warn_deprecated(
-                "figure1_comparison(alphas=..., epsilons=...)",
-                "figure1_comparison(graph, grid=DiffusionGrid(PPR(...)))",
-            )
         grid = DiffusionGrid(
-            PPR(alpha=alphas if alphas is not None else (0.01, 0.05, 0.15)),
-            epsilons=epsilons if epsilons is not None else (1e-4, 1e-5),
-            num_seeds=num_seeds if num_seeds is not None else 40,
+            PPR(), num_seeds=num_seeds if num_seeds is not None else 40,
             seed=seed,
         )
     else:
-        if (
-            alphas is not None
-            or epsilons is not None
-            or num_seeds is not None
-        ):
+        if num_seeds is not None:
             raise InvalidParameterError(
-                "figure1_comparison received both a grid and per-ensemble "
-                "keywords (num_seeds/alphas/epsilons); the grid carries "
-                "the full diffusion workload"
+                "figure1_comparison received both a grid and num_seeds; "
+                "the grid carries the full diffusion workload"
             )
         # A Pipeline passes through whole (the runner threads its refiner
         # chain); anything else normalizes to a plain grid.

@@ -12,11 +12,11 @@ Two ensemble generators:
 * :func:`cluster_ensemble_ncp` — the diffusion side, for *any* registered
   dynamics: a :class:`~repro.dynamics.DiffusionGrid` (spec × epsilons ×
   seed sampling) is swept column by column through the grid's registered
-  backend (:mod:`repro.backends`: the vectorized ``numpy`` reference, the
-  ``scalar`` parity oracle, or the JIT ``numba`` tier), and every
-  best-per-octave sweep prefix of every column is a candidate cluster.  PPR reproduces the
-  paper's "LocalSpectral (blue)" curve; the heat kernel and the truncated
-  lazy walk are the other two canonical dynamics of Section 3.1.
+  backend (:mod:`repro.backends`: the vectorized ``numpy`` reference or
+  the ``scalar`` parity oracle), and every best-per-octave sweep prefix of
+  every column is a candidate cluster.  PPR reproduces the paper's
+  "LocalSpectral (blue)" curve; the heat kernel and the truncated lazy
+  walk are the other two canonical dynamics of Section 3.1.
 * :func:`flow_cluster_ensemble_ncp` — the "Metis+MQI (red)" side: recursive
   multilevel bisection proposes clusters at all scales, each improved by
   a refiner chain from the unified registry (:mod:`repro.refine`;
@@ -26,12 +26,6 @@ Both generators also speak :class:`~repro.refine.Pipeline`:
 ``cluster_ensemble_ncp(graph, Pipeline(PPR(), refiners=("mqi",)))``
 threads every diffusion candidate through the chain, attaching per-stage
 :class:`~repro.refine.RefinementStep` provenance.
-
-The pre-registry per-dynamics generators
-(:func:`spectral_cluster_ensemble_ncp`, :func:`hk_cluster_ensemble_ncp`,
-:func:`walk_cluster_ensemble_ncp`) and the hardwired
-``improve_with_mqi``/``max_mqi_size`` keywords remain as deprecation
-shims that construct the equivalent spec.
 
 Candidates are reduced to a profile by :func:`best_per_size_bucket`. For
 large grids, :mod:`repro.ncp.runner` shards the diffusion ensembles across
@@ -45,17 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._validation import as_rng, check_int
-from repro.backends import resolve_backend_name
-from repro.dynamics import (
-    DiffusionGrid,
-    HeatKernel,
-    LazyWalk,
-    PPR,
-    _resolve_backend,
-    as_diffusion_grid,
-    get_dynamics,
-    warn_deprecated,
-)
+from repro.dynamics import get_dynamics
 from repro.exceptions import PartitionError
 from repro.partition.metrics import conductance
 from repro.partition.multilevel import recursive_bisection_clusters
@@ -66,10 +50,6 @@ from repro.refine import (
     as_refiner_chain,
     refine_candidates,
 )
-
-# Sentinel distinguishing "kwarg not passed" from an explicit value in
-# the deprecated ``improve_with_mqi``/``max_mqi_size`` shim path.
-_UNSET = object()
 
 
 @dataclass
@@ -203,21 +183,16 @@ def cluster_ensemble_ncp(graph, grid):
 
 
 def grid_candidates_for_seed_nodes(graph, seed_nodes, spec, *, epsilons,
-                                   max_cluster_size, backend=None,
-                                   engine=None):
+                                   max_cluster_size, backend=None):
     """NCP candidates of one registered dynamics for explicit seed nodes.
 
     The sharding entry point used by :mod:`repro.ncp.runner`: the caller
     controls exactly which seed nodes this invocation covers, so grid
     chunks can be distributed across processes and merged
     deterministically.  Dispatch is fully generic — the spec provides the
-    diffusion columns through the named backend (default ``"numpy"``;
-    ``engine`` is the deprecated alias), this function sweeps them with
-    the same backend's prefix scan.
+    diffusion columns through the named backend (default ``"numpy"``),
+    this function sweeps them with the same backend's prefix scan.
     """
-    backend = _resolve_backend(
-        backend, engine, "grid_candidates_for_seed_nodes"
-    )
     get_dynamics(spec)  # raises UnknownDynamicsError for foreign specs
     label = spec.candidate_label
     candidates = []
@@ -229,126 +204,6 @@ def grid_candidates_for_seed_nodes(graph, seed_nodes, spec, *, epsilons,
             backend=backend,
         )
     return candidates
-
-
-def spectral_cluster_ensemble_ncp(
-    graph,
-    *,
-    num_seeds=40,
-    alphas=(0.01, 0.05, 0.15),
-    epsilons=(1e-4, 1e-5),
-    max_cluster_size=None,
-    seed=None,
-    engine="batched",
-):
-    """Deprecated shim: ACL-push ensemble via the unified grid API.
-
-    Equivalent to ``cluster_ensemble_ncp(graph, DiffusionGrid(PPR(alphas),
-    epsilons=...))`` — constructs exactly that grid and emits a
-    :class:`DeprecationWarning`.
-    """
-    grid = DiffusionGrid(
-        PPR(alpha=alphas), epsilons=epsilons, num_seeds=num_seeds,
-        seed=seed, max_cluster_size=max_cluster_size,
-        backend=resolve_backend_name(engine),
-    )
-    warn_deprecated(
-        "spectral_cluster_ensemble_ncp",
-        "cluster_ensemble_ncp(graph, DiffusionGrid(PPR(...)))",
-    )
-    return cluster_ensemble_ncp(graph, grid)
-
-
-def spectral_candidates_for_seed_nodes(graph, seed_nodes, *, alphas,
-                                       epsilons, max_cluster_size,
-                                       engine="batched"):
-    """Deprecated shim: ACL-push shard via the generic dispatch."""
-    spec = PPR(alpha=alphas)
-    backend = resolve_backend_name(engine)
-    warn_deprecated(
-        "spectral_candidates_for_seed_nodes",
-        "grid_candidates_for_seed_nodes(graph, seed_nodes, PPR(...))",
-    )
-    return grid_candidates_for_seed_nodes(
-        graph, seed_nodes, spec, epsilons=epsilons,
-        max_cluster_size=max_cluster_size,
-        backend=backend,
-    )
-
-
-def hk_cluster_ensemble_ncp(
-    graph,
-    *,
-    num_seeds=40,
-    ts=(3.0, 10.0, 30.0),
-    epsilons=(1e-3, 1e-4),
-    max_cluster_size=None,
-    seed=None,
-    engine="batched",
-):
-    """Deprecated shim: heat-kernel ensemble via the unified grid API."""
-    grid = DiffusionGrid(
-        HeatKernel(t=ts), epsilons=epsilons, num_seeds=num_seeds,
-        seed=seed, max_cluster_size=max_cluster_size,
-        backend=resolve_backend_name(engine),
-    )
-    warn_deprecated(
-        "hk_cluster_ensemble_ncp",
-        "cluster_ensemble_ncp(graph, DiffusionGrid(HeatKernel(...)))",
-    )
-    return cluster_ensemble_ncp(graph, grid)
-
-
-def hk_candidates_for_seed_nodes(graph, seed_nodes, *, ts, epsilons,
-                                 max_cluster_size, engine="batched"):
-    """Deprecated shim: heat-kernel shard via the generic dispatch."""
-    spec = HeatKernel(t=ts)
-    backend = resolve_backend_name(engine)
-    warn_deprecated(
-        "hk_candidates_for_seed_nodes",
-        "grid_candidates_for_seed_nodes(graph, seed_nodes, HeatKernel(...))",
-    )
-    return grid_candidates_for_seed_nodes(
-        graph, seed_nodes, spec, epsilons=epsilons,
-        max_cluster_size=max_cluster_size,
-        backend=backend,
-    )
-
-
-def walk_cluster_ensemble_ncp(
-    graph,
-    *,
-    num_seeds=40,
-    steps=(4, 16, 64),
-    epsilons=(1e-3, 1e-4),
-    alpha=0.5,
-    max_cluster_size=None,
-    seed=None,
-):
-    """Deprecated shim: truncated-lazy-walk ensemble via the grid API."""
-    grid = DiffusionGrid(
-        LazyWalk(steps=steps, walk_alpha=alpha), epsilons=epsilons,
-        num_seeds=num_seeds, seed=seed, max_cluster_size=max_cluster_size,
-    )
-    warn_deprecated(
-        "walk_cluster_ensemble_ncp",
-        "cluster_ensemble_ncp(graph, DiffusionGrid(LazyWalk(...)))",
-    )
-    return cluster_ensemble_ncp(graph, grid)
-
-
-def walk_candidates_for_seed_nodes(graph, seed_nodes, *, steps, epsilons,
-                                   alpha, max_cluster_size):
-    """Deprecated shim: truncated-walk shard via the generic dispatch."""
-    spec = LazyWalk(steps=steps, walk_alpha=alpha)
-    warn_deprecated(
-        "walk_candidates_for_seed_nodes",
-        "grid_candidates_for_seed_nodes(graph, seed_nodes, LazyWalk(...))",
-    )
-    return grid_candidates_for_seed_nodes(
-        graph, seed_nodes, spec, epsilons=epsilons,
-        max_cluster_size=max_cluster_size,
-    )
 
 
 def _octave_candidates(graph, sweep, out, method, max_cluster_size):
@@ -396,8 +251,7 @@ def _unique_clusters(clusters):
 
 
 def flow_cluster_ensemble_ncp(graph, *, min_size=4, seed=None,
-                              refiners=("mqi",), max_refine_size=None,
-                              improve_with_mqi=_UNSET, max_mqi_size=_UNSET):
+                              refiners=("mqi",), max_refine_size=None):
     """Generate the flow candidate ensemble: recursive bisection + refiners.
 
     Every side of every recursive multilevel bisection is a candidate;
@@ -422,24 +276,10 @@ def flow_cluster_ensemble_ncp(graph, *, min_size=4, seed=None,
     max_refine_size:
         Skip refinement for sides larger than this many nodes
         (``None`` = refine every side whose preconditions hold).
-    improve_with_mqi, max_mqi_size:
-        Deprecated pre-registry spellings (``improve_with_mqi=False`` ↦
-        ``refiners=()``, ``max_mqi_size`` ↦ ``max_refine_size``); using
-        them emits a :class:`DeprecationWarning`.
 
     Returns a list of :class:`ClusterCandidate`; refined candidates carry
     per-stage :class:`~repro.refine.RefinementStep` provenance.
     """
-    if improve_with_mqi is not _UNSET or max_mqi_size is not _UNSET:
-        warn_deprecated(
-            "flow_cluster_ensemble_ncp(improve_with_mqi=..., "
-            "max_mqi_size=...)",
-            "flow_cluster_ensemble_ncp(refiners=..., max_refine_size=...)",
-        )
-        if improve_with_mqi is not _UNSET and not improve_with_mqi:
-            refiners = ()
-        if max_mqi_size is not _UNSET:
-            max_refine_size = max_mqi_size
     chain = as_refiner_chain(refiners)
     clusters = recursive_bisection_clusters(
         graph, min_size=min_size, seed=seed

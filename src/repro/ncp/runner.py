@@ -58,24 +58,12 @@ import numpy as np
 from repro._validation import as_rng, check_int
 from repro.backends import resolve_backend_name
 from repro.core.reporting import jsonable
-from repro.dynamics import (
-    DiffusionGrid,
-    get_dynamics,
-    resolve_dynamics_name,
-    warn_deprecated,
-)
-from repro.exceptions import InvalidParameterError
+from repro.dynamics import get_dynamics, resolve_dynamics_name
 from repro.execution import (
     as_executor_spec,
     build_executor,
     execute_chunks,
     get_executor,
-)
-# Compatibility re-exports: the shared-memory transport moved to
-# repro.execution.executors with the executor extraction.
-from repro.execution.executors import (  # noqa: F401
-    _attach_shared_graph,
-    _share_graph,
 )
 from repro.ncp.profile import (
     ClusterCandidate,
@@ -115,10 +103,6 @@ _CACHE_VERSION = 3
 # change to refinement semantics invalidates only refined entries).
 _REFINE_CACHE_VERSION = 1
 
-# Sentinel distinguishing "kwarg not passed" from an explicit None in the
-# deprecated keyword-soup path of :func:`run_ncp_ensemble`.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class GridChunk:
@@ -154,12 +138,6 @@ class GridChunk:
     params: tuple
     backend: str = "numpy"
     refiners: tuple = ()
-
-    @property
-    def engine(self):
-        """Deprecated alias for :attr:`backend`."""
-        warn_deprecated("GridChunk.engine", "GridChunk.backend")
-        return self.backend
 
     def describe(self):
         parts = [f"{name}={value!r}" for name, value in self.params]
@@ -351,7 +329,7 @@ def _grid_params(grid, graph):
 
 
 def plan_chunks(dynamics, seed_nodes, params, *, seeds_per_chunk=8,
-                backend=None, refiners=(), engine=None):
+                backend=None, refiners=()):
     """Split a seed list into deterministic :class:`GridChunk` shards.
 
     ``dynamics`` may be a canonical name, an alias, a spec instance, or a
@@ -360,20 +338,12 @@ def plan_chunks(dynamics, seed_nodes, params, *, seeds_per_chunk=8,
     :func:`~repro.backends.resolve_backend_name` accepts; default
     ``"numpy"``) and ``refiners`` (any chain
     :func:`~repro.refine.as_refiner_chain` accepts) are stamped onto
-    every chunk; ``engine`` is the deprecated alias for ``backend``.
+    every chunk.
     The split depends only on the seed list and ``seeds_per_chunk`` —
     never on the worker count — so cache keys and merge order are stable
     across machines and pool sizes.
     """
     check_int(seeds_per_chunk, "seeds_per_chunk", minimum=1)
-    if engine is not None:
-        if backend is not None:
-            raise InvalidParameterError(
-                "pass backend= or the deprecated engine= to plan_chunks, "
-                "not both"
-            )
-        backend = resolve_backend_name(engine)
-        warn_deprecated("plan_chunks(engine=...)", "plan_chunks(backend=...)")
     backend = resolve_backend_name("numpy" if backend is None else backend)
     dynamics = resolve_dynamics_name(dynamics)
     refiners = as_refiner_chain(refiners)
@@ -546,40 +516,10 @@ def _evaluate_chunk(graph, chunk):
     return candidates
 
 
-def _legacy_grid(dynamics, num_seeds, alphas, epsilons, ts, steps,
-                 walk_alpha, max_cluster_size, seed):
-    """Resolve the deprecated kwarg soup into a :class:`DiffusionGrid`."""
-    kind = get_dynamics("ppr" if dynamics is _UNSET else dynamics)
-    spec = kind.spec_from_legacy(
-        alphas=None if alphas is _UNSET else alphas,
-        ts=None if ts is _UNSET else ts,
-        steps=None if steps is _UNSET else steps,
-        walk_alpha=None if walk_alpha is _UNSET else walk_alpha,
-    )
-    return DiffusionGrid(
-        spec,
-        epsilons=None if epsilons is _UNSET else epsilons,
-        num_seeds=40 if num_seeds is _UNSET else num_seeds,
-        seed=None if seed is _UNSET else seed,
-        max_cluster_size=(
-            None if max_cluster_size is _UNSET else max_cluster_size
-        ),
-    )
-
-
 def run_ncp_ensemble(
     graph,
-    grid=None,
+    grid,
     *,
-    dynamics=_UNSET,
-    num_seeds=_UNSET,
-    alphas=_UNSET,
-    epsilons=_UNSET,
-    ts=_UNSET,
-    steps=_UNSET,
-    walk_alpha=_UNSET,
-    max_cluster_size=_UNSET,
-    seed=_UNSET,
     num_workers=0,
     seeds_per_chunk=8,
     cache_dir=None,
@@ -603,12 +543,6 @@ def run_ncp_ensemble(
         Seed sampling uses the grid's own RNG stream — the same stream
         :func:`~repro.ncp.profile.cluster_ensemble_ncp` uses, so a serial
         generator run and a sharded runner run see identical seeds.
-    dynamics, num_seeds, alphas, epsilons, ts, steps, walk_alpha, \
-max_cluster_size, seed:
-        Deprecated keyword-soup form (used only when ``grid`` is omitted):
-        the equivalent :class:`~repro.dynamics.DiffusionGrid` is
-        constructed through the registry and a :class:`DeprecationWarning`
-        is emitted.
     num_workers:
         ``0`` evaluates chunks serially in-process; ``k >= 1`` fans the
         non-cached chunks out to a pool of ``k`` worker processes. The
@@ -638,26 +572,9 @@ max_cluster_size, seed:
     -------
     NCPRunResult
     """
-    legacy = (
-        dynamics, num_seeds, alphas, epsilons, ts, steps, walk_alpha,
-        max_cluster_size, seed,
-    )
-    refiners = ()
-    if grid is None:
-        grid = _legacy_grid(*legacy)
-        warn_deprecated(
-            "run_ncp_ensemble(dynamics=..., alphas=..., ts=..., steps=...)",
-            "run_ncp_ensemble(graph, DiffusionGrid(...))",
-        )
-    else:
-        if any(value is not _UNSET for value in legacy):
-            raise InvalidParameterError(
-                "run_ncp_ensemble received both a grid and deprecated "
-                "per-dynamics keywords; the grid carries the full workload"
-            )
-        pipeline = as_pipeline(grid)
-        grid = pipeline.grid
-        refiners = pipeline.refiners
+    pipeline = as_pipeline(grid)
+    grid = pipeline.grid
+    refiners = pipeline.refiners
     if refiners:
         # The flow refiners solve with scipy.sparse.csgraph. Importing it
         # here, before a process executor forks its per-run pool, lets the

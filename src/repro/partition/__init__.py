@@ -14,11 +14,8 @@ from repro.partition.flow_improve import (
 )
 from repro.partition.local import (
     LocalClusterResult,
-    acl_cluster,
     best_local_cluster,
-    hk_cluster,
     local_cluster,
-    nibble_cluster,
     seed_excluded_from_own_cluster,
 )
 from repro.partition.maxflow import FlowNetwork, MaxFlowResult
@@ -62,7 +59,6 @@ __all__ = [
     "MaxFlowResult",
     "SpectralCutResult",
     "SweepCutResult",
-    "acl_cluster",
     "all_prefix_clusters",
     "balance",
     "best_local_cluster",
@@ -79,7 +75,6 @@ __all__ = [
     "fm_refine",
     "graph_conductance_exact",
     "heavy_edge_matching",
-    "hk_cluster",
     "internal_conductance",
     "kappa_for_gamma",
     "kernighan_lin_bisection",
@@ -89,7 +84,6 @@ __all__ = [
     "mqi",
     "mqi_certificate",
     "multilevel_bisection",
-    "nibble_cluster",
     "normalized_cut",
     "random_bisection",
     "recursive_bisection_clusters",

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro._validation import check_int
-from repro.backends import get_backend, resolve_backend_name
+from repro.backends import get_backend
 from repro.diffusion._csr import gather_csr_arcs
-from repro.exceptions import InvalidParameterError, PartitionError
+from repro.exceptions import PartitionError
 from repro.partition.metrics import conductance
 from repro.partition.mqi import mqi
 
@@ -63,7 +62,7 @@ class FlowImproveResult:
     converged: bool = True
 
 
-def dilate(graph, nodes, radius, *, backend=None, implementation=None):
+def dilate(graph, nodes, radius, *, backend=None):
     """All nodes within ``radius`` hops of the set (including the set).
 
     The ``numpy`` backend (the default) expands each BFS frontier with
@@ -71,19 +70,9 @@ def dilate(graph, nodes, radius, *, backend=None, implementation=None):
     scatter — no per-node Python loop; the ``scalar`` backend is the
     original set-based BFS, kept as the parity oracle (benchmark E14
     measures the gap).  Any other registered backend name resolves but
-    runs the numpy BFS (dilation has no JIT kernel).  ``implementation``
-    is the deprecated alias (``"vectorized"`` -> ``"numpy"``).
+    runs the numpy BFS.
     """
     radius = check_int(radius, "radius", minimum=0)
-    if implementation is not None:
-        if backend is not None:
-            raise InvalidParameterError(
-                "pass backend= or the deprecated implementation=, not both"
-            )
-        backend = resolve_backend_name(implementation)
-        warn_deprecated(
-            "dilate(implementation=...)", "dilate(backend=...)"
-        )
     resolved = get_backend("numpy" if backend is None else backend)
     if resolved is get_backend("scalar"):
         return _dilate_scalar(graph, nodes, radius)

@@ -11,20 +11,15 @@ vector per step and the driver keeps the best cut, as Nibble does.  A
 registered refiners — MQI, FlowImprove, MOV — onto the sweep cluster,
 with per-stage provenance on the result.
 
-The pre-registry per-dynamics drivers remain as thin spec-constructing
-deprecation shims:
+The classic methods are single-point specs: ``PPR(alpha)`` is ACL push on
+personalized PageRank [1], the method the paper identifies behind the
+"LocalSpectral" curve of Figure 1; ``LazyWalk(steps)`` is Spielman–Teng's
+truncated random walk [39], sweeping every step of the trajectory; and
+``HeatKernel(t)`` is heat-kernel push [15].  :func:`best_local_cluster`
+runs several of them from one seed set.
 
-* :func:`acl_cluster` — ``local_cluster(graph, seeds, PPR(alpha))``: ACL
-  push on personalized PageRank [1]; the method the paper identifies
-  behind the "LocalSpectral" curve of Figure 1;
-* :func:`nibble_cluster` — ``local_cluster(graph, seeds,
-  LazyWalk(steps))``: Spielman–Teng truncated random walks [39], sweeping
-  every step of the trajectory;
-* :func:`hk_cluster` — ``local_cluster(graph, seeds, HeatKernel(t))``:
-  heat-kernel push [15].
-
-Each returns a :class:`LocalClusterResult` carrying both the cluster and the
-work accounting used by experiment E8.
+Each driver returns a :class:`LocalClusterResult` carrying both the
+cluster and the work accounting used by experiment E8.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from repro.dynamics import (
     PPR,
     UnknownDynamicsError,
     get_dynamics,
-    warn_deprecated,
 )
 from repro.exceptions import InvalidParameterError, PartitionError
 from repro.partition.sweep import sweep_cut
@@ -221,44 +215,11 @@ def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
     return best
 
 
-def acl_cluster(graph, seed_nodes, *, alpha=0.1, epsilon=1e-4,
-                max_volume=None, min_size=1):
-    """Deprecated shim: ACL push + sweep via :func:`local_cluster`.
-
-    Equivalent to ``local_cluster(graph, seed_nodes, PPR(alpha=alpha),
-    epsilon=epsilon, ...)``; emits a :class:`DeprecationWarning`.
-    """
-    warn_deprecated(
-        "acl_cluster", "local_cluster(graph, seeds, PPR(alpha=...))"
-    )
-    return _acl_cluster(
-        graph, seed_nodes, alpha=alpha, epsilon=epsilon,
-        max_volume=max_volume, min_size=min_size,
-    )
-
-
 def _acl_cluster(graph, seed_nodes, *, alpha=0.1, epsilon=1e-4,
                  max_volume=None, min_size=1):
     alpha = check_probability(alpha, "alpha")
     return local_cluster(
         graph, seed_nodes, PPR(alpha=alpha), epsilon=epsilon,
-        max_volume=max_volume, min_size=min_size,
-    )
-
-
-def nibble_cluster(graph, seed_nodes, *, num_steps=None, epsilon=1e-4,
-                   max_volume=None, min_size=1):
-    """Deprecated shim: truncated lazy walks via :func:`local_cluster`.
-
-    Equivalent to ``local_cluster(graph, seed_nodes,
-    LazyWalk(steps=num_steps), epsilon=epsilon, ...)``; emits a
-    :class:`DeprecationWarning`.
-    """
-    warn_deprecated(
-        "nibble_cluster", "local_cluster(graph, seeds, LazyWalk(steps=...))"
-    )
-    return _nibble_cluster(
-        graph, seed_nodes, num_steps=num_steps, epsilon=epsilon,
         max_volume=max_volume, min_size=min_size,
     )
 
@@ -272,22 +233,6 @@ def _nibble_cluster(graph, seed_nodes, *, num_steps=None, epsilon=1e-4,
         spec = LazyWalk(steps=num_steps)
     return local_cluster(
         graph, seed_nodes, spec, epsilon=epsilon, max_volume=max_volume,
-        min_size=min_size,
-    )
-
-
-def hk_cluster(graph, seed_nodes, *, t=5.0, epsilon=1e-4, max_volume=None,
-               min_size=1):
-    """Deprecated shim: heat-kernel diffusion via :func:`local_cluster`.
-
-    Equivalent to ``local_cluster(graph, seed_nodes, HeatKernel(t=t),
-    epsilon=epsilon, ...)``; emits a :class:`DeprecationWarning`.
-    """
-    warn_deprecated(
-        "hk_cluster", "local_cluster(graph, seeds, HeatKernel(t=...))"
-    )
-    return _hk_cluster(
-        graph, seed_nodes, t=t, epsilon=epsilon, max_volume=max_volume,
         min_size=min_size,
     )
 

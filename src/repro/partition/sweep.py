@@ -6,9 +6,8 @@ every spectral method in the paper — global (Section 3.2), locally-biased
 (Problem (8)), and strongly local (Section 3.3). The incremental update makes
 a full sweep cost ``O(m + n log n)``; the default (``numpy`` backend) scan
 vectorizes that incremental update into a single bincount/cumsum pass over
-the CSR arrays, the ``scalar`` backend keeps the node-at-a-time parity
-reference, and the optional ``numba`` backend JIT-compiles the incremental
-loop (see :mod:`repro.backends`).
+the CSR arrays, and the ``scalar`` backend keeps the node-at-a-time parity
+reference (see :mod:`repro.backends`).
 
 Conventions: diffusion outputs are degree-normalized before ordering
 (``p_u / d_u``), which is the ordering for which the Cheeger-style guarantees
@@ -23,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro._validation import check_vector
-from repro.backends import get_backend, resolve_backend_name
-from repro.exceptions import InvalidParameterError, PartitionError
+from repro.backends import get_backend
+from repro.exceptions import PartitionError
 
 
 @dataclass
@@ -60,7 +58,7 @@ class SweepCutResult:
 
 def sweep_cut(graph, scores, *, degree_normalize=True, restrict_to=None,
               max_volume=None, min_size=1, max_size=None,
-              backend=None, implementation=None):
+              backend=None):
     """Find the minimum-conductance prefix of the score ordering.
 
     Parameters
@@ -85,8 +83,6 @@ def sweep_cut(graph, scores, *, degree_normalize=True, restrict_to=None,
         Registered backend name or :class:`~repro.backends.EngineBackend`
         providing the prefix scan; default ``"numpy"``. All backends visit
         prefixes in the same order and break ties identically.
-    implementation:
-        Deprecated alias for ``backend`` (``"vectorized"`` -> ``"numpy"``).
 
     Returns
     -------
@@ -97,15 +93,6 @@ def sweep_cut(graph, scores, *, degree_normalize=True, restrict_to=None,
     PartitionError
         When no admissible prefix exists (e.g. empty restriction).
     """
-    if implementation is not None:
-        if backend is not None:
-            raise InvalidParameterError(
-                "pass backend= or the deprecated implementation=, not both"
-            )
-        backend = resolve_backend_name(implementation)
-        warn_deprecated(
-            "sweep_cut(implementation=...)", "sweep_cut(backend=...)"
-        )
     ops = get_backend("numpy" if backend is None else backend)
     scores = check_vector(scores, graph.num_nodes, "scores")
     degrees = graph.degrees

@@ -46,6 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from repro._registry import Registry
 from repro._validation import check_int, check_probability
 from repro.backends import resolve_backend_name
 from repro.dynamics import as_diffusion_grid
@@ -554,93 +555,15 @@ def refine_candidates(graph, candidates, refiners):
 # --------------------------------------------------------------------------
 # The registry.
 
-_REGISTRY = {}      # canonical key -> RefinerKind
-_ALIASES = {}       # normalized spelling -> canonical key
-_SPEC_TYPES = {}    # spec type -> canonical key
-
-
-def _normalize(name):
-    return str(name).strip().lower().replace("-", "_").replace(" ", "_")
-
-
-def register_refiner(kind, *, overwrite=False):
-    """Register a :class:`RefinerKind` under its key, aliases, and name.
-
-    Returns the kind, so definitions can be written as
-    ``KIND = register_refiner(RefinerKind(...))``.  Registering an
-    already-taken spelling raises unless ``overwrite`` is set.
-    """
-    if not isinstance(kind, RefinerKind):
-        raise InvalidParameterError(
-            f"register_refiner expects a RefinerKind; got {kind!r}"
-        )
-    if not kind.key or kind.spec_type is None:
-        raise InvalidParameterError(
-            "a RefinerKind needs both a canonical key and a spec_type"
-        )
-    spellings = {_normalize(kind.key), _normalize(kind.name)}
-    spellings.update(_normalize(alias) for alias in kind.aliases)
-    if not overwrite:
-        if kind.key in _REGISTRY:
-            raise InvalidParameterError(
-                f"refiner key {kind.key!r} is already registered; pass "
-                f"overwrite=True to replace it"
-            )
-        taken = sorted(s for s in spellings if s in _ALIASES)
-        if taken:
-            raise InvalidParameterError(
-                f"refiner spellings already registered: {taken}"
-            )
-    for spelling in spellings:
-        _ALIASES[spelling] = kind.key
-    _REGISTRY[kind.key] = kind
-    _SPEC_TYPES[kind.spec_type] = kind.key
-    return kind
-
-
-def unregister_refiner(key):
-    """Remove a registered refiner (used by extension tests)."""
-    key = resolve_refiner_name(key)
-    kind = _REGISTRY.pop(key)
-    for spelling in [s for s, k in _ALIASES.items() if k == key]:
-        del _ALIASES[spelling]
-    _SPEC_TYPES.pop(kind.spec_type, None)
-    return kind
-
-
-def resolve_refiner_name(refiner):
-    """Canonical key for a name, alias, spec instance, spec type, or kind."""
-    if isinstance(refiner, RefinerKind):
-        candidate = refiner.key
-    elif isinstance(refiner, type):
-        candidate = _SPEC_TYPES.get(refiner)
-    elif isinstance(refiner, str):
-        candidate = _ALIASES.get(_normalize(refiner))
-    else:
-        # Exact spec-type match only: a subclass is its own refiner and
-        # must be registered itself.
-        candidate = _SPEC_TYPES.get(type(refiner))
-    if candidate is None or candidate not in _REGISTRY:
-        raise UnknownRefinerError(
-            f"unknown refiner {refiner!r}; choose from "
-            f"{sorted(_REGISTRY)} (aliases: {sorted(_ALIASES)})"
-        )
-    return candidate
-
-
-def get_refiner(refiner):
-    """Look up the registry entry for a name, alias, spec, or kind.
-
-    ``get_refiner("mqi")``, ``get_refiner("metis_mqi")``,
-    ``get_refiner(MQI)`` and ``get_refiner(MQI(max_rounds=5))`` all
-    return the same :class:`RefinerKind` object.
-    """
-    return _REGISTRY[resolve_refiner_name(refiner)]
-
-
-def registered_refiners():
-    """Snapshot of the registry: canonical key -> :class:`RefinerKind`."""
-    return dict(_REGISTRY)
+REFINERS = Registry(
+    "refiner", RefinerKind, UnknownRefinerError, spellings=("name",),
+    specs=True,
+)
+register_refiner = REFINERS.register
+unregister_refiner = REFINERS.unregister
+resolve_refiner_name = REFINERS.resolve
+get_refiner = REFINERS.get
+registered_refiners = REFINERS.registered
 
 
 def as_refiner(refiner):

@@ -4,8 +4,8 @@ _REGISTRY = {}
 
 
 def pick_kernel(backend, dynamics):
-    if backend == "numba":          # stringly backend dispatch
-        return "jit"
+    if backend == "scalar":         # stringly backend dispatch
+        return "loop"
     if dynamics in ("ppr", "hk"):   # stringly dynamics membership
         return "diffusion"
     return _REGISTRY["numpy"]       # private registry dict access

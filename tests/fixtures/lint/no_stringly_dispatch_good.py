@@ -3,8 +3,8 @@
 
 def pick_kernel(backend, dynamics, get_backend, resolve_dynamics_name):
     resolved = get_backend(backend)
-    if resolved is get_backend("numba"):
-        return "jit"
+    if resolved is get_backend("scalar"):
+        return "loop"
     key = resolve_dynamics_name(dynamics)
     # Comparing to non-registry vocabulary is not dispatch.
     if key == "something-else":

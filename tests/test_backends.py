@@ -4,16 +4,14 @@ Covers the registry contract (canonical names, aliases, did-you-mean
 errors, third-party registration), the oracle harness — every registered
 backend is parity-tested against the ``numpy`` reference on the
 whiskered-expander and AtP-DBLP reference graphs for all three canonical
-dynamics — the numba-absent fallback path, and the runner's per-backend
-cache-key / worker-count guarantees.
+dynamics — and the runner's per-backend cache-key / worker-count
+guarantees.
 
 Registering a new backend is enough to enroll it here: the parity and
 worker-identity tests parametrize over ``registered_backends()``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -41,13 +39,6 @@ def candidate_signature(candidates):
     ]
 
 
-def _quiet_ensemble(graph, grid):
-    """Run one ensemble with backend fallback warnings suppressed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return cluster_ensemble_ncp(graph, grid)
-
-
 def _delegating_backend(key, aliases=()):
     """A third-party backend that borrows the numpy kernels."""
     reference = get_backend("numpy")
@@ -66,18 +57,18 @@ def _delegating_backend(key, aliases=()):
 
 class TestRegistry:
     def test_canonical_names_present(self):
-        assert set(registered_backends()) >= {"numpy", "scalar", "numba"}
+        assert set(registered_backends()) >= {"numpy", "scalar"}
 
     def test_legacy_vocabulary_resolves_as_aliases(self):
         assert resolve_backend_name("batched") == "numpy"
         assert resolve_backend_name("vectorized") == "numpy"
         assert resolve_backend_name("scalar") == "scalar"
-        assert resolve_backend_name("jit") == "numba"
+        assert resolve_backend_name("oracle") == "scalar"
 
     def test_resolution_normalizes_case_and_whitespace(self):
         assert resolve_backend_name(" NumPy ") == "numpy"
         assert resolve_backend_name("SCALAR") == "scalar"
-        assert resolve_backend_name(" Jit ") == "numba"
+        assert resolve_backend_name(" Batched ") == "numpy"
 
     def test_resolve_accepts_backend_instance(self):
         backend = get_backend("scalar")
@@ -124,11 +115,45 @@ class TestRegistry:
         with pytest.raises(UnknownBackendError):
             resolve_backend_name("looking_glass")
 
+    def test_unknown_backend_rejected_at_every_entry_point(self,
+                                                           whiskered):
+        from repro.diffusion.seeds import indicator_seed
+        from repro.diffusion.truncated_walk import truncated_lazy_walk
+        from repro.ncp.runner import plan_chunks
+        from repro.partition.flow_improve import dilate
+        from repro.partition.sweep import sweep_cut
+
+        scores = np.linspace(1.0, 0.0, whiskered.num_nodes)
+        seed = indicator_seed(whiskered, [0])
+        calls = (
+            lambda: sweep_cut(whiskered, scores, backend="simd"),
+            lambda: truncated_lazy_walk(
+                whiskered, seed, 4, epsilon=1e-3, backend="simd"
+            ),
+            lambda: dilate(whiskered, [0], 1, backend="simd"),
+            lambda: DiffusionGrid(PPR(), backend="simd"),
+            lambda: plan_chunks("ppr", [0], {}, backend="simd"),
+        )
+        for call in calls:
+            with pytest.raises(UnknownBackendError):
+                call()
+
+    def test_plan_chunks_stamps_the_canonical_backend(self):
+        from repro.ncp.runner import plan_chunks
+
+        chunks = plan_chunks(
+            "ppr", [44, 3, 17], {"alphas": (0.1,)}, backend="batched",
+            seeds_per_chunk=2,
+        )
+        assert [chunk.backend for chunk in chunks] == ["numpy", "numpy"]
+
     def test_registration_collisions_are_rejected(self):
         with pytest.raises(InvalidParameterError):
             register_backend(_delegating_backend("numpy"))
         with pytest.raises(InvalidParameterError):
-            register_backend(_delegating_backend("mine", aliases=("jit",)))
+            register_backend(
+                _delegating_backend("mine", aliases=("oracle",))
+            )
         # Not an EngineBackend at all.
         with pytest.raises(InvalidParameterError):
             register_backend("numpy")
@@ -144,11 +169,6 @@ class TestRegistry:
         finally:
             register_backend(original, overwrite=True)
         assert get_backend("numpy") is original
-
-    def test_builtin_backends_answer_available(self):
-        assert get_backend("numpy").available() is True
-        assert get_backend("scalar").available() is True
-        assert get_backend("numba").available() in (True, False)
 
 
 # One modest grid per canonical dynamics: enough seeds to cover whisker
@@ -191,10 +211,10 @@ class TestBackendParityHarness:
         epsilons = (1e-4,) if is_ppr else (1e-3,)
         base = dict(epsilons=epsilons, num_seeds=4, seed=0)
         spec = PARITY_SPECS[dynamics]
-        got = _quiet_ensemble(
+        got = cluster_ensemble_ncp(
             parity_graph, DiffusionGrid(spec, backend=backend, **base)
         )
-        reference = _quiet_ensemble(
+        reference = cluster_ensemble_ncp(
             parity_graph, DiffusionGrid(spec, backend="numpy", **base)
         )
         assert len(got) > 0
@@ -225,89 +245,11 @@ class TestBackendParityHarness:
 
         rng = np.random.default_rng(5)
         scores = rng.random(whiskered.num_nodes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = sweep_cut(whiskered, scores, backend=backend)
+        got = sweep_cut(whiskered, scores, backend=backend)
         reference = sweep_cut(whiskered, scores, backend="numpy")
         assert np.array_equal(got.nodes, reference.nodes)
         assert got.conductance == reference.conductance
         assert got.volume == reference.volume
-
-
-class TestNumbaFallback:
-    @pytest.fixture
-    def absent_numba(self, monkeypatch):
-        """Force the numba import to fail and reset the fallback state."""
-        from repro.backends import _numba
-
-        def refuse():
-            raise ImportError("numba disabled for this test")
-
-        saved = dict(_numba._STATE)
-        monkeypatch.setattr(_numba, "_import_numba", refuse)
-        _numba._STATE.update(
-            checked=False, module=None, kernels=None, warned=False
-        )
-        yield _numba
-        _numba._STATE.update(saved)
-
-    def test_fallback_warns_exactly_once_and_matches_numpy(
-            self, whiskered, absent_numba):
-        grid = dict(
-            dynamics=PPR(alpha=(0.1,)), epsilons=(1e-3,), num_seeds=3,
-            seed=0,
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = cluster_ensemble_ncp(
-                whiskered, DiffusionGrid(backend="numba", **grid)
-            )
-            second = cluster_ensemble_ncp(
-                whiskered, DiffusionGrid(backend="numba", **grid)
-            )
-        runtime = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(runtime) == 1
-        assert "falling back" in str(runtime[0].message)
-        assert "pip install repro[jit]" in str(runtime[0].message)
-
-        reference = cluster_ensemble_ncp(
-            whiskered, DiffusionGrid(backend="numpy", **grid)
-        )
-        assert candidate_signature(first) == candidate_signature(reference)
-        assert candidate_signature(second) == candidate_signature(reference)
-
-    def test_probe_reports_unavailable_without_warning(self,
-                                                       absent_numba):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert get_backend("numba").available() is False
-            assert absent_numba.numba_available() is False
-
-    def test_fallback_sweep_and_walk_match_numpy(self, whiskered,
-                                                 absent_numba):
-        from repro.diffusion.seeds import indicator_seed
-        from repro.diffusion.truncated_walk import truncated_lazy_walk
-        from repro.partition.sweep import sweep_cut
-
-        rng = np.random.default_rng(3)
-        scores = rng.random(whiskered.num_nodes)
-        seed = indicator_seed(whiskered, [0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            jit_cut = sweep_cut(whiskered, scores, backend="numba")
-            jit_walk = truncated_lazy_walk(
-                whiskered, seed, 8, epsilon=1e-3, backend="numba"
-            )
-        ref_cut = sweep_cut(whiskered, scores, backend="numpy")
-        ref_walk = truncated_lazy_walk(
-            whiskered, seed, 8, epsilon=1e-3, backend="numpy"
-        )
-        assert np.array_equal(jit_cut.nodes, ref_cut.nodes)
-        assert jit_cut.conductance == ref_cut.conductance
-        assert np.array_equal(jit_walk.final, ref_walk.final)
-        assert jit_walk.dropped_mass == ref_walk.dropped_mass
 
 
 class TestRunnerBackendGuarantees:
@@ -328,12 +270,10 @@ class TestRunnerBackendGuarantees:
             PPR(alpha=(0.1,)), epsilons=(1e-3,), num_seeds=4, seed=0,
             backend=backend,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            serial = run_ncp_ensemble(whiskered, grid, seeds_per_chunk=2)
-            pooled = run_ncp_ensemble(
-                whiskered, grid, seeds_per_chunk=2, num_workers=2
-            )
+        serial = run_ncp_ensemble(whiskered, grid, seeds_per_chunk=2)
+        pooled = run_ncp_ensemble(
+            whiskered, grid, seeds_per_chunk=2, num_workers=2
+        )
         assert candidate_signature(serial.candidates) == (
             candidate_signature(pooled.candidates)
         )

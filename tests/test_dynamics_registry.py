@@ -146,6 +146,20 @@ class TestSpecRoundTrip:
         assert as_diffusion_grid(PPR()).key == "ppr"
         assert as_diffusion_grid(by_name) is by_name
 
+    def test_grid_canonicalizes_backend_aliases(self):
+        # Older manifests record pre-registry backend values; a grid
+        # built from one equals (and hashes like) the canonical grid.
+        for alias, canonical in (("batched", "numpy"),
+                                 ("vectorized", "numpy"),
+                                 ("oracle", "scalar")):
+            by_alias = DiffusionGrid(PPR(), num_seeds=4, seed=0,
+                                     backend=alias)
+            by_key = DiffusionGrid(PPR(), num_seeds=4, seed=0,
+                                   backend=canonical)
+            assert by_alias.backend == canonical
+            assert by_alias == by_key
+            assert hash(by_alias) == hash(by_key)
+
 
 class TestChunkPartition:
     @settings(max_examples=60, deadline=None)
@@ -206,7 +220,6 @@ class TestExtensionPoint:
             aliases=("two_hop",),
             spec_type=TwoHop,
             local_spec_factory=lambda graph=None: TwoHop(alpha=0.2),
-            legacy_axes=None,
         ))
         yield kind
         if "twohop" in registered_dynamics():

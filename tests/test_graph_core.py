@@ -43,6 +43,13 @@ class TestFromEdges:
         with pytest.raises(GraphError, match="duplicate"):
             from_edges(2, [(0, 1), (1, 0)], combine="error")
 
+    def test_unknown_combine_rejected_without_duplicates(self):
+        # Validated up front: a duplicate-free edge list must not let a
+        # bad mode through, with or without weights.
+        for weights in (None, [2.0, 3.0]):
+            with pytest.raises(GraphError, match="unknown combine mode"):
+                from_edges(3, [(0, 1), (1, 2)], weights, combine="bogus")
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             from_edges(3, [(1, 1)])

@@ -51,8 +51,6 @@ BUILTIN_RULES = (
     "cache-version-discipline",
     "determinism-hazards",
     "exception-policy",
-    "shim-policy",
-    "numba-purity",
     "executor-discipline",
 )
 
@@ -72,9 +70,13 @@ class TestRegistry:
         assert resolve_rule_name("determinism") == "determinism-hazards"
 
     def test_resolution_normalizes_case_and_separators(self):
-        assert resolve_rule_name(" Shim-Policy ") == "shim-policy"
-        assert resolve_rule_name("shim_policy") == "shim-policy"
-        assert resolve_rule_name("NUMBA") == "numba-purity"
+        assert resolve_rule_name(" Executor-Discipline ") == (
+            "executor-discipline"
+        )
+        assert resolve_rule_name("executor_discipline") == (
+            "executor-discipline"
+        )
+        assert resolve_rule_name("EXECUTORS") == "executor-discipline"
 
     def test_resolve_accepts_rule_instance(self):
         rule = get_rule("exception-policy")
@@ -94,7 +96,7 @@ class TestRegistry:
             resolve_rule_name("no-such-rule")
         message = str(excinfo.value)
         assert "no-stringly-dispatch" in message
-        assert "shim-policy" in message
+        assert "executor-discipline" in message
 
     def test_every_rule_documents_itself(self):
         for key, rule in registered_rules().items():
@@ -130,7 +132,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(InvalidParameterError):
-            register_rule(get_rule("shim-policy"))
+            register_rule(get_rule("executor-discipline"))
 
     def test_invalid_severity_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -171,7 +173,7 @@ class TestFixtureHarness:
         assert findings == [], f"{rule_key}: good fixture was flagged"
 
     def test_exempt_paths_skip_the_rule(self):
-        source = 'if backend == "numba":\n    pass\n'
+        source = 'if backend == "scalar":\n    pass\n'
         flagged = lint_source(
             source, path="src/repro/ncp/runner.py",
             rules=(get_rule("no-stringly-dispatch"),),
@@ -244,9 +246,9 @@ class TestSelectionAndWalker:
         assert {r.key for r in select_rules()} == set(registered_rules())
 
     def test_select_and_ignore_compose(self):
-        picked = select_rules("R001,shims", None)
+        picked = select_rules("R001,executors", None)
         assert {r.key for r in picked} == {
-            "no-stringly-dispatch", "shim-policy",
+            "no-stringly-dispatch", "executor-discipline",
         }
         remaining = select_rules(None, "no-stringly-dispatch")
         assert "no-stringly-dispatch" not in {r.key for r in remaining}
@@ -398,11 +400,11 @@ class TestLintCli:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_github_format_annotations(self, capsys):
-        bad = _fixture("shim-policy", "bad")
+        bad = _fixture("executor-discipline", "bad")
         assert main(["lint", str(bad), "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert "title=R005 shim-policy::" in out
+        assert "title=R007 executor-discipline::" in out
 
     def test_json_format(self, capsys):
         bad = _fixture("determinism-hazards", "bad")

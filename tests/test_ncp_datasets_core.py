@@ -323,17 +323,13 @@ class TestWhiskerChainsAndClouds:
 
     def test_figure1_rejects_grid_plus_ensemble_kwargs(self, whiskered):
         # An explicit grid carries the full diffusion workload; combining
-        # it with num_seeds/alphas/epsilons must raise, not silently
-        # ignore the per-ensemble keywords.
+        # it with num_seeds must raise, not silently ignore the keyword.
         from repro.exceptions import InvalidParameterError
         from repro.ncp import figure1_comparison
 
         grid = DiffusionGrid(PPR(alpha=(0.1,)), num_seeds=4, seed=0)
-        for kwargs in (
-            {"num_seeds": 8}, {"alphas": (0.1,)}, {"epsilons": (1e-4,)},
-        ):
-            with pytest.raises(InvalidParameterError):
-                figure1_comparison(whiskered, grid=grid, **kwargs)
+        with pytest.raises(InvalidParameterError):
+            figure1_comparison(whiskered, grid=grid, num_seeds=8)
 
     def test_bucket_cloud_niceness_structure(self, whiskered):
         import numpy as np

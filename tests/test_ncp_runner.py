@@ -98,7 +98,10 @@ class TestRunnerDeterminism:
         assert signatures[0] == signatures[1] == signatures[2]
 
     def test_shared_graph_roundtrip(self, whiskered):
-        from repro.ncp.runner import _attach_shared_graph, _share_graph
+        from repro.execution.executors import (
+            _attach_shared_graph,
+            _share_graph,
+        )
 
         shm, layout = _share_graph(whiskered)
         try:
@@ -160,10 +163,6 @@ class TestRunnerDeterminism:
     def test_unknown_dynamics_rejected(self, whiskered):
         with pytest.raises(InvalidParameterError):
             run_ncp_ensemble(whiskered, "quantum")
-
-    def test_grid_plus_legacy_kwargs_rejected(self, whiskered):
-        with pytest.raises(InvalidParameterError):
-            run_ncp_ensemble(whiskered, ppr_grid(), num_seeds=4)
 
 
 class TestRunnerMemoization:

@@ -136,6 +136,24 @@ class TestLocalClustering:
         with pytest.raises(InvalidParameterError):
             local_cluster(ring, [0], "landing")
 
+    def test_point_specs_carry_their_local_method(self, ring):
+        for spec, method in ((PPR(alpha=0.05), "acl"),
+                             (HeatKernel(t=4.0), "hk"),
+                             (LazyWalk(steps=12), "nibble")):
+            result = local_cluster(ring, [2], spec, epsilon=1e-5)
+            assert result.method == method
+
+    def test_walk_name_uses_graph_sized_default_steps(self, ring):
+        from repro.dynamics import get_dynamics
+
+        by_name = local_cluster(ring, [2], "nibble", epsilon=1e-5)
+        by_spec = local_cluster(
+            ring, [2], get_dynamics("walk").local_spec(ring), epsilon=1e-5
+        )
+        assert np.array_equal(by_name.nodes, by_spec.nodes)
+        assert by_name.conductance == by_spec.conductance
+        assert by_name.work == by_spec.work
+
     def test_walk_point_spec_drives_nibble(self, ring):
         by_spec = local_cluster(ring, [2], LazyWalk(steps=40), epsilon=1e-5)
         assert by_spec.method == "nibble"

@@ -4,19 +4,25 @@ The CI ``public-api-smoke`` job runs this module on its own: it imports
 every name exported by each package's ``__all__`` (so a broken re-export
 or a renamed symbol fails loudly, not at a user's first import), asserts
 that every exported module/class/function carries a non-empty docstring,
-that every CLI subcommand and option carries help text, and instantiates
+that every CLI subcommand and option carries help text, instantiates
 every registered dynamics — default spec, default grid, local point spec
-— through the registry.
+— through the registry, and holds all five registries (dynamics,
+refiners, backends, lint rules, executors) to one contract through their
+public ``register_*`` / ``unregister_*`` / ``resolve_*_name`` /
+``get_*`` / ``registered_*`` functions.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import build_parser
+from repro.exceptions import InvalidParameterError
 from repro.dynamics import (
     DiffusionGrid,
     get_dynamics,
@@ -148,13 +154,10 @@ def test_every_registered_dynamics_yields_columns():
 def test_every_registered_backend_instantiates():
     """CI satellite: the public-api-smoke job exercises every backend.
 
-    Each registry entry must resolve by key and by every alias, answer
-    ``available()``, describe itself, and drive a real diffusion-grid
-    drain plus a sweep scan end to end (falling back where needed —
-    the numba entry must work whether or not numba is importable).
+    Each registry entry must resolve by key and by every alias, describe
+    itself, and drive a real diffusion-grid drain plus a sweep scan end
+    to end.
     """
-    import warnings
-
     import numpy as np
 
     from repro.backends import get_backend, registered_backends
@@ -162,26 +165,23 @@ def test_every_registered_backend_instantiates():
 
     graph = ring_of_cliques(4, 5)
     backends = registered_backends()
-    assert set(backends) >= {"numpy", "scalar", "numba"}
+    assert set(backends) >= {"numpy", "scalar"}
     for key, backend in backends.items():
         assert get_backend(key) is backend, key
         for alias in backend.aliases:
             assert get_backend(alias) is backend, (key, alias)
         assert backend.description.strip(), key
-        assert backend.available() in (True, False), key
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            columns = list(backend.ppr_grid(
-                graph, [0], alphas=(0.1,), epsilons=(1e-3,)
-            ))
-            assert len(columns) == 1 and columns[0].shape == (
-                graph.num_nodes,
-            ), key
+        columns = list(backend.ppr_grid(
+            graph, [0], alphas=(0.1,), epsilons=(1e-3,)
+        ))
+        assert len(columns) == 1 and columns[0].shape == (
+            graph.num_nodes,
+        ), key
 
-            scores = np.arange(graph.num_nodes, 0, -1, dtype=float)
-            cut = sweep_cut(graph, scores, backend=key)
-            assert 0.0 <= cut.conductance <= 1.0, key
+        scores = np.arange(graph.num_nodes, 0, -1, dtype=float)
+        cut = sweep_cut(graph, scores, backend=key)
+        assert 0.0 <= cut.conductance <= 1.0, key
 
 
 def test_every_registered_executor_instantiates():
@@ -297,8 +297,7 @@ def test_every_registered_lint_rule_instantiates(capsys):
         "cache-version-discipline",
         "determinism-hazards",
         "exception-policy",
-        "shim-policy",
-        "numba-purity",
+        "executor-discipline",
     }
     for key, rule in rules.items():
         assert get_rule(key) is rule, key
@@ -318,6 +317,158 @@ def test_every_registered_lint_rule_instantiates(capsys):
     baseline = load_baseline(repo_root / "lint-baseline.json")
     report = lint_paths([repo_root / "src"], baseline=baseline or None)
     assert report.ok, [f.format_human() for f in report.findings]
+
+
+class _ProbeSpec:
+    """Spec-type base of the contract-test records."""
+
+
+_RULE_CODES = itertools.count(900)
+
+
+def _probe_spec_type(key):
+    return type(f"Spec_{key.replace('-', '_')}", (_ProbeSpec,), {})
+
+
+def _dynamics_record(key, aliases):
+    from repro.dynamics import DynamicsKind
+
+    return DynamicsKind(
+        name=f"{key} dynamics", aggressiveness_parameter="x",
+        regularizer="y", default_parameters={},
+        verifier=lambda graph, **kw: None, key=key, aliases=aliases,
+        spec_type=_probe_spec_type(key),
+    )
+
+
+def _refiner_record(key, aliases):
+    from repro.refine import RefinerKind
+
+    return RefinerKind(
+        name=f"{key} refiner", key=key, description="contract probe",
+        aliases=aliases, spec_type=_probe_spec_type(key),
+    )
+
+
+def _backend_record(key, aliases):
+    from repro.backends import EngineBackend
+
+    return EngineBackend(key=key, description="contract probe",
+                         aliases=aliases)
+
+
+def _rule_record(key, aliases):
+    from repro.analysis import LintRule, RuleVisitor
+
+    return LintRule(
+        key=key, code=f"X{next(_RULE_CODES)}", description="contract probe",
+        visitor=RuleVisitor, aliases=aliases,
+    )
+
+
+def _executor_record(key, aliases):
+    from repro.execution import ExecutorKind
+
+    return ExecutorKind(key=key, description="contract probe",
+                        aliases=aliases, spec_type=_probe_spec_type(key))
+
+
+# module, singular noun, plural noun, error class, record factory, and
+# whether records bind a spec type.
+REGISTRIES = {
+    "dynamics": ("repro.dynamics", "dynamics", "dynamics",
+                 "UnknownDynamicsError", _dynamics_record, True),
+    "refiner": ("repro.refine", "refiner", "refiners",
+                "UnknownRefinerError", _refiner_record, True),
+    "backend": ("repro.backends", "backend", "backends",
+                "UnknownBackendError", _backend_record, False),
+    "rule": ("repro.analysis", "rule", "rules", "UnknownRuleError",
+             _rule_record, False),
+    "executor": ("repro.execution", "executor", "executors",
+                 "UnknownExecutorError", _executor_record, True),
+}
+
+PROBE = "contract-probe"
+
+
+@pytest.fixture(params=sorted(REGISTRIES))
+def registry(request):
+    """One registry's public functions, with a probe record registered."""
+    module_name, one, many, error, make, specs = REGISTRIES[request.param]
+    module = importlib.import_module(module_name)
+    api = SimpleNamespace(
+        register=getattr(module, f"register_{one}"),
+        unregister=getattr(module, f"unregister_{one}"),
+        resolve=getattr(module, f"resolve_{one}_name"),
+        get=getattr(module, f"get_{one}"),
+        registered=getattr(module, f"registered_{many}"),
+        error=getattr(module, error),
+        make=make,
+        specs=specs,
+    )
+    api.probe = api.register(make(PROBE, ("probe_alias",)))
+    yield api
+    if PROBE in api.registered():
+        api.unregister(PROBE)
+
+
+class TestRegistryContract:
+    """The contract every registry keeps, checked on all five."""
+
+    def test_normalized_names_and_aliases_resolve(self, registry):
+        for spelling in (PROBE, " Contract_Probe ", "PROBE-ALIAS"):
+            assert registry.resolve(spelling) == PROBE
+        assert registry.get("probe alias") is registry.probe
+        assert registry.get(registry.probe) is registry.probe
+        assert registry.registered()[PROBE] is registry.probe
+
+    def test_unknown_name_suggests_the_canonical_key(self, registry):
+        with pytest.raises(registry.error) as excinfo:
+            registry.get("probe_alais")
+        error = excinfo.value
+        assert isinstance(error, InvalidParameterError)
+        assert isinstance(error, ValueError)
+        assert isinstance(error, KeyError)
+        assert f"did you mean {PROBE!r}" in str(error)
+
+    def test_collisions_are_refused(self, registry):
+        with pytest.raises(InvalidParameterError, match="already"):
+            registry.register(registry.make(PROBE, ()))
+        with pytest.raises(InvalidParameterError, match="already"):
+            registry.register(
+                registry.make("contract-other", ("probe-alias",))
+            )
+        assert "contract-other" not in registry.registered()
+        with pytest.raises(InvalidParameterError):
+            registry.register(PROBE)
+
+    def test_overwrite_replaces_the_registration(self, registry):
+        replacement = registry.make(PROBE, ("fresh_alias",))
+        assert registry.register(replacement, overwrite=True) is replacement
+        assert registry.get(PROBE) is replacement
+        assert registry.get("fresh-alias") is replacement
+        # The replaced record's spellings leave with it.
+        with pytest.raises(registry.error):
+            registry.resolve("probe_alias")
+
+    def test_unregister_round_trip(self, registry):
+        assert registry.unregister("probe-alias") is registry.probe
+        for name in (PROBE, "probe_alias", registry.probe):
+            with pytest.raises(registry.error):
+                registry.resolve(name)
+        assert registry.register(registry.probe) is registry.probe
+        assert registry.get("probe_alias") is registry.probe
+
+    def test_spec_types_resolve_exactly(self, registry):
+        stranger = object()
+        if registry.specs:
+            spec_type = registry.probe.spec_type
+            assert registry.get(spec_type) is registry.probe
+            assert registry.get(spec_type()) is registry.probe
+            # A subclass is its own entry and must be registered itself.
+            stranger = type("Derived", (spec_type,), {})()
+        with pytest.raises(registry.error):
+            registry.resolve(stranger)
 
 
 def test_facade_and_subpackage_exports_agree():
