@@ -3,11 +3,11 @@
 Figure 1's flow curve is the paper's evidence that flow-based
 *improvement* systematically lowers conductance over raw proposals; the
 refinement layer (:mod:`repro.refine`) makes that improvement a
-first-class registry.  E14 iterates the registry — a registered refiner
-benchmarks itself, exactly like a registered dynamics in E12b — and
-measures, per refiner, how many multilevel-bisection proposals improve,
-by how much, and at what wall-clock cost; plus the vectorized-vs-scalar
-``dilate`` micro-benchmark behind the FlowImprove stage.
+first-class registry.  E14 iterates the registry — a registered
+refiner benchmarks itself — and measures, per refiner, how many
+multilevel-bisection proposals improve, by how much, and at what
+wall-clock cost; plus the vectorized-vs-scalar ``dilate``
+micro-benchmark behind the FlowImprove stage.
 """
 
 from __future__ import annotations

@@ -33,10 +33,6 @@ $REPRO ncp --graph "$OUT/barbell.tsv" --dynamics "ppr:alpha=0.05/0.15,eps=1e-4" 
 $REPRO cluster --graph atp --seeds 5 --dynamics "hk:t=5,eps=1e-4" \
     --out "$OUT/cluster"
 
-# 6. The registry-driven engine benchmark (E12b): BENCH_engine.json with
-#    one batched-vs-scalar section per registered dynamics.
-$REPRO bench --graph atp --num-seeds 6 --out "$OUT/bench"
-
 echo
 echo "Artifacts under $OUT (each directory has a manifest.json):"
 find "$OUT" -type f | sort

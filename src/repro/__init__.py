@@ -10,8 +10,9 @@ Subpackages
     The one-stop typed facade: specs, grids, registry, ensembles, local
     clustering, verification.
 ``repro.cli``
-    The ``python -m repro`` workbench: datasets / ncp / cluster / bench
-    subcommands over the facade, each writing a JSON run manifest.
+    The ``python -m repro`` workbench: datasets / ncp / cluster / lint
+    subcommands over the facade; every run that produces files writes
+    a JSON run manifest.
 ``repro.dynamics``
     The unified dynamics registry: ``PPR`` / ``HeatKernel`` / ``LazyWalk``
     specs, ``DiffusionGrid``, ``DynamicsKind`` entries, alias table.

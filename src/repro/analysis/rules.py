@@ -55,35 +55,32 @@ _REGISTRY_MODULES = (
     "repro/analysis/",
 )
 
-_VOCABULARY_CACHE = []
-
 
 def registry_vocabulary():
     """Every canonical name and alias across the four live registries.
 
-    Computed from :func:`repro.dynamics.registered_dynamics`,
+    Read from :func:`repro.dynamics.registered_dynamics`,
     :func:`repro.backends.registered_backends`,
     :func:`repro.refine.registered_refiners`, and
-    :func:`repro.execution.registered_executors` (imported lazily,
-    cached per process), so the no-stringly-dispatch rule tracks the
-    registries instead of carrying its own drifting word list.
+    :func:`repro.execution.registered_executors` (imported lazily) on
+    every call, so the no-stringly-dispatch rule tracks the registries,
+    later registrations and removals included, instead of carrying its
+    own drifting word list.
     """
-    if not _VOCABULARY_CACHE:
-        from repro.backends import registered_backends
-        from repro.dynamics import registered_dynamics
-        from repro.execution import registered_executors
-        from repro.refine import registered_refiners
+    from repro.backends import registered_backends
+    from repro.dynamics import registered_dynamics
+    from repro.execution import registered_executors
+    from repro.refine import registered_refiners
 
-        vocabulary = set()
-        for registry in (
-            registered_dynamics(), registered_backends(),
-            registered_refiners(), registered_executors(),
-        ):
-            for key, entry in registry.items():
-                vocabulary.add(key)
-                vocabulary.update(getattr(entry, "aliases", ()))
-        _VOCABULARY_CACHE.append(frozenset(vocabulary))
-    return _VOCABULARY_CACHE[0]
+    vocabulary = set()
+    for registry in (
+        registered_dynamics(), registered_backends(),
+        registered_refiners(), registered_executors(),
+    ):
+        for key, entry in registry.items():
+            vocabulary.add(key)
+            vocabulary.update(getattr(entry, "aliases", ()))
+    return frozenset(vocabulary)
 
 
 def _terminal_name(node):
@@ -124,6 +121,11 @@ def _string_constants(node):
 class StringlyDispatchVisitor(RuleVisitor):
     """R001: registry names are compared via the registry, not strings."""
 
+    def __init__(self, rule, ctx):
+        super().__init__(rule, ctx)
+        # One snapshot of the live registries per visited file.
+        self._vocabulary = registry_vocabulary()
+
     def visit_Compare(self, node):
         name = _terminal_name(node.left)
         if name not in _DISPATCH_NAMES:
@@ -137,7 +139,7 @@ class StringlyDispatchVisitor(RuleVisitor):
             value
             for comparator in node.comparators
             for value in _string_constants(comparator)
-            if value in registry_vocabulary()
+            if value in self._vocabulary
         ]
         if not hits:
             return

@@ -36,7 +36,8 @@ vocabulary:
 
 The same vocabulary is scriptable without Python: ``python -m repro``
 (:mod:`repro.cli`) exposes the suite, the NCP runner, the local driver,
-and the engine benchmark as subcommands that write JSON run manifests.
+and the linter as subcommands; every run that produces files writes a
+JSON run manifest.
 
 Quickstart::
 

@@ -21,8 +21,8 @@ The pre-registry flag values (``"batched"``, ``"vectorized"``,
 ``backend`` values still resolve.
 
 Registering a backend is enough to make the test suite parity-check it
-against ``numpy`` and the bench CLI time it (see
-``tests/test_backends.py`` for a worked third-party example).
+against ``numpy`` (see ``tests/test_backends.py`` for a worked
+third-party example).
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ into a reproducible one-liner:
   registered dynamics grid, on a suite graph or an external edge list;
 * ``repro cluster`` — seeded strongly local clustering with any
   single-point dynamics spec (``--dynamics ppr:alpha=0.1,eps=1e-4``);
-* ``repro bench`` — the registry-driven engine benchmark (E12b),
-  writing ``BENCH_engine.json``;
 * ``repro lint`` — the AST-based invariant checker
   (:mod:`repro.analysis`): registry dispatch, determinism, cache
   versioning, exception policy, executor discipline.
@@ -32,22 +30,15 @@ import argparse
 import os
 import sys
 
-from repro.cli import (
-    bench_cmd,
-    cluster_cmd,
-    datasets_cmd,
-    lint_cmd,
-    ncp_cmd,
-)
+from repro.cli import cluster_cmd, datasets_cmd, lint_cmd, ncp_cmd
 from repro.exceptions import ReproError
 
 __all__ = ["build_parser", "main"]
 
 _DESCRIPTION = (
-    "Workbench for the repro library: run NCP ensembles, local "
-    "clustering, and engine benchmarks on the named graph suite or on "
-    "your own edge-list files, with a JSON run manifest written next to "
-    "every result."
+    "Workbench for the repro library: run NCP ensembles and local "
+    "clustering on the named graph suite or on your own edge-list "
+    "files, with a JSON run manifest written next to every result."
 )
 
 _EPILOG = (
@@ -57,13 +48,12 @@ _EPILOG = (
     "--workers 2 --out runs/atp\n"
     "  python -m repro cluster --graph barbell --seeds 0 "
     "--dynamics ppr:alpha=0.1,eps=1e-4\n"
-    "  python -m repro bench --graph atp --out runs/bench\n"
     "  python -m repro lint src/ --format github\n"
 )
 
 # The subcommand modules, in help-listing order.  Each exposes
 # configure_parser(subparsers) -> parser and a run(args) -> int handler.
-_COMMAND_MODULES = (datasets_cmd, ncp_cmd, cluster_cmd, bench_cmd, lint_cmd)
+_COMMAND_MODULES = (datasets_cmd, ncp_cmd, cluster_cmd, lint_cmd)
 
 
 def _version_string():

@@ -12,19 +12,17 @@ from repro.datasets.suite import load_any_graph, suite_names
 from repro.exceptions import InvalidParameterError
 
 
-def add_graph_arguments(parser, *, default=None, required=None):
+def add_graph_arguments(parser, *, required=True):
     """Attach the shared ``--graph`` / ``--graph-seed`` options.
 
-    By default ``--graph`` is required exactly when no ``default`` is
-    given; pass ``required=False`` for commands that can obtain the
-    graph elsewhere (``repro ncp --resume`` reads it from the manifest)
-    and validate the either/or themselves.
+    Pass ``required=False`` for commands that can obtain the graph
+    elsewhere (``repro ncp --resume`` reads it from the manifest) and
+    validate the either/or themselves.
     """
     names = ", ".join(suite_names())
     parser.add_argument(
         "--graph",
-        default=default,
-        required=(default is None) if required is None else required,
+        required=required,
         metavar="NAME|PATH",
         help=(
             f"workload graph: a suite name ({names}), a scale-tier name "

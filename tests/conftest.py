@@ -25,7 +25,8 @@ from repro.graph.random_generators import (
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf: performance-regression smoke benchmarks (write BENCH_*.json)",
+        "perf: engine-speed smoke check (numpy vs the scalar loop; "
+        "writes no file)",
     )
 
 

@@ -83,7 +83,6 @@ class TestManifestSchema:
             "ncp": ["ncp", "--graph", "barbell", *NCP_ARGS],
             "cluster": ["cluster", "--graph", "barbell", "--seeds", "0",
                         "--dynamics", "ppr:alpha=0.1,eps=1e-3"],
-            "bench": ["bench", "--graph", "barbell", "--num-seeds", "2"],
         }
         for name, argv in jobs.items():
             out = tmp_path / name
@@ -298,20 +297,6 @@ class TestCluster:
         assert "error:" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_bench_writes_report_for_every_dynamics(self, tmp_path,
-                                                    capsys):
-        out = tmp_path / "bench"
-        assert run_cli("bench", "--graph", "barbell", "--num-seeds", "2",
-                       "--out", str(out)) == 0
-        report = json.loads((out / "BENCH_engine.json").read_text())
-        assert set(report["dynamics"]) >= {"ppr", "hk", "walk"}
-        for section in report["dynamics"].values():
-            assert section["scalar_seconds"] > 0
-            assert section["batched_seconds"] > 0
-            assert section["num_columns"] > 0
-
-
 class TestGraphErrors:
     def test_unknown_graph_error_type_and_suggestion(self):
         with pytest.raises(UnknownGraphError) as excinfo:
@@ -435,5 +420,5 @@ class TestParserHygiene:
     def test_subparser_registry_is_complete(self):
         parser = build_parser()
         assert set(parser.repro_subparsers) == {
-            "datasets", "ncp", "cluster", "bench", "lint"
+            "datasets", "ncp", "cluster", "lint"
         }

@@ -1,14 +1,16 @@
 """Docs check: README/ARCHITECTURE code blocks reference real names.
 
 Documentation drifts when the API moves under it.  These tests parse
-every fenced code block in ``README.md`` and ``docs/ARCHITECTURE.md``:
+every fenced code block in ``README.md`` and ``docs/ARCHITECTURE.md``,
+plus the shell script ``examples/cli_workbench.sh``:
 
 * every ``repro`` import statement in a python block must actually
   import — the module must exist and every imported name must be an
   attribute of it;
 * every python block must at least be syntactically valid Python;
 * every ``repro <subcommand>`` / ``python -m repro <subcommand>``
-  incantation in a shell block must name a real CLI subcommand.
+  incantation in a shell block, and every ``$REPRO <subcommand>`` line
+  of the example script, must name a real CLI subcommand.
 
 The CI ``docs-check`` job runs this module on its own.
 """
@@ -26,9 +28,12 @@ from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCUMENTS = ("README.md", "docs/ARCHITECTURE.md")
+SHELL_SCRIPTS = ("examples/cli_workbench.sh",)
 
 _FENCE_RE = re.compile(r"```(\w*)\n(.*?)```", re.S)
-_CLI_RE = re.compile(r"(?:python -m repro|(?<![\w/.-])repro)\s+(--?\w[\w-]*|\w+)")
+_CLI_RE = re.compile(
+    r"(?:python -m repro|\$REPRO|(?<![\w/.-])repro)\s+(--?\w[\w-]*|\w+)"
+)
 
 
 def _blocks(document, *, language):
@@ -80,18 +85,26 @@ def test_repro_imports_in_code_blocks_resolve(document):
     assert checked > 0, f"{document} code blocks never import from repro"
 
 
-@pytest.mark.parametrize("document", DOCUMENTS)
+def _shell_sources(document):
+    if document in SHELL_SCRIPTS:
+        return [(REPO_ROOT / document).read_text(encoding="utf-8")]
+    return [
+        block
+        for language in ("bash", "sh", "console")
+        for block in _blocks(document, language=language)
+    ]
+
+
+@pytest.mark.parametrize("document", DOCUMENTS + SHELL_SCRIPTS)
 def test_cli_incantations_name_real_subcommands(document):
     parser = build_parser()
     known = set(parser.repro_subparsers)
-    mentions = []
-    for language in ("bash", "sh", "console"):
-        for block in _blocks(document, language=language):
-            mentions.extend(
-                token
-                for token in _CLI_RE.findall(block)
-                if not token.startswith("-")
-            )
+    mentions = [
+        token
+        for source in _shell_sources(document)
+        for token in _CLI_RE.findall(source)
+        if not token.startswith("-")
+    ]
     unknown = sorted(set(mentions) - known)
     assert not unknown, (
         f"{document} mentions CLI subcommands that do not exist: "

@@ -339,12 +339,21 @@ class TestChaosExecutor:
     def test_injected_kills_retry_to_identical_results(self):
         chunks = [FakeChunk(i) for i in range(4)]
         spec = Chaos(seed=3, kills=2, delays=1, delay_seconds=0.0)
+        evaluated = []
+
+        def counting_evaluate(graph, chunk):
+            evaluated.append(chunk.index)
+            return fake_evaluate(graph, chunk)
+
         outcome = execute_chunks(
-            ChaosExecutor(None, fake_evaluate, spec=spec), chunks,
+            ChaosExecutor(None, counting_evaluate, spec=spec), chunks,
             retry=FAST_RETRY,
         )
         assert outcome.results == expected_results(chunks)
         assert outcome.retries == 2
+        # A kill fails its submission before any work, so riding out the
+        # faults costs the retries alone: one evaluation per chunk.
+        assert sorted(evaluated) == [0, 1, 2, 3]
 
     def test_exhausted_attempts_raise_typed_error(self):
         chunks = [FakeChunk(0), FakeChunk(1)]

@@ -13,6 +13,7 @@ codes (0 clean / 1 findings / 2 usage / 141 broken pipe).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -40,6 +41,8 @@ from repro.analysis import (
     unregister_rule,
     write_baseline,
 )
+from repro.analysis.rules import registry_vocabulary
+from repro.backends import get_backend, register_backend, unregister_backend
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
 
@@ -183,6 +186,21 @@ class TestFixtureHarness:
             rules=(get_rule("no-stringly-dispatch"),),
         )
         assert flagged and exempt == []
+
+    def test_vocabulary_tracks_later_registrations(self):
+        registry_vocabulary()  # a first read must not freeze the names
+        source = 'if backend == "lint_probe_alias":\n    pass\n'
+        rules = (get_rule("no-stringly-dispatch"),)
+        path = "src/repro/ncp/runner.py"
+        register_backend(dataclasses.replace(
+            get_backend("numpy"), key="lint_probe",
+            aliases=("lint_probe_alias",),
+        ))
+        try:
+            assert lint_source(source, path=path, rules=rules)
+        finally:
+            unregister_backend("lint_probe")
+        assert lint_source(source, path=path, rules=rules) == []
 
     def test_syntax_error_becomes_a_finding(self):
         findings = lint_source("def broken(:\n", path="x.py")

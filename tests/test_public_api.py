@@ -54,7 +54,7 @@ PACKAGES = [
     "repro.regularization",
 ]
 
-SUBCOMMANDS = ("datasets", "ncp", "cluster", "bench", "lint")
+SUBCOMMANDS = ("datasets", "ncp", "cluster", "lint")
 
 
 @pytest.mark.parametrize("package", PACKAGES)
