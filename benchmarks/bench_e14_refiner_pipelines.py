@@ -20,7 +20,7 @@ from repro.api import registered_refiners
 from repro.core import format_comparison_verdict, format_table
 from repro.datasets import load_graph
 from repro.ncp.profile import _unique_clusters
-from repro.partition.flow_improve import dilate
+from repro.partition.flow_improve import _dilate_scalar, dilate
 from repro.partition.metrics import conductance
 from repro.partition.multilevel import recursive_bisection_clusters
 from repro.refine import apply_refiners
@@ -99,10 +99,7 @@ def run_dilate_comparison():
         fast_sets = [dilate(graph, s, radius) for s in starts]
         fast = time.perf_counter() - begin
         begin = time.perf_counter()
-        slow_sets = [
-            dilate(graph, s, radius, backend="scalar")
-            for s in starts
-        ]
+        slow_sets = [_dilate_scalar(graph, s, radius) for s in starts]
         slow = time.perf_counter() - begin
         for a, b in zip(fast_sets, slow_sets):
             assert np.array_equal(a, b), "dilate parity violated"

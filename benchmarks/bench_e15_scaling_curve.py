@@ -9,7 +9,10 @@ it times every stage of the scale pipeline —
 * generation (vectorized R-MAT sampling + largest-component compaction),
 * binary export (:func:`repro.graph.storage.write_binary`),
 * memory-mapped load (:func:`repro.graph.storage.read_binary`),
-* a fixed strongly-local NCP slice per engine (same seeds, same grid),
+* a fixed strongly-local NCP slice (same seeds, same grid), whose PPR
+  kernel is also timed as an A/B: one ``batch_ppr_push`` call against a
+  loop of single-column ``approximate_ppr_push`` calls over the same
+  seeds,
 
 — and writes the curve to ``BENCH_scale.json`` at the repository root.
 The headline is the last column: the per-seed diffusion slice should be
@@ -31,6 +34,9 @@ from pathlib import Path
 from repro.api import PPR, DiffusionGrid
 from repro.core import format_table
 from repro.datasets import rmat_graph
+from repro.diffusion.engine import batch_ppr_push
+from repro.diffusion.push import approximate_ppr_push
+from repro.diffusion.seeds import degree_weighted_indicator_seed
 from repro.graph.storage import read_binary, write_binary
 from repro.ncp import run_ncp_ensemble
 
@@ -38,7 +44,7 @@ DEFAULT_POINTS = "13,15,17"
 NUM_SEEDS = 8
 ALPHA = 0.1
 EPSILON = 1e-3
-BACKENDS = ("numpy", "scalar")
+KERNELS = ("numpy", "scalar")
 BENCH_NAME = "BENCH_scale.json"
 
 
@@ -47,20 +53,40 @@ def scale_points():
     return [int(p) for p in raw.split(",") if p.strip()]
 
 
-def ncp_slice_seconds(graph, backend):
-    """Wall time of the fixed strongly-local NCP slice on ``backend``."""
+def ncp_slice(graph):
+    """The fixed strongly-local NCP slice, end to end and kernel A/B.
+
+    ``pipeline_seconds`` is one whole ``run_ncp_ensemble`` pass;
+    ``engine_seconds`` times its PPR kernel over the same seed nodes
+    twice: ``numpy`` is one ``batch_ppr_push`` call, ``scalar`` a loop of
+    single-column ``approximate_ppr_push`` calls.
+    """
     grid = DiffusionGrid(
         PPR(alpha=(ALPHA,)),
         epsilons=(EPSILON,),
         num_seeds=NUM_SEEDS,
         seed=0,
-        backend=backend,
     )
     start = time.perf_counter()
     result = run_ncp_ensemble(graph, grid)
-    elapsed = time.perf_counter() - start
+    pipeline = time.perf_counter() - start
     assert result.candidates, "NCP slice produced no candidates"
-    return elapsed
+
+    vectors = [
+        degree_weighted_indicator_seed(graph, [int(s)])
+        for s in result.seed_nodes
+    ]
+    start = time.perf_counter()
+    batch_ppr_push(graph, vectors, alphas=(ALPHA,), epsilons=(EPSILON,))
+    numpy_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    for vector in vectors:
+        approximate_ppr_push(graph, vector, alpha=ALPHA, epsilon=EPSILON)
+    scalar_seconds = time.perf_counter() - start
+    return {
+        "pipeline_seconds": pipeline,
+        "engine_seconds": {"numpy": numpy_seconds, "scalar": scalar_seconds},
+    }
 
 
 def measure_point(scale, tmp_dir):
@@ -78,9 +104,7 @@ def measure_point(scale, tmp_dir):
     load = time.perf_counter() - start
     assert loaded.num_edges == graph.num_edges
 
-    engines = {
-        backend: ncp_slice_seconds(loaded, backend) for backend in BACKENDS
-    }
+    timings = ncp_slice(loaded)
     # Drop the memmap references before the tmp file is cleaned up.
     del loaded
     return {
@@ -95,7 +119,7 @@ def measure_point(scale, tmp_dir):
             "num_seeds": NUM_SEEDS,
             "alpha": ALPHA,
             "epsilon": EPSILON,
-            "engine_seconds": engines,
+            **timings,
         },
     }
 
@@ -111,15 +135,16 @@ def test_e15_scaling_curve(tmp_path):
             f"{p['generate_seconds']:.2f}",
             f"{p['write_binary_seconds']:.2f}",
             f"{p['load_binary_seconds']:.4f}",
-            f"{p['ncp_slice']['engine_seconds']['numpy']:.2f}",
-            f"{p['ncp_slice']['engine_seconds']['scalar']:.2f}",
+            f"{p['ncp_slice']['pipeline_seconds']:.3f}",
+            f"{p['ncp_slice']['engine_seconds']['numpy']:.4f}",
+            f"{p['ncp_slice']['engine_seconds']['scalar']:.4f}",
         ]
         for p in points
     ]
     print()
     print(format_table(
         ["graph", "n", "m", "gen s", "write s", "load s",
-         "ncp numpy s", "ncp scalar s"],
+         "ncp s", "push numpy s", "push scalar s"],
         rows,
         title=(
             f"E15: scale ladder, {NUM_SEEDS}-seed strongly-local NCP "
@@ -132,7 +157,7 @@ def test_e15_scaling_curve(tmp_path):
         "num_seeds": NUM_SEEDS,
         "alpha": ALPHA,
         "epsilon": EPSILON,
-        "backends": list(BACKENDS),
+        "kernels": list(KERNELS),
     }
     out = Path(__file__).resolve().parents[1] / BENCH_NAME
     out.write_text(
@@ -155,8 +180,8 @@ def test_e15_scaling_curve(tmp_path):
     small, large = points[0], points[-1]
     edge_ratio = large["num_edges"] / max(1, small["num_edges"])
     time_ratio = (
-        large["ncp_slice"]["engine_seconds"]["numpy"]
-        / max(1e-9, small["ncp_slice"]["engine_seconds"]["numpy"])
+        large["ncp_slice"]["pipeline_seconds"]
+        / max(1e-9, small["ncp_slice"]["pipeline_seconds"])
     )
     assert time_ratio < max(4.0, 0.75 * edge_ratio), (
         f"NCP slice scaled {time_ratio:.1f}x while edges grew only "

@@ -19,9 +19,6 @@ Subpackages
 ``repro.refine``
     The unified refiner registry: ``MQI`` / ``FlowImprove`` / ``MOV``
     specs, ``Pipeline`` workloads, ``RefinerKind`` entries, alias table.
-``repro.backends``
-    The kernel-backend registry: ``EngineBackend`` entries behind the
-    canonical ``numpy`` / ``scalar`` names, alias table.
 ``repro.execution``
     The executor registry: ``ExecutorKind`` entries behind the canonical
     ``serial`` / ``process`` / ``chaos`` names, retry + straggler
@@ -56,19 +53,10 @@ Quickstart
 True
 """
 
-from repro import backends, core, datasets, diffusion, dynamics, graph
+from repro import core, datasets, diffusion, dynamics, graph
 from repro import execution
 from repro import linalg, ncp, partition, refine, regularization
 from repro import api
-from repro.backends import (
-    EngineBackend,
-    UnknownBackendError,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend_name,
-    unregister_backend,
-)
 from repro.core.framework import canonical_dynamics, verify_paper_theorem
 from repro.datasets.suite import UnknownGraphError, load_any_graph
 from repro.diffusion.engine import (
@@ -122,7 +110,7 @@ from repro.refine import (
     get_refiner,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 
 def __getattr__(name):
@@ -143,7 +131,6 @@ __all__ = [
     "DisconnectedGraphError",
     "DynamicsKind",
     "EmptyGraphError",
-    "EngineBackend",
     "ExecutorKind",
     "ExperimentError",
     "FaultPlan",
@@ -161,14 +148,12 @@ __all__ = [
     "Pipeline",
     "ReproError",
     "RetryPolicy",
-    "UnknownBackendError",
     "UnknownDynamicsError",
     "UnknownExecutorError",
     "UnknownGraphError",
     "UnknownRefinerError",
     "__version__",
     "api",
-    "backends",
     "batch_ppr_push",
     "canonical_dynamics",
     "cli",
@@ -179,7 +164,6 @@ __all__ = [
     "dynamics",
     "execution",
     "from_edges",
-    "get_backend",
     "get_dynamics",
     "get_executor",
     "get_refiner",
@@ -191,14 +175,10 @@ __all__ = [
     "partition",
     "ppr_push_frontier",
     "refine",
-    "register_backend",
     "register_executor",
-    "registered_backends",
     "registered_executors",
     "regularization",
-    "resolve_backend_name",
     "run_ncp_ensemble",
-    "unregister_backend",
     "unregister_executor",
     "verify_paper_theorem",
 ]

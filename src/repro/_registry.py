@@ -1,12 +1,12 @@
 """One registry implementation behind every extension point.
 
-Dynamics, refiners, kernel backends, lint rules and executors are each a
+Dynamics, refiners, lint rules and executors are each a
 :class:`Registry` of frozen records: a canonical key per record, a table
 of normalized alternative spellings, and an unknown-name error that is
 both an :class:`~repro.exceptions.InvalidParameterError` (hence
 ``ValueError``) and a ``KeyError`` with a did-you-mean suggestion.
 
-The five differ only in which record fields are accepted as spellings
+The four differ only in which record fields are accepted as spellings
 (every record's ``key`` and ``aliases``; dynamics and refiners also their
 display ``name``, lint rules their ``code``) and in whether a record
 binds a ``spec_type`` whose instances and type resolve to it (dynamics,
@@ -14,7 +14,7 @@ refiners, executors).  Spec types match exactly: a subclass is its own
 entry and must be registered itself.
 
 Each owning module keeps its public names as bound methods, e.g.
-``register_backend = BACKENDS.register``.
+``register_refiner = REFINERS.register``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Registry:
     Parameters
     ----------
     noun:
-        What the registry holds, for messages (``"backend"``).
+        What the registry holds, for messages (``"refiner"``).
     kind_type:
         The record class every registration must be an instance of.
     error_type:

@@ -108,3 +108,19 @@ def as_rng(seed_or_rng):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def check_numpy_backend(backend):
+    """Accept only the kernel family that exists: ``None`` or ``"numpy"``.
+
+    Every diffusion and sweep has one (numpy) implementation.  Run
+    manifests written before that recorded a ``backend`` value, and the
+    benchmark's layer re-drive (``perfbench/measure.py``) still passes
+    ``backend="numpy"``, so those spellings stay valid; any other value
+    names code that no longer exists.
+    """
+    if backend is not None and backend != "numpy":
+        raise InvalidParameterError(
+            f"backend {backend!r} is not available: the kernels have one "
+            "implementation, 'numpy'"
+        )

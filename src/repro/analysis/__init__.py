@@ -11,8 +11,8 @@ the same way the runtime is:
 
 * **Registry** — :class:`LintRule` entries under canonical ids with an
   alias table and :class:`UnknownRuleError` did-you-mean errors: the
-  same :class:`~repro._registry.Registry` as the dynamics, refiner,
-  backend and executor registries.  Registering a rule enrolls
+  same :class:`~repro._registry.Registry` as the dynamics, refiner
+  and executor registries.  Registering a rule enrolls
   it in ``repro lint``, ``repro lint --list``, and the fixture-based
   test harness automatically.
 * **Harness** — one parse and one AST walk per file no matter how many

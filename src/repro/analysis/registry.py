@@ -1,7 +1,7 @@
 """The LintRule registry: canonical rule ids, aliases, did-you-mean.
 
-The same :class:`~repro._registry.Registry` as the dynamics, refiner,
-backend and executor registries: frozen records under canonical keys, an
+The same :class:`~repro._registry.Registry` as the dynamics, refiner
+and executor registries: frozen records under canonical keys, an
 alias table (a rule's ``code`` is a spelling too), and an unknown-name
 error that inherits both :class:`~repro.exceptions.InvalidParameterError`
 (hence ``ValueError``) and ``KeyError`` with a did-you-mean suggestion.
@@ -41,8 +41,7 @@ class UnknownRuleError(InvalidParameterError, KeyError):
     Inherits both :class:`~repro.exceptions.InvalidParameterError` (hence
     ``ValueError``) and ``KeyError``, matching the other registry errors
     (:class:`~repro.dynamics.UnknownDynamicsError`,
-    :class:`~repro.refine.UnknownRefinerError`,
-    :class:`~repro.backends.UnknownBackendError`), so callers validating
+    :class:`~repro.refine.UnknownRefinerError`), so callers validating
     either way keep working.
     """
 

@@ -7,7 +7,7 @@ roughly thirty lines, registered as a
 past PRs established by hand:
 
 * **R001 no-stringly-dispatch** — branch through the registries
-  (:mod:`repro.dynamics`, :mod:`repro.backends`, :mod:`repro.refine`),
+  (:mod:`repro.dynamics`, :mod:`repro.refine`, :mod:`repro.execution`),
   never on registry vocabulary string literals or by reaching into a
   registry's private dict.
 * **R002 cache-version-discipline** — modules that persist memo entries
@@ -50,32 +50,29 @@ _DISPATCH_NAMES = frozenset({
 _REGISTRY_MODULES = (
     "repro/dynamics.py",
     "repro/refine.py",
-    "repro/backends/__init__.py",
     "repro/execution/",
     "repro/analysis/",
 )
 
 
 def registry_vocabulary():
-    """Every canonical name and alias across the four live registries.
+    """Every canonical name and alias across the three runtime registries.
 
     Read from :func:`repro.dynamics.registered_dynamics`,
-    :func:`repro.backends.registered_backends`,
     :func:`repro.refine.registered_refiners`, and
     :func:`repro.execution.registered_executors` (imported lazily) on
     every call, so the no-stringly-dispatch rule tracks the registries,
     later registrations and removals included, instead of carrying its
     own drifting word list.
     """
-    from repro.backends import registered_backends
     from repro.dynamics import registered_dynamics
     from repro.execution import registered_executors
     from repro.refine import registered_refiners
 
     vocabulary = set()
     for registry in (
-        registered_dynamics(), registered_backends(),
-        registered_refiners(), registered_executors(),
+        registered_dynamics(), registered_refiners(),
+        registered_executors(),
     ):
         for key, entry in registry.items():
             vocabulary.add(key)
@@ -84,7 +81,7 @@ def registry_vocabulary():
 
 
 def _terminal_name(node):
-    """``backend`` for both the Name ``backend`` and ``chunk.backend``."""
+    """``executor`` for both the Name ``executor`` and ``spec.executor``."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -297,7 +294,7 @@ class DeterminismVisitor(RuleVisitor):
 _BUILTIN_RAISES = {
     "KeyError": (
         "a dual-inheritance registry error (InvalidParameterError + "
-        "KeyError, like UnknownDynamicsError/UnknownBackendError)"
+        "KeyError, like UnknownDynamicsError/UnknownRefinerError)"
     ),
     "ValueError": (
         "repro.exceptions.InvalidParameterError (a ReproError and a "
@@ -365,7 +362,7 @@ def register_builtin_rules():
         key="no-stringly-dispatch",
         code="R001",
         description=(
-            "branch through the dynamics/backend/refiner registries, "
+            "branch through the dynamics/refiner/executor registries, "
             "never on registry-vocabulary string literals or private "
             "registry dicts"
         ),

@@ -12,10 +12,6 @@ vocabulary:
   (:func:`get_refiner`, :func:`register_refiner`,
   :func:`apply_refiners`): composable cluster improvement for any NCP
   or local-clustering entry point.
-* **Kernel backends** — :class:`EngineBackend` and its registry
-  (:func:`get_backend`, :func:`register_backend`,
-  :func:`registered_backends`): the ``numpy`` / ``scalar`` inner-loop
-  families behind every ``backend=`` keyword.
 * **Executors** — :class:`ExecutorKind` and its registry
   (:func:`get_executor`, :func:`register_executor`,
   :func:`registered_executors`): the ``serial`` / ``process`` /
@@ -54,15 +50,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.backends import (
-    EngineBackend,
-    UnknownBackendError,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend_name,
-    unregister_backend,
-)
 from repro.core.experiments import run_multidynamics_ncp
 from repro.core.framework import verify_paper_theorem
 from repro.datasets.suite import (
@@ -135,7 +122,6 @@ __all__ = [
     "ClusterCandidate",
     "DiffusionGrid",
     "DynamicsKind",
-    "EngineBackend",
     "ExecutorKind",
     "FaultPlan",
     "Figure1Result",
@@ -153,7 +139,6 @@ __all__ = [
     "RefinementTrace",
     "RefinerKind",
     "RetryPolicy",
-    "UnknownBackendError",
     "UnknownDynamicsError",
     "UnknownExecutorError",
     "UnknownGraphError",
@@ -168,7 +153,6 @@ __all__ = [
     "cluster_ensemble_ncp",
     "figure1_comparison",
     "flow_cluster_ensemble_ncp",
-    "get_backend",
     "get_dynamics",
     "get_executor",
     "get_refiner",
@@ -176,19 +160,15 @@ __all__ = [
     "load_graph",
     "local_cluster",
     "refine_candidates",
-    "register_backend",
     "register_dynamics",
     "register_executor",
     "register_refiner",
-    "registered_backends",
     "registered_dynamics",
     "registered_executors",
     "registered_refiners",
-    "resolve_backend_name",
     "run_multidynamics_ncp",
     "run_ncp_ensemble",
     "suite_names",
-    "unregister_backend",
     "unregister_dynamics",
     "unregister_executor",
     "unregister_refiner",

@@ -10,7 +10,6 @@ manifest are written as JSON.
 
 from __future__ import annotations
 
-from repro.backends import resolve_backend_name
 from repro.cli import manifest as manifest_mod
 from repro.cli._common import (
     Stopwatch,
@@ -89,13 +88,6 @@ def configure_parser(subparsers):
         help="minimum cluster size accepted by the sweep (default: 1)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend for the diffusion and sweep (numpy, scalar, "
-             "...; default: each dynamics' historical local default)",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
@@ -152,8 +144,6 @@ def _replay_argv(args):
         argv += ["--epsilon", repr(float(args.epsilon))]
     if args.max_volume is not None:
         argv += ["--max-volume", repr(float(args.max_volume))]
-    if args.backend is not None:
-        argv += ["--backend", resolve_backend_name(args.backend)]
     return argv
 
 
@@ -167,19 +157,12 @@ def run(args):
         parse_refiner_chain(args.refine) if args.refine is not None else ()
     )
     epsilon = _resolve_epsilon(request, args)
-    # None keeps each dynamics' historical local default (see
-    # local_cluster); an explicit name is canonicalized up front so the
-    # manifest and replay argv record the registry key.
-    backend = (
-        None if args.backend is None
-        else resolve_backend_name(args.backend)
-    )
     spec = request.local_spec(graph)
 
     result = local_cluster(
         graph, seeds, spec, epsilon=epsilon,
         max_volume=args.max_volume, min_size=args.min_size,
-        refiners=refiners, backend=backend,
+        refiners=refiners,
     )
 
     print(format_table(
@@ -229,7 +212,6 @@ def run(args):
             "epsilon": epsilon,
             "max_volume": args.max_volume,
             "min_size": args.min_size,
-            "backend": backend,
         },
         replay_argv=_replay_argv(args),
         graph=record,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._validation import check_numpy_backend
 from repro.cli import manifest as manifest_mod
 from repro.cli._common import (
     Stopwatch,
@@ -36,7 +37,6 @@ from repro.cli._common import (
     parse_float_list,
     resolve_graph,
 )
-from repro.backends import resolve_backend_name
 from repro.cli.specs import (
     parse_dynamics_list,
     parse_executor_spec,
@@ -120,14 +120,6 @@ def configure_parser(subparsers):
         default=None,
         metavar="K",
         help="sweep-prefix size cap (default: n // 2)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend for the diffusion and sweep inner loops: "
-             "any registered repro.backends name or alias (numpy, "
-             "scalar, ...; default: numpy)",
     )
     parser.add_argument(
         "--workers",
@@ -218,7 +210,7 @@ def _profile_text(run_result, num_buckets):
     )
 
 
-def _replay_argv(args, backend, executor_kind=None, executor_spec=None):
+def _replay_argv(args, executor_kind=None, executor_spec=None):
     argv = [
         "ncp",
         "--graph", args.graph,
@@ -226,7 +218,6 @@ def _replay_argv(args, backend, executor_kind=None, executor_spec=None):
         "--dynamics", args.dynamics,
         "--num-seeds", str(args.num_seeds),
         "--seed", str(args.seed),
-        "--backend", backend,
         "--seeds-per-chunk", str(args.seeds_per_chunk),
         "--buckets", str(args.buckets),
     ]
@@ -267,7 +258,9 @@ def _apply_resume_arguments(args, arguments):
     )
     max_size = arguments.get("max_cluster_size")
     args.max_cluster_size = None if max_size is None else int(max_size)
-    args.backend = arguments.get("backend")
+    # Manifests from before the kernels had one implementation record a
+    # backend; only the one that still exists can be resumed.
+    check_numpy_backend(arguments.get("backend"))
     args.seeds_per_chunk = int(arguments["seeds_per_chunk"])
     args.buckets = int(arguments["buckets"])
     if args.cache_dir is None:
@@ -295,9 +288,6 @@ def run(args):
             "one of --graph or --resume is required"
         )
     graph, record = resolve_graph(args)
-    backend = resolve_backend_name(
-        "numpy" if args.backend is None else args.backend
-    )
     requests = parse_dynamics_list(args.dynamics)
     refiners = (
         parse_refiner_chain(args.refine) if args.refine is not None else ()
@@ -324,7 +314,6 @@ def run(args):
         "seed": args.seed,
         "epsilons": shared_epsilons,
         "max_cluster_size": args.max_cluster_size,
-        "backend": backend,
         "workers": args.workers,
         "executor": (
             executor_spec.token() if executor_spec is not None else None
@@ -333,7 +322,7 @@ def run(args):
         "cache_dir": args.cache_dir,
         "buckets": args.buckets,
     }
-    replay_argv = _replay_argv(args, backend, executor_kind, executor_spec)
+    replay_argv = _replay_argv(args, executor_kind, executor_spec)
     # The started manifest is the resume record: written before the first
     # chunk runs, so a crashed run leaves behind everything --resume
     # needs to rebuild the workload and probe the chunk memo.
@@ -365,7 +354,6 @@ def run(args):
             num_seeds=args.num_seeds,
             seed=args.seed,
             max_cluster_size=args.max_cluster_size,
-            backend=backend,
         )
         workload = Pipeline(grid, refiners=refiners) if refiners else grid
         runs.append(run_ncp_ensemble(

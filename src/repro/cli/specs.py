@@ -123,24 +123,40 @@ class DynamicsRequest:
         return DiffusionGrid(self.spec(), epsilons=resolved, **overrides)
 
 
-def _build_request(name, pairs, raw):
-    kind = get_dynamics(name)  # UnknownDynamicsError lists names + aliases
+def _parse_pairs(kind, pairs, *, label, resolve=None, extra=(), hint=""):
+    """Yield ``(field, value)`` for ``key=value`` pairs of one spec string.
+
+    The one loop behind ``--dynamics``, ``--executor`` and ``--refine``:
+    each key is lower-cased, mapped through ``resolve`` (a field-alias
+    table) when given, checked against the fields of ``kind.spec_type``
+    plus the ``extra`` keys the caller handles itself, and its value
+    parsed.  ``label`` (``"--dynamics 'ppr:alpha=0.1'"``) prefixes every
+    message; ``hint`` ends the unknown-parameter one.
+    """
     fields = {f.name for f in dataclasses.fields(kind.spec_type)}
-    params, epsilons = {}, None
     for key, value in pairs:
         key = key.strip().lower()
-        context = f"--dynamics {raw!r}: {key}"
-        if key in _EPSILON_KEYS:
-            parsed = _parse_value(value, context=context)
-            epsilons = parsed if isinstance(parsed, tuple) else (parsed,)
-        elif key in fields:
-            params[key] = _parse_value(value, context=context)
-        else:
+        if resolve is not None:
+            key = resolve(key)
+        if key not in fields and key not in extra:
             raise InvalidParameterError(
-                f"--dynamics {raw!r}: unknown parameter {key!r} for "
-                f"{kind.key!r}; expected one of {sorted(fields)} or "
-                f"eps=..."
+                f"{label}: unknown parameter {key!r} for {kind.key!r}; "
+                f"expected one of {sorted(fields)}{hint}"
             )
+        yield key, _parse_value(value, context=f"{label}: {key}")
+
+
+def _build_request(name, pairs, raw):
+    kind = get_dynamics(name)  # UnknownDynamicsError lists names + aliases
+    params, epsilons = {}, None
+    for key, parsed in _parse_pairs(
+        kind, pairs, label=f"--dynamics {raw!r}", extra=_EPSILON_KEYS,
+        hint=" or eps=...",
+    ):
+        if key in _EPSILON_KEYS:
+            epsilons = parsed if isinstance(parsed, tuple) else (parsed,)
+        else:
+            params[key] = parsed
     return DynamicsRequest(kind=kind, params=params, epsilons=epsilons,
                            raw=raw)
 
@@ -237,35 +253,17 @@ def parse_executor_spec(text):
             f"--executor {raw!r}: executor {kind.key!r} declares no spec "
             "type, so it cannot be addressed from the command line"
         )
-    fields = {f.name for f in dataclasses.fields(kind.spec_type)}
-    params = {}
-    for key, value in pairs:
-        key = key.strip().lower()
-        context = f"--executor {raw!r}: {key}"
-        if key not in fields:
-            raise InvalidParameterError(
-                f"--executor {raw!r}: unknown parameter {key!r} for "
-                f"{kind.key!r}; expected one of {sorted(fields)}"
-            )
-        params[key] = _parse_value(value, context=context)
+    params = dict(_parse_pairs(kind, pairs, label=f"--executor {raw!r}"))
     return kind.spec_type(**params)
 
 
 def _build_refiner(name, pairs, raw):
     kind = get_refiner(name)  # UnknownRefinerError lists names + aliases
-    fields = {f.name for f in dataclasses.fields(kind.spec_type)}
-    params = {}
-    for key, value in pairs:
-        key = kind.resolve_field(key.strip().lower())
-        context = f"--refine {raw!r}: {key}"
-        if key not in fields:
-            aliases = sorted(alias for alias, _ in kind.field_aliases)
-            raise InvalidParameterError(
-                f"--refine {raw!r}: unknown parameter {key!r} for "
-                f"{kind.key!r}; expected one of {sorted(fields)}"
-                + (f" (aliases: {aliases})" if aliases else "")
-            )
-        params[key] = _parse_value(value, context=context)
+    aliases = sorted(alias for alias, _ in kind.field_aliases)
+    params = dict(_parse_pairs(
+        kind, pairs, label=f"--refine {raw!r}", resolve=kind.resolve_field,
+        hint=f" (aliases: {aliases})" if aliases else "",
+    ))
     return kind.spec_type(**params)
 
 

@@ -14,10 +14,10 @@ Three layers:
 * **Specs** — :class:`PPR`, :class:`HeatKernel`, :class:`LazyWalk`: frozen
   dataclasses holding the aggressiveness axis of one dynamics
   (``alpha`` / ``t`` / ``steps`` + ``walk_alpha``).  Each spec knows its
-  grid axes, its default truncation thresholds, its scalar oracle, its
-  batched engine entry point, and how to drive a local cluster from a
-  seed.  A spec with a single-point axis doubles as a point parameter for
-  the seed → cluster drivers.
+  grid axes, its default truncation thresholds, how to produce its
+  diffusion columns, and how to drive a local cluster from a seed.  A
+  spec with a single-point axis doubles as a point parameter for the
+  seed → cluster drivers.
 * **Grids** — :class:`DiffusionGrid`: a spec × epsilons × seed-sampling
   plan, the one workload description every NCP entry point takes.
 * **The registry** — :class:`DynamicsKind` entries pair the NCP-side
@@ -34,7 +34,6 @@ worked example).
 
 The registry is a :class:`~repro._registry.Registry`, the one
 implementation shared with :class:`~repro.refine.RefinerKind` (refiners),
-:class:`~repro.backends.EngineBackend` (kernel backends),
 :class:`~repro.analysis.LintRule` (lint rules), and
 :class:`~repro.execution.ExecutorKind` (ensemble execution strategies).
 A :class:`DiffusionGrid` workload says *what* to diffuse; the executor
@@ -50,12 +49,16 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from repro._registry import Registry
-from repro._validation import check_int, check_positive, check_probability
-from repro.backends import get_backend, resolve_backend_name
-from repro.backends._common import seed_vector as _seed_vector
+from repro._validation import (
+    check_int,
+    check_numpy_backend,
+    check_positive,
+    check_probability,
+)
 from repro.diffusion.engine import batch_hk_push, batch_ppr_push
 from repro.diffusion.hk_push import heat_kernel_push
 from repro.diffusion.push import approximate_ppr_push
+from repro.diffusion.seeds import degree_weighted_indicator_seed
 from repro.diffusion.truncated_walk import truncated_lazy_walk
 from repro.exceptions import InvalidParameterError
 from repro.regularization.equivalence import (
@@ -80,6 +83,35 @@ __all__ = [
     "resolve_dynamics_name",
     "unregister_dynamics",
 ]
+
+# Cap on the number of dense (node, column) entries per engine batch; seed
+# chunks are sized so the batched residual/approximation matrices stay
+# within a few dozen megabytes regardless of the seed count.
+_BATCH_ENTRY_BUDGET = 2_000_000
+
+
+def _seed_vector(graph, seed_node):
+    """Degree-weighted indicator distribution for one seed node."""
+    return degree_weighted_indicator_seed(graph, [int(seed_node)])
+
+
+def _batched_columns(graph, seed_nodes, grid_size, run_batch):
+    """Yield every column of ``run_batch`` over budget-sized seed chunks.
+
+    ``run_batch(vectors)`` runs one batched engine call; columns come out
+    in its (seed, axis, epsilon) order, seed slowest.
+    """
+    seed_nodes = list(seed_nodes)
+    chunk = max(
+        1, _BATCH_ENTRY_BUDGET // max(graph.num_nodes * max(grid_size, 1), 1)
+    )
+    for start in range(0, len(seed_nodes), chunk):
+        batch = run_batch([
+            _seed_vector(graph, s) for s in seed_nodes[start:start + chunk]
+        ])
+        for b in range(batch.num_columns):
+            yield batch.approximation[:, b]
+
 
 class UnknownDynamicsError(InvalidParameterError, KeyError):
     """Raised for a dynamics name or spec that is not in the registry.
@@ -161,8 +193,6 @@ class PPR(_SpecBase):
     candidate_label: ClassVar[str] = "spectral"
     local_method: ClassVar[str] = "acl"
     default_epsilons: ClassVar[tuple] = (1e-4, 1e-5)
-    scalar_oracle: ClassVar[Callable] = staticmethod(approximate_ppr_push)
-    batch_engine: ClassVar[Callable] = staticmethod(batch_ppr_push)
 
     def __post_init__(self):
         object.__setattr__(
@@ -179,26 +209,26 @@ class PPR(_SpecBase):
     def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
         """Iterate one diffusion vector per (seed, alpha, epsilon) point.
 
-        Columns enumerate seed (slowest) x alpha x epsilon (fastest) —
-        the same order for every backend, so candidate ensembles line up
-        column-for-column.  ``backend`` names a registered
-        :class:`~repro.backends.EngineBackend` (default ``"numpy"``).
+        Columns enumerate seed (slowest) x alpha x epsilon (fastest),
+        batched per seed chunk through
+        :func:`~repro.diffusion.engine.batch_ppr_push`.  ``backend`` may
+        only be ``None`` or ``"numpy"``.
         """
-        ops = get_backend("numpy" if backend is None else backend)
-        return ops.ppr_grid(
-            graph, list(seed_nodes), alphas=self.alpha,
-            epsilons=tuple(epsilons),
+        check_numpy_backend(backend)
+        epsilons = tuple(epsilons)
+        return _batched_columns(
+            graph, seed_nodes, self.grid_size(epsilons),
+            lambda vectors: batch_ppr_push(
+                graph, vectors, alphas=self.alpha, epsilons=epsilons
+            ),
         )
 
-    def local_sweep_vectors(self, graph, seed_vector, *, epsilon,
-                            backend=None):
+    def local_sweep_vectors(self, graph, seed_vector, *, epsilon):
         """Yield (scores, edge-work) pairs to sweep for a local cluster.
 
-        The default backend is ``"scalar"`` — the single-column FIFO push
-        is the historical ACL local driver and stays the reference.
+        The single-column FIFO push is the historical ACL local driver.
         """
-        ops = get_backend("scalar" if backend is None else backend)
-        push = ops.ppr_push(
+        push = approximate_ppr_push(
             graph, seed_vector, alpha=self._point("alpha"), epsilon=epsilon
         )
         yield push.approximation, push.work
@@ -221,8 +251,6 @@ class HeatKernel(_SpecBase):
     candidate_label: ClassVar[str] = "hk"
     local_method: ClassVar[str] = "hk"
     default_epsilons: ClassVar[tuple] = (1e-3, 1e-4)
-    scalar_oracle: ClassVar[Callable] = staticmethod(heat_kernel_push)
-    batch_engine: ClassVar[Callable] = staticmethod(batch_hk_push)
 
     def __post_init__(self):
         object.__setattr__(self, "t", _axis(self.t, "t", check_positive))
@@ -237,24 +265,26 @@ class HeatKernel(_SpecBase):
     def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
         """Iterate one diffusion vector per (seed, t, epsilon) grid point.
 
-        ``backend`` names a registered
-        :class:`~repro.backends.EngineBackend` (default ``"numpy"``).
+        Batched per seed chunk through
+        :func:`~repro.diffusion.engine.batch_hk_push`.  ``backend`` may
+        only be ``None`` or ``"numpy"``.
         """
-        ops = get_backend("numpy" if backend is None else backend)
-        return ops.hk_grid(
-            graph, list(seed_nodes), ts=self.t, epsilons=tuple(epsilons)
+        check_numpy_backend(backend)
+        epsilons = tuple(epsilons)
+        return _batched_columns(
+            graph, seed_nodes, self.grid_size(epsilons),
+            lambda vectors: batch_hk_push(
+                graph, vectors, ts=self.t, epsilons=epsilons
+            ),
         )
 
-    def local_sweep_vectors(self, graph, seed_vector, *, epsilon,
-                            backend=None):
+    def local_sweep_vectors(self, graph, seed_vector, *, epsilon):
         """Yield the (scores, edge-work) pair for the local hk driver.
 
-        The default backend is ``"scalar"`` — the one-column series
-        recursion is the historical hk local driver and stays the
-        reference.
+        The one-column series recursion is the historical hk local
+        driver.
         """
-        ops = get_backend("scalar" if backend is None else backend)
-        result = ops.hk_push(
+        result = heat_kernel_push(
             graph, seed_vector, self._point("t"), epsilon=epsilon
         )
         yield result.approximation, result.work
@@ -283,8 +313,6 @@ class LazyWalk(_SpecBase):
     candidate_label: ClassVar[str] = "walk"
     local_method: ClassVar[str] = "nibble"
     default_epsilons: ClassVar[tuple] = (1e-3, 1e-4)
-    scalar_oracle: ClassVar[Callable] = staticmethod(truncated_lazy_walk)
-    batch_engine: ClassVar[Callable] = staticmethod(truncated_lazy_walk)
 
     def __post_init__(self):
         object.__setattr__(
@@ -318,14 +346,13 @@ class LazyWalk(_SpecBase):
 
         The walk is run once to the largest requested step count per
         (seed, epsilon); the prefix trajectory supplies every smaller
-        step count for free, in sorted-unique order.  ``backend`` names a
-        registered :class:`~repro.backends.EngineBackend` providing the
-        spread step (default ``"numpy"``).
+        step count for free, in sorted-unique order.  ``backend`` may
+        only be ``None`` or ``"numpy"``.
         """
-        ops = get_backend("numpy" if backend is None else backend)
-        return self._walk_columns(graph, seed_nodes, tuple(epsilons), ops)
+        check_numpy_backend(backend)
+        return self._walk_columns(graph, seed_nodes, tuple(epsilons))
 
-    def _walk_columns(self, graph, seed_nodes, epsilons, ops):
+    def _walk_columns(self, graph, seed_nodes, epsilons):
         wanted = sorted(set(self.steps))
         horizon = wanted[-1]
         for seed_node in seed_nodes:
@@ -334,18 +361,16 @@ class LazyWalk(_SpecBase):
                 walk = truncated_lazy_walk(
                     graph, vector, horizon, epsilon=epsilon,
                     alpha=self.walk_alpha, keep_trajectory=True,
-                    backend=ops,
                 )
                 for k in wanted:
                     yield walk.trajectory[k]
 
-    def local_sweep_vectors(self, graph, seed_vector, *, epsilon,
-                            backend=None):
+    def local_sweep_vectors(self, graph, seed_vector, *, epsilon):
         """Sweep the charge after every step, as Nibble does."""
         num_steps = check_int(self._point("steps"), "steps", minimum=1)
         walk = truncated_lazy_walk(
             graph, seed_vector, num_steps, epsilon=epsilon,
-            alpha=self.walk_alpha, keep_trajectory=True, backend=backend,
+            alpha=self.walk_alpha, keep_trajectory=True,
         )
         work = int(sum(walk.support_volumes))
         for charge in walk.trajectory[1:]:
@@ -453,9 +478,6 @@ class DiffusionGrid:
         RNG seed (or generator) for seed-node sampling.
     max_cluster_size:
         Sweep-prefix size cap; ``None`` resolves to ``n // 2`` at run time.
-    backend:
-        Registered backend name or alias (see :mod:`repro.backends`);
-        normalized to the canonical key, default ``"numpy"``.
     """
 
     dynamics: object
@@ -463,7 +485,6 @@ class DiffusionGrid:
     num_seeds: int = 40
     seed: object = None
     max_cluster_size: int = None
-    backend: str = None
 
     def __post_init__(self):
         spec = self.dynamics
@@ -481,15 +502,16 @@ class DiffusionGrid:
         check_int(self.num_seeds, "num_seeds", minimum=1)
         if self.max_cluster_size is not None:
             check_int(self.max_cluster_size, "max_cluster_size", minimum=1)
-        # Normalize so grids built from an alias compare (and hash) equal
-        # to grids built with the canonical name.
-        object.__setattr__(
-            self,
-            "backend",
-            resolve_backend_name(
-                "numpy" if self.backend is None else self.backend
-            ),
-        )
+
+    @property
+    def backend(self):
+        """Always ``"numpy"``, the one kernel family (read-only).
+
+        Not a field: no grid can choose kernels.  It stays readable for
+        the benchmark's layer re-drive, which passes it back as
+        ``backend=``.
+        """
+        return "numpy"
 
     @property
     def key(self):

@@ -1,7 +1,7 @@
 """The ExecutorKind registry: pluggable ensemble-execution strategies.
 
-The same :class:`~repro._registry.Registry` as the dynamics, refiner,
-backend and lint-rule registries: a frozen record per strategy under a
+The same :class:`~repro._registry.Registry` as the dynamics, refiner
+and lint-rule registries: a frozen record per strategy under a
 canonical key (``serial`` / ``process`` / ``chaos``) with an alias
 table, a did-you-mean :class:`UnknownExecutorError`, and
 register/resolve/get/unregister functions.  Each entry binds a frozen
@@ -40,7 +40,7 @@ class UnknownExecutorError(InvalidParameterError, KeyError):
     Inherits both :class:`~repro.exceptions.InvalidParameterError` (hence
     ``ValueError``) and ``KeyError``, matching the other registry errors
     (:class:`~repro.dynamics.UnknownDynamicsError`,
-    :class:`~repro.backends.UnknownBackendError`), so callers validating
+    :class:`~repro.refine.UnknownRefinerError`), so callers validating
     either way keep working.
     """
 

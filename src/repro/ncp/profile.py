@@ -11,12 +11,11 @@ Two ensemble generators:
 
 * :func:`cluster_ensemble_ncp` — the diffusion side, for *any* registered
   dynamics: a :class:`~repro.dynamics.DiffusionGrid` (spec × epsilons ×
-  seed sampling) is swept column by column through the grid's registered
-  backend (:mod:`repro.backends`: the vectorized ``numpy`` reference or
-  the ``scalar`` parity oracle), and every best-per-octave sweep prefix of
-  every column is a candidate cluster.  PPR reproduces the paper's
-  "LocalSpectral (blue)" curve; the heat kernel and the truncated lazy
-  walk are the other two canonical dynamics of Section 3.1.
+  seed sampling) is swept column by column, and every best-per-octave
+  sweep prefix of every column is a candidate cluster.  PPR reproduces
+  the paper's "LocalSpectral (blue)" curve; the heat kernel and the
+  truncated lazy walk are the other two canonical dynamics of Section
+  3.1.
 * :func:`flow_cluster_ensemble_ncp` — the "Metis+MQI (red)" side: recursive
   multilevel bisection proposes clusters at all scales, each improved by
   a refiner chain from the unified registry (:mod:`repro.refine`;
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._validation import as_rng, check_int
+from repro._validation import as_rng, check_int, check_numpy_backend
 from repro.dynamics import get_dynamics
 from repro.exceptions import PartitionError
 from repro.partition.metrics import conductance
@@ -121,7 +120,7 @@ def _sample_seed_nodes(graph, num_seeds, rng):
 
 
 def _record_sweep_candidates(graph, approximation, candidates, method,
-                             max_cluster_size, backend=None):
+                             max_cluster_size):
     """Sweep a diffusion output and record best-per-octave candidates."""
     support = np.flatnonzero(approximation > 0)
     if support.size < 2:
@@ -130,7 +129,6 @@ def _record_sweep_candidates(graph, approximation, candidates, method,
         sweep = sweep_cut(
             graph, approximation, degree_normalize=True,
             restrict_to=support, max_size=max_cluster_size,
-            backend=backend,
         )
     except PartitionError:
         return
@@ -142,10 +140,8 @@ def cluster_ensemble_ncp(graph, grid):
 
     The single generator behind every diffusion dynamics: samples
     ``grid.num_seeds`` seed nodes by degree from ``grid.seed``'s RNG
-    stream, runs the spec's full seed × axis × epsilon grid through the
-    backend named by ``grid.backend`` (diffusion columns *and* sweep
-    scans), and records the best sweep prefix of every diffusion column
-    per size octave.
+    stream, runs the spec's full seed × axis × epsilon grid, and records
+    the best sweep prefix of every diffusion column per size octave.
 
     Parameters
     ----------
@@ -175,7 +171,6 @@ def cluster_ensemble_ncp(graph, grid):
         grid.dynamics,
         epsilons=grid.resolved_epsilons(),
         max_cluster_size=grid.resolve_max_cluster_size(graph),
-        backend=grid.backend,
     )
     if pipeline.refiners:
         candidates = refine_candidates(graph, candidates, pipeline.refiners)
@@ -190,18 +185,16 @@ def grid_candidates_for_seed_nodes(graph, seed_nodes, spec, *, epsilons,
     controls exactly which seed nodes this invocation covers, so grid
     chunks can be distributed across processes and merged
     deterministically.  Dispatch is fully generic — the spec provides the
-    diffusion columns through the named backend (default ``"numpy"``),
-    this function sweeps them with the same backend's prefix scan.
+    diffusion columns, this function sweeps them.  ``backend`` may only be
+    ``None`` or ``"numpy"``.
     """
+    check_numpy_backend(backend)
     get_dynamics(spec)  # raises UnknownDynamicsError for foreign specs
     label = spec.candidate_label
     candidates = []
-    for scores in spec.iter_columns(
-        graph, seed_nodes, epsilons=epsilons, backend=backend
-    ):
+    for scores in spec.iter_columns(graph, seed_nodes, epsilons=epsilons):
         _record_sweep_candidates(
-            graph, scores, candidates, label, max_cluster_size,
-            backend=backend,
+            graph, scores, candidates, label, max_cluster_size
         )
     return candidates
 

@@ -56,7 +56,6 @@ from pathlib import Path
 import numpy as np
 
 from repro._validation import as_rng, check_int
-from repro.backends import resolve_backend_name
 from repro.core.reporting import jsonable
 from repro.dynamics import get_dynamics, resolve_dynamics_name
 from repro.execution import (
@@ -92,9 +91,10 @@ __all__ = [
 # dtype hashing (see its docstring) — version 1 entries were keyed by
 # raw-byte hashes that could alias across dtype/shape boundaries.
 # Version 3: chunks are keyed by canonical backend name unconditionally
-# (the registry replaced the stringly ``engine`` flag, and two backends
-# agree only up to eps-scale sweep perturbations, so entries from
-# different backends must never alias).
+# (two kernel families agreed only up to eps-scale sweep perturbations,
+# so their entries must never alias).  Only the numpy kernels remain and
+# every key still hashes their ``|backend=numpy`` tag, so version-3
+# entries stay valid.
 _CACHE_VERSION = 3
 
 # Version of the *refined*-chunk cache-key namespace.  Refiner-bearing
@@ -119,11 +119,6 @@ class GridChunk:
     params:
         Sorted ``(name, value-tuple)`` pairs pinning the rest of the grid
         (axes/epsilons/max_cluster_size) — part of the cache key.
-    backend:
-        Canonical :mod:`repro.backends` key evaluating the chunk.  Every
-        backend gets its own cache entries: backends agree only up to
-        eps-scale sweep perturbations, so a scalar run must never be
-        served numpy results (or vice versa).
     refiners:
         Ordered refiner chain (frozen spec instances from
         :mod:`repro.refine`) applied to every candidate the chunk
@@ -136,7 +131,6 @@ class GridChunk:
     dynamics: str
     seed_nodes: tuple
     params: tuple
-    backend: str = "numpy"
     refiners: tuple = ()
 
     def describe(self):
@@ -220,7 +214,7 @@ class NCPRunResult:
 
         Everything needed to reproduce the candidate ensemble byte for
         byte — the resolved grid (dynamics axes, epsilons, seed-sampling
-        plan, backend), the resolved refiner chain (one
+        plan), the resolved refiner chain (one
         name/params/token record per stage, in order), the graph
         fingerprint scoping the result to the exact CSR arrays, and the
         execution facts (executor, workers, per-chunk completion
@@ -245,7 +239,6 @@ class NCPRunResult:
                     None if grid.max_cluster_size is None
                     else int(grid.max_cluster_size)
                 ),
-                "backend": grid.backend,
             },
             "refiners": [
                 {
@@ -329,14 +322,12 @@ def _grid_params(grid, graph):
 
 
 def plan_chunks(dynamics, seed_nodes, params, *, seeds_per_chunk=8,
-                backend=None, refiners=()):
+                refiners=()):
     """Split a seed list into deterministic :class:`GridChunk` shards.
 
     ``dynamics`` may be a canonical name, an alias, a spec instance, or a
     :class:`~repro.dynamics.DynamicsKind`; chunks always record the
-    canonical name.  ``backend`` (any name or alias
-    :func:`~repro.backends.resolve_backend_name` accepts; default
-    ``"numpy"``) and ``refiners`` (any chain
+    canonical name.  ``refiners`` (any chain
     :func:`~repro.refine.as_refiner_chain` accepts) are stamped onto
     every chunk.
     The split depends only on the seed list and ``seeds_per_chunk`` —
@@ -344,7 +335,6 @@ def plan_chunks(dynamics, seed_nodes, params, *, seeds_per_chunk=8,
     across machines and pool sizes.
     """
     check_int(seeds_per_chunk, "seeds_per_chunk", minimum=1)
-    backend = resolve_backend_name("numpy" if backend is None else backend)
     dynamics = resolve_dynamics_name(dynamics)
     refiners = as_refiner_chain(refiners)
     seed_nodes = [int(s) for s in seed_nodes]
@@ -354,7 +344,6 @@ def plan_chunks(dynamics, seed_nodes, params, *, seeds_per_chunk=8,
             dynamics=dynamics,
             seed_nodes=tuple(seed_nodes[start:start + seeds_per_chunk]),
             params=tuple(params),
-            backend=backend,
             refiners=refiners,
         )
         for i, start in enumerate(
@@ -367,9 +356,8 @@ def _chunk_cache_key(fingerprint, chunk):
     digest = hashlib.sha256()
     digest.update(f"v{_CACHE_VERSION}|{fingerprint}|".encode())
     digest.update(chunk.describe().encode())
-    # Keyed by backend unconditionally: two backends agree only up to
-    # eps-scale sweep perturbations, so their entries must never alias.
-    digest.update(f"|backend={chunk.backend}".encode())
+    # Every version-3 key carries the kernel tag; only numpy remains.
+    digest.update(b"|backend=numpy")
     if chunk.refiners:
         # Refined chunks live in their own versioned key namespace: a raw
         # run can never be served refined candidates (or vice versa), and
@@ -509,7 +497,6 @@ def _evaluate_chunk(graph, chunk):
         chunk.spec(),
         epsilons=params["epsilons"],
         max_cluster_size=params["max_cluster_size"],
-        backend=chunk.backend,
     )
     if chunk.refiners:
         candidates = refine_candidates(graph, candidates, chunk.refiners)
@@ -594,8 +581,7 @@ def run_ncp_ensemble(
     params = _grid_params(grid, graph)
     chunks = plan_chunks(
         grid.dynamics, seed_nodes, params,
-        seeds_per_chunk=seeds_per_chunk, backend=grid.backend,
-        refiners=refiners,
+        seeds_per_chunk=seeds_per_chunk, refiners=refiners,
     )
 
     # Always fingerprint: the manifest hook needs it even without a cache.

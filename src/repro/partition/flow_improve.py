@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._validation import check_int
-from repro.backends import get_backend
 from repro.diffusion._csr import gather_csr_arcs
 from repro.exceptions import PartitionError
 from repro.partition.metrics import conductance
@@ -62,20 +61,15 @@ class FlowImproveResult:
     converged: bool = True
 
 
-def dilate(graph, nodes, radius, *, backend=None):
+def dilate(graph, nodes, radius):
     """All nodes within ``radius`` hops of the set (including the set).
 
-    The ``numpy`` backend (the default) expands each BFS frontier with
-    one shared CSR gather (:func:`gather_csr_arcs`) plus a boolean-mask
-    scatter — no per-node Python loop; the ``scalar`` backend is the
-    original set-based BFS, kept as the parity oracle (benchmark E14
-    measures the gap).  Any other registered backend name resolves but
-    runs the numpy BFS.
+    Each BFS frontier expands with one shared CSR gather
+    (:func:`gather_csr_arcs`) plus a boolean-mask scatter — no per-node
+    Python loop.  :func:`_dilate_scalar`, the original set-based BFS, is
+    its parity oracle (benchmark E14 measures the gap).
     """
     radius = check_int(radius, "radius", minimum=0)
-    resolved = get_backend("numpy" if backend is None else backend)
-    if resolved is get_backend("scalar"):
-        return _dilate_scalar(graph, nodes, radius)
     seen = np.zeros(graph.num_nodes, dtype=bool)
     frontier = np.unique(np.atleast_1d(np.asarray(nodes, dtype=np.int64)))
     seen[frontier] = True

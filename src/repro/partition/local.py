@@ -83,12 +83,12 @@ class LocalClusterResult:
 
 
 def _finish(graph, scores, restrict_to, seed_nodes, work, method,
-            max_volume, min_size, backend=None):
+            max_volume, min_size):
     if restrict_to.size == 0:
         raise PartitionError(f"{method}: diffusion support is empty")
     sweep = sweep_cut(
         graph, scores, degree_normalize=True, restrict_to=restrict_to,
-        max_volume=max_volume, min_size=min_size, backend=backend,
+        max_volume=max_volume, min_size=min_size,
     )
     seed_arr = np.asarray(sorted(set(int(s) for s in seed_nodes)),
                           dtype=np.int64)
@@ -114,7 +114,7 @@ def _as_point_spec(graph, dynamics):
 
 
 def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
-                  max_volume=None, min_size=1, refiners=(), backend=None):
+                  max_volume=None, min_size=1, refiners=()):
     """Local cluster via one registered dynamics' diffusion + sweep.
 
     Parameters
@@ -144,11 +144,6 @@ def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
         Optional refiner chain (:mod:`repro.refine` specs, names, or
         aliases) applied to the best sweep cluster; per-stage provenance
         lands in ``LocalClusterResult.refinement``.
-    backend:
-        Registered backend name or :class:`~repro.backends.EngineBackend`
-        for the diffusion and sweep kernels; ``None`` keeps each spec's
-        historical local default (the scalar push drivers for PPR / hk,
-        the vectorized walk).
 
     Returns
     -------
@@ -178,7 +173,7 @@ def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
     seed_vector = degree_weighted_indicator_seed(graph, seed_nodes)
     best = None
     for scores, work in spec.local_sweep_vectors(
-        graph, seed_vector, epsilon=epsilon, backend=backend
+        graph, seed_vector, epsilon=epsilon
     ):
         support = np.flatnonzero(scores > 0)
         if support.size == 0:
@@ -186,7 +181,7 @@ def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
         try:
             candidate = _finish(
                 graph, scores, support, seed_nodes, work, method,
-                max_volume, min_size, backend=backend,
+                max_volume, min_size,
             )
         except PartitionError:
             continue

@@ -48,7 +48,6 @@ import numpy as np
 
 from repro._registry import Registry
 from repro._validation import check_int, check_probability
-from repro.backends import resolve_backend_name
 from repro.dynamics import as_diffusion_grid
 from repro.exceptions import (
     ConvergenceError,
@@ -405,12 +404,6 @@ class Pipeline:
         Ordered refiner chain — spec instances, registered names /
         aliases, or :class:`RefinerKind` entries; normalized to spec
         instances.
-    backend:
-        Optional :mod:`repro.backends` name stamped onto the grid (a
-        convenience for pipelines built from bare names: ``Pipeline("ppr",
-        ("mqi",), backend="scalar")``).  ``None`` leaves the grid's own
-        backend untouched.  Always ``None`` after normalization — the
-        resolved name lives on :attr:`grid`.
 
     Every NCP and local-clustering entry point accepts a ``Pipeline``
     wherever it accepts a grid: the diffusion candidates are generated
@@ -420,16 +413,9 @@ class Pipeline:
 
     grid: object
     refiners: tuple = ()
-    backend: object = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
-        grid = as_diffusion_grid(self.grid)
-        if self.backend is not None:
-            grid = dataclasses.replace(
-                grid, backend=resolve_backend_name(self.backend)
-            )
-            object.__setattr__(self, "backend", None)
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", as_diffusion_grid(self.grid))
         object.__setattr__(self, "refiners", as_refiner_chain(self.refiners))
 
     @property

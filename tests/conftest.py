@@ -1,10 +1,22 @@
-"""Shared fixtures: small canonical graphs used across the test suite."""
+"""Shared fixtures: small canonical graphs used across the test suite,
+and the scalar parity oracles the numpy kernels are checked against."""
 
 from __future__ import annotations
 
+import contextlib
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
+from repro.diffusion import truncated_walk
+from repro.diffusion.hk_push import heat_kernel_push
+from repro.diffusion.push import approximate_ppr_push
+from repro.diffusion.seeds import degree_weighted_indicator_seed
+from repro.dynamics import PPR, HeatKernel
 from repro.graph.build import from_edges
 from repro.graph.generators import (
     barbell_graph,
@@ -20,14 +32,78 @@ from repro.graph.random_generators import (
     random_regular_graph,
     whiskered_expander,
 )
+from repro.partition import sweep
+
+# One profile for the whole suite.  No example database: a test run
+# leaves nothing behind in the checkout.
+settings.register_profile(
+    "repro",
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    database=None,
+)
+settings.load_profile("repro")
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf: engine-speed smoke check (numpy vs the scalar loop; "
+        "perf: engine-speed smoke check (numpy vs the scalar oracles; "
         "writes no file)",
     )
+    # Hypothesis also caches source constants on disk, at collection
+    # time; give it a home outside the checkout for this run only.
+    home = tempfile.mkdtemp(prefix="repro-hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
+
+def _scalar_ppr_columns(spec, graph, seed_nodes, *, epsilons):
+    """PPR grid columns, one single-column FIFO push at a time."""
+    for seed_node in seed_nodes:
+        vector = degree_weighted_indicator_seed(graph, [int(seed_node)])
+        for alpha in spec.alpha:
+            for epsilon in epsilons:
+                yield approximate_ppr_push(
+                    graph, vector, alpha=alpha, epsilon=epsilon
+                ).approximation
+
+
+def _scalar_hk_columns(spec, graph, seed_nodes, *, epsilons):
+    """Heat-kernel grid columns, one single-column series at a time."""
+    for seed_node in seed_nodes:
+        vector = degree_weighted_indicator_seed(graph, [int(seed_node)])
+        for t in spec.t:
+            for epsilon in epsilons:
+                yield heat_kernel_push(
+                    graph, vector, t, epsilon=epsilon
+                ).approximation
+
+
+@contextlib.contextmanager
+def _scalar_oracles():
+    """Run the scalar parity oracles in place of the numpy kernels.
+
+    Inside the block, PPR and heat-kernel grids are drained one push at a
+    time, the truncated walk spreads one node at a time, and every sweep
+    runs the node-at-a-time prefix scan — the same column order and
+    tie-breaking as the numpy path, so whole pipelines can be compared.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PPR, "iter_columns", _scalar_ppr_columns)
+        patch.setattr(HeatKernel, "iter_columns", _scalar_hk_columns)
+        patch.setattr(
+            truncated_walk, "_walk_step", truncated_walk._walk_step_scalar
+        )
+        patch.setattr(sweep, "_prefix_scan", sweep._prefix_scan_scalar)
+        yield
+
+
+@pytest.fixture(scope="session")
+def scalar_oracles():
+    """Context manager swapping the numpy kernels for the scalar oracles."""
+    return _scalar_oracles
 
 
 @pytest.fixture

@@ -3,9 +3,9 @@
 _REGISTRY = {}
 
 
-def pick_kernel(backend, dynamics):
-    if backend == "scalar":         # stringly backend dispatch
-        return "loop"
+def pick_strategy(executor, dynamics):
+    if executor == "process":       # stringly executor dispatch
+        return "pool"
     if dynamics in ("ppr", "hk"):   # stringly dynamics membership
         return "diffusion"
-    return _REGISTRY["numpy"]       # private registry dict access
+    return _REGISTRY["serial"]      # private registry dict access

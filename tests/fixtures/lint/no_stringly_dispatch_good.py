@@ -1,10 +1,10 @@
 """Known-good fixture for the no-stringly-dispatch rule (R001)."""
 
 
-def pick_kernel(backend, dynamics, get_backend, resolve_dynamics_name):
-    resolved = get_backend(backend)
-    if resolved is get_backend("scalar"):
-        return "loop"
+def pick_strategy(executor, dynamics, get_executor, resolve_dynamics_name):
+    resolved = get_executor(executor)
+    if resolved is get_executor("process"):
+        return "pool"
     key = resolve_dynamics_name(dynamics)
     # Comparing to non-registry vocabulary is not dispatch.
     if key == "something-else":

@@ -258,6 +258,48 @@ class TestExecutorAndResume:
         assert resumed["runs"][0]["cache_hits"] == \
             resumed["runs"][0]["num_chunks"]
 
+    @staticmethod
+    def _record_backend(out, backend):
+        """Rewrite a manifest as an older run recording ``backend``."""
+        path = out / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["arguments"].pop("backend", None)
+        if backend is not None:
+            manifest["arguments"]["backend"] = backend
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_resume_accepts_a_numpy_or_absent_backend(self, tmp_path,
+                                                      capsys, backend):
+        first = tmp_path / "first"
+        assert run_cli("ncp", "--graph", "barbell", *NCP_ARGS,
+                       "--cache-dir", str(tmp_path / "cache"),
+                       "--out", str(first)) == 0
+        self._record_backend(first, backend)
+        second = tmp_path / "second"
+        assert run_cli("ncp", "--resume", str(first),
+                       "--out", str(second)) == 0
+        assert (first / "candidates.csv").read_bytes() == \
+            (second / "candidates.csv").read_bytes()
+        assert "backend" not in load_manifest(second)["arguments"]
+
+    def test_resume_rejects_a_removed_backend(self, tmp_path, capsys):
+        from repro.cli.ncp_cmd import _apply_resume_arguments
+
+        first = tmp_path / "first"
+        assert run_cli("ncp", "--graph", "barbell", *NCP_ARGS,
+                       "--out", str(first)) == 0
+        self._record_backend(first, "scalar")
+        capsys.readouterr()
+        assert run_cli("ncp", "--resume", str(first),
+                       "--out", str(tmp_path / "second")) == 2
+        assert "'scalar'" in capsys.readouterr().err
+        assert not (tmp_path / "second").exists()
+        arguments = load_manifest(first)["arguments"]
+        args = build_parser().parse_args(["ncp", "--out", "x"])
+        with pytest.raises(InvalidParameterError, match="'scalar'"):
+            _apply_resume_arguments(args, arguments)
+
     def test_resume_and_graph_are_mutually_exclusive(self, tmp_path,
                                                      capsys):
         assert run_cli("ncp", "--graph", "barbell", "--resume", "x",
@@ -416,6 +458,16 @@ class TestParserHygiene:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["ncp", "--graph", "barbell"],
+        ["cluster", "--graph", "barbell", "--seeds", "0"],
+    ])
+    def test_backend_option_is_gone(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--backend", "numpy", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_subparser_registry_is_complete(self):
         parser = build_parser()

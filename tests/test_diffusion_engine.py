@@ -235,7 +235,8 @@ class TestBatchSemantics:
 
 
 class TestSweepScanParity:
-    def test_vectorized_matches_scalar_unweighted_exactly(self):
+    def test_vectorized_matches_scalar_unweighted_exactly(
+            self, scalar_oracles):
         # Unweighted graphs keep every cut/volume integer-valued, so the
         # two scans must agree bitwise — including tie-breaking.
         rng = np.random.default_rng(7)
@@ -243,14 +244,9 @@ class TestSweepScanParity:
             graph = random_graph(rng, int(rng.integers(6, 30)),
                                  int(rng.integers(0, 25)))
             scores = rng.integers(0, 4, size=graph.num_nodes).astype(float)
-            scalar = sweep_cut(
-                graph, scores, degree_normalize=False,
-                backend="scalar",
-            )
-            fast = sweep_cut(
-                graph, scores, degree_normalize=False,
-                backend="numpy",
-            )
+            with scalar_oracles():
+                scalar = sweep_cut(graph, scores, degree_normalize=False)
+            fast = sweep_cut(graph, scores, degree_normalize=False)
             assert np.array_equal(scalar.nodes, fast.nodes)
             assert scalar.conductance == fast.conductance
             assert scalar.volume == fast.volume
@@ -258,7 +254,8 @@ class TestSweepScanParity:
                 np.isfinite(scalar.profile), np.isfinite(fast.profile)
             )
 
-    def test_vectorized_matches_scalar_with_options(self, whiskered, rng):
+    def test_vectorized_matches_scalar_with_options(self, whiskered, rng,
+                                                    scalar_oracles):
         for trial in range(10):
             scores = rng.random(whiskered.num_nodes)
             kwargs = {}
@@ -271,12 +268,9 @@ class TestSweepScanParity:
                 kwargs["restrict_to"] = rng.choice(
                     whiskered.num_nodes, size=20, replace=False
                 )
-            scalar = sweep_cut(
-                whiskered, scores, backend="scalar", **kwargs
-            )
-            fast = sweep_cut(
-                whiskered, scores, backend="numpy", **kwargs
-            )
+            with scalar_oracles():
+                scalar = sweep_cut(whiskered, scores, **kwargs)
+            fast = sweep_cut(whiskered, scores, **kwargs)
             assert np.array_equal(scalar.nodes, fast.nodes)
             assert scalar.conductance == pytest.approx(
                 fast.conductance, abs=1e-12
@@ -298,7 +292,8 @@ class TestSweepScanParity:
 
 
 class TestNCPEngineParity:
-    def test_batched_profile_matches_scalar_path(self, whiskered):
+    def test_batched_profile_matches_scalar_path(self, whiskered,
+                                                 scalar_oracles):
         from repro.ncp.profile import (
             best_per_size_bucket,
             cluster_ensemble_ncp,
@@ -308,12 +303,9 @@ class TestNCPEngineParity:
             dynamics=PPR(alpha=(0.05, 0.15)), epsilons=(1e-3, 1e-4),
             num_seeds=8, seed=0,
         )
-        scalar = cluster_ensemble_ncp(
-            whiskered, DiffusionGrid(backend="scalar", **kwargs)
-        )
-        batched = cluster_ensemble_ncp(
-            whiskered, DiffusionGrid(backend="numpy", **kwargs)
-        )
+        with scalar_oracles():
+            scalar = cluster_ensemble_ncp(whiskered, DiffusionGrid(**kwargs))
+        batched = cluster_ensemble_ncp(whiskered, DiffusionGrid(**kwargs))
         assert len(batched) > 0
         profile_scalar = best_per_size_bucket(scalar, num_buckets=6)
         profile_batched = best_per_size_bucket(batched, num_buckets=6)
@@ -332,7 +324,8 @@ class TestNCPEngineParity:
         )
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        # One kernel family: a grid has no backend field to choose with.
+        with pytest.raises(TypeError):
             DiffusionGrid(PPR(), backend="gpu")
 
 
@@ -580,14 +573,11 @@ class TestCompactKernelPath:
 
 
 class TestVectorizedTruncatedWalk:
-    def test_matches_scalar_trajectory(self, whiskered):
+    def test_matches_scalar_trajectory(self, whiskered, scalar_oracles):
         s = degree_weighted_indicator_seed(whiskered, [7])
-        scalar = truncated_lazy_walk(
-            whiskered, s, 12, epsilon=1e-4, backend="scalar"
-        )
-        fast = truncated_lazy_walk(
-            whiskered, s, 12, epsilon=1e-4, backend="numpy"
-        )
+        with scalar_oracles():
+            scalar = truncated_lazy_walk(whiskered, s, 12, epsilon=1e-4)
+        fast = truncated_lazy_walk(whiskered, s, 12, epsilon=1e-4)
         assert len(scalar.trajectory) == len(fast.trajectory) == 13
         for a, b in zip(scalar.trajectory, fast.trajectory):
             assert np.allclose(a, b, atol=1e-13)
@@ -597,7 +587,7 @@ class TestVectorizedTruncatedWalk:
             fast.dropped_mass, abs=1e-12
         )
 
-    def test_parity_on_random_weighted_graphs(self):
+    def test_parity_on_random_weighted_graphs(self, scalar_oracles):
         rng = np.random.default_rng(11)
         for trial in range(6):
             graph = random_graph(
@@ -608,13 +598,12 @@ class TestVectorizedTruncatedWalk:
             epsilon = float(rng.choice([1e-2, 1e-3]))
             alpha = float(rng.uniform(0.3, 0.7))
             steps = int(rng.integers(1, 10))
-            scalar = truncated_lazy_walk(
-                graph, s, steps, epsilon=epsilon, alpha=alpha,
-                backend="scalar",
-            )
+            with scalar_oracles():
+                scalar = truncated_lazy_walk(
+                    graph, s, steps, epsilon=epsilon, alpha=alpha,
+                )
             fast = truncated_lazy_walk(
                 graph, s, steps, epsilon=epsilon, alpha=alpha,
-                backend="numpy",
             )
             assert np.allclose(scalar.final, fast.final, atol=1e-13)
 
@@ -628,7 +617,8 @@ class TestVectorizedTruncatedWalk:
         assert len(result.support_volumes) == 6
 
     def test_unknown_implementation_rejected(self, ring):
-        with pytest.raises(InvalidParameterError):
+        # One spread step: the walk takes no backend to choose with.
+        with pytest.raises(TypeError):
             truncated_lazy_walk(
                 ring, indicator_seed(ring, [0]), 3, epsilon=1e-3,
                 backend="fpga",
@@ -642,7 +632,8 @@ class TestEnginePerformanceRegression:
     The single engine-speed check in the repository: every canonical
     dynamics' full grid on the AtP-DBLP reference graph, drained through
     the same ``spec.iter_columns`` entry point the NCP pipeline uses,
-    once per backend.  End-to-end pipeline numbers come from perfbench.
+    once on the numpy kernels and once on the scalar oracles.  End-to-end
+    pipeline numbers come from perfbench.
     """
 
     SPECS = (
@@ -653,7 +644,7 @@ class TestEnginePerformanceRegression:
     EPSILONS = (1e-3, 1e-4)
     MIN_SPEEDUP = 1.5
 
-    def test_batched_engines_beat_scalar_loops(self):
+    def test_batched_engines_beat_scalar_loops(self, scalar_oracles):
         from repro.datasets import load_graph
 
         graph = load_graph("atp")
@@ -662,10 +653,10 @@ class TestEnginePerformanceRegression:
             int(u) for u in rng.choice(graph.num_nodes, size=10, replace=False)
         ]
 
-        def best_seconds(spec, backend):
+        def best_seconds(spec):
             def drain(seeds):
                 for _column in spec.iter_columns(
-                    graph, seeds, epsilons=self.EPSILONS, backend=backend
+                    graph, seeds, epsilons=self.EPSILONS
                 ):
                     pass
 
@@ -676,11 +667,11 @@ class TestEnginePerformanceRegression:
                 lambda: drain(seed_nodes), repeat=3, number=1
             ))
 
-        timings = {
-            spec.name: (best_seconds(spec, "scalar"),
-                        best_seconds(spec, "numpy"))
-            for spec in self.SPECS
-        }
+        timings = {}
+        for spec in self.SPECS:
+            with scalar_oracles():
+                scalar = best_seconds(spec)
+            timings[spec.name] = (scalar, best_seconds(spec))
         report = "; ".join(
             f"{name}: scalar {scalar:.3f}s, numpy {numpy:.3f}s "
             f"({scalar / numpy:.1f}x)"
@@ -691,6 +682,6 @@ class TestEnginePerformanceRegression:
             if scalar < self.MIN_SPEEDUP * numpy
         ]
         assert not slow, (
-            f"numpy backend under {self.MIN_SPEEDUP}x the scalar loop on "
+            f"numpy kernels under {self.MIN_SPEEDUP}x the scalar loop on "
             f"atp for {slow}: {report}"
         )

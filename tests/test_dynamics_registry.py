@@ -9,7 +9,7 @@ sharded NCP runner and the local-cluster driver without touching either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -146,19 +146,14 @@ class TestSpecRoundTrip:
         assert as_diffusion_grid(PPR()).key == "ppr"
         assert as_diffusion_grid(by_name) is by_name
 
-    def test_grid_canonicalizes_backend_aliases(self):
-        # Older manifests record pre-registry backend values; a grid
-        # built from one equals (and hashes like) the canonical grid.
-        for alias, canonical in (("batched", "numpy"),
-                                 ("vectorized", "numpy"),
-                                 ("oracle", "scalar")):
-            by_alias = DiffusionGrid(PPR(), num_seeds=4, seed=0,
-                                     backend=alias)
-            by_key = DiffusionGrid(PPR(), num_seeds=4, seed=0,
-                                   backend=canonical)
-            assert by_alias.backend == canonical
-            assert by_alias == by_key
-            assert hash(by_alias) == hash(by_key)
+    def test_grid_backend_is_always_numpy(self):
+        # One kernel family: the read-only ``backend`` is not a field, so
+        # it neither takes part in equality nor can be chosen.
+        grid = DiffusionGrid(PPR(), num_seeds=4, seed=0)
+        assert grid.backend == "numpy"
+        assert "backend" not in {f.name for f in fields(grid)}
+        with pytest.raises(TypeError):
+            DiffusionGrid(PPR(), backend="numpy")
 
 
 class TestChunkPartition:

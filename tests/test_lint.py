@@ -1,7 +1,6 @@
 """The repro.analysis lint subsystem: registry, harness, rules, CLI.
 
-Mirrors the per-backend parity pattern of ``tests/test_backends.py``:
-every registered rule is auto-enrolled in the fixture harness — a
+Every registered rule is auto-enrolled in the fixture harness — a
 known-bad and a known-good snippet under ``tests/fixtures/lint/`` must
 exist and behave — so adding a rule without fixtures fails here, and a
 rule that stops firing on its own bad fixture fails here too.  Also
@@ -42,9 +41,13 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.analysis.rules import registry_vocabulary
-from repro.backends import get_backend, register_backend, unregister_backend
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
+from repro.execution import (
+    get_executor,
+    register_executor,
+    unregister_executor,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
@@ -176,7 +179,7 @@ class TestFixtureHarness:
         assert findings == [], f"{rule_key}: good fixture was flagged"
 
     def test_exempt_paths_skip_the_rule(self):
-        source = 'if backend == "scalar":\n    pass\n'
+        source = 'if executor == "process":\n    pass\n'
         flagged = lint_source(
             source, path="src/repro/ncp/runner.py",
             rules=(get_rule("no-stringly-dispatch"),),
@@ -189,17 +192,20 @@ class TestFixtureHarness:
 
     def test_vocabulary_tracks_later_registrations(self):
         registry_vocabulary()  # a first read must not freeze the names
-        source = 'if backend == "lint_probe_alias":\n    pass\n'
+        source = 'if executor == "lint_probe_alias":\n    pass\n'
         rules = (get_rule("no-stringly-dispatch"),)
         path = "src/repro/ncp/runner.py"
-        register_backend(dataclasses.replace(
-            get_backend("numpy"), key="lint_probe",
-            aliases=("lint_probe_alias",),
+        probe_spec = dataclasses.make_dataclass(
+            "LintProbeSpec", (), frozen=True
+        )
+        register_executor(dataclasses.replace(
+            get_executor("serial"), key="lint_probe",
+            aliases=("lint_probe_alias",), spec_type=probe_spec,
         ))
         try:
             assert lint_source(source, path=path, rules=rules)
         finally:
-            unregister_backend("lint_probe")
+            unregister_executor("lint_probe")
         assert lint_source(source, path=path, rules=rules) == []
 
     def test_syntax_error_becomes_a_finding(self):
