@@ -9,8 +9,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
-from hypothesis.configuration import set_hypothesis_home_dir
+
+try:
+    from hypothesis import HealthCheck, settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # a docs-only environment installs no hypothesis
+    settings = None
 
 from repro.diffusion import truncated_walk
 from repro.diffusion.hk_push import heat_kernel_push
@@ -36,14 +40,15 @@ from repro.partition import sweep
 
 # One profile for the whole suite.  No example database: a test run
 # leaves nothing behind in the checkout.
-settings.register_profile(
-    "repro",
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-    database=None,
-)
-settings.load_profile("repro")
+if settings is not None:
+    settings.register_profile(
+        "repro",
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        database=None,
+    )
+    settings.load_profile("repro")
 
 
 def pytest_configure(config):
@@ -52,6 +57,8 @@ def pytest_configure(config):
         "perf: engine-speed smoke check (numpy vs the scalar oracles; "
         "writes no file)",
     )
+    if settings is None:
+        return
     # Hypothesis also caches source constants on disk, at collection
     # time; give it a home outside the checkout for this run only.
     home = tempfile.mkdtemp(prefix="repro-hypothesis-")
