@@ -84,11 +84,9 @@ def lanczos_ablation():
     )
 
 
-def test_e10_early_stopping(benchmark):
-    (picked, sens_rows), trunc_points, ablation = benchmark.pedantic(
-        lambda: (stopping_and_sensitivity(), truncation(),
-                 lanczos_ablation()),
-        rounds=1, iterations=1,
+def test_e10_early_stopping():
+    (picked, sens_rows), trunc_points, ablation = (
+        stopping_and_sensitivity(), truncation(), lanczos_ablation()
     )
     print()
     print(format_table(

@@ -67,10 +67,8 @@ def run_sweep():
     return rows, ridge_rows, ols_residual, float(np.linalg.norm(ols))
 
 
-def test_e11_sketched_least_squares(benchmark):
-    rows, ridge_rows, ols_residual, ols_norm = benchmark.pedantic(
-        run_sweep, rounds=1, iterations=1
-    )
+def test_e11_sketched_least_squares():
+    rows, ridge_rows, ols_residual, ols_norm = run_sweep()
     print()
     print(format_table(
         ["sketch size", "median residual", "median test error",

@@ -23,18 +23,13 @@ from repro.core import (
 )
 
 
-def test_e13_multidynamics_ncp(benchmark, atp_graph):
-    record, profiles = benchmark.pedantic(
-        run_multidynamics_ncp,
-        args=(atp_graph,),
-        kwargs=dict(
-            dynamics=(PPR(), HeatKernel(), LazyWalk()),
-            num_seeds=12,
-            seed=11,
-            num_workers=bench_workers(),
-        ),
-        rounds=1,
-        iterations=1,
+def test_e13_multidynamics_ncp(atp_graph):
+    record, profiles = run_multidynamics_ncp(
+        atp_graph,
+        dynamics=(PPR(), HeatKernel(), LazyWalk()),
+        num_seeds=12,
+        seed=11,
+        num_workers=bench_workers(),
     )
     rows = []
     for name, profile in profiles.items():

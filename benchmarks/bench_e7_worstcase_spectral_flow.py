@@ -72,10 +72,9 @@ def expander_sweep():
     return rows
 
 
-def test_e7_worst_cases(benchmark):
-    roach_rows, cycle_rows, expander_rows = benchmark.pedantic(
-        lambda: (roach_sweep(), cycle_sweep(), expander_sweep()),
-        rounds=1, iterations=1,
+def test_e7_worst_cases():
+    roach_rows, cycle_rows, expander_rows = (
+        roach_sweep(), cycle_sweep(), expander_sweep()
     )
     print()
     print(format_table(

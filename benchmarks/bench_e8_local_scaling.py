@@ -49,10 +49,8 @@ def epsilon_sweep():
     return rows
 
 
-def test_e8_strong_locality(benchmark):
-    n_rows, eps_rows = benchmark.pedantic(
-        lambda: (n_sweep(), epsilon_sweep()), rounds=1, iterations=1
-    )
+def test_e8_strong_locality():
+    n_rows, eps_rows = n_sweep(), epsilon_sweep()
     print()
     print(format_table(
         ["n", "edge work", "touched nodes", "pushes"],

@@ -59,11 +59,8 @@ def pathology_case():
     return result, stranded
 
 
-def test_e9_mov_vs_acl(benchmark):
-    rows, (pathology, stranded) = benchmark.pedantic(
-        lambda: (community_recovery(), pathology_case()),
-        rounds=1, iterations=1,
-    )
+def test_e9_mov_vs_acl():
+    rows, (pathology, stranded) = community_recovery(), pathology_case()
     print()
     print(format_table(
         ["block", "phi ACL", "phi MOV", "Jaccard ACL", "Jaccard MOV",

@@ -16,8 +16,8 @@ from conftest import focus_buckets, get_figure1
 from repro.core import format_comparison_verdict, format_table
 
 
-def test_fig1a_conductance_profile(benchmark, shared_cache, atp_graph):
-    result = get_figure1(shared_cache, atp_graph, benchmark=benchmark)
+def test_fig1a_conductance_profile(shared_cache, atp_graph):
+    result = get_figure1(shared_cache, atp_graph)
     rows = [
         [
             f"[{b.size_low:.0f}, {b.size_high:.0f})",

@@ -16,7 +16,7 @@ from repro.core import format_comparison_verdict, format_table
 from repro.ncp.compare import bucket_cloud_niceness
 
 
-def test_fig1c_conductance_ratio(benchmark, shared_cache, atp_graph):
+def test_fig1c_conductance_ratio(shared_cache, atp_graph):
     result = get_figure1(shared_cache, atp_graph)
 
     def measure_panel():
@@ -26,7 +26,7 @@ def test_fig1c_conductance_ratio(benchmark, shared_cache, atp_graph):
             )
         return shared_cache["clouds"]
 
-    clouds = benchmark.pedantic(measure_panel, rounds=1, iterations=1)
+    clouds = measure_panel()
     joint = [
         c for c in clouds
         if np.isfinite(c.spectral_ratio) and np.isfinite(c.flow_ratio)

@@ -2,9 +2,8 @@
 
 The three Figure 1 panels (E1–E3) share one expensive computation: the
 spectral and flow cluster ensembles on the AtP-DBLP stand-in. The first
-bench that needs it computes it (inside its timed region) and caches it
-here for the other panels, which then time only their own panel's work
-(the niceness measurements).
+bench that needs it computes it and caches it here for the other panels,
+which then do only their own panel's work (the niceness measurements).
 """
 
 from __future__ import annotations
@@ -59,15 +58,10 @@ def compute_figure1(graph):
     )
 
 
-def get_figure1(cache, graph, *, benchmark=None):
-    """Fetch (or compute, optionally timed) the shared comparison."""
+def get_figure1(cache, graph):
+    """Fetch (or compute once) the shared comparison."""
     if "fig1" not in cache:
-        if benchmark is not None:
-            cache["fig1"] = benchmark.pedantic(
-                compute_figure1, args=(graph,), rounds=1, iterations=1
-            )
-        else:
-            cache["fig1"] = compute_figure1(graph)
+        cache["fig1"] = compute_figure1(graph)
     return cache["fig1"]
 
 

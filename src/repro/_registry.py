@@ -1,16 +1,16 @@
 """One registry implementation behind every extension point.
 
-Dynamics, refiners, lint rules and executors are each a
-:class:`Registry` of frozen records: a canonical key per record, a table
-of normalized alternative spellings, and an unknown-name error that is
-both an :class:`~repro.exceptions.InvalidParameterError` (hence
-``ValueError``) and a ``KeyError`` with a did-you-mean suggestion.
+Dynamics, refiners and executors are each a :class:`Registry` of
+frozen records: a canonical key per record, a table of normalized
+alternative spellings, a ``spec_type`` whose instances and type resolve
+to the record, and an unknown-name error that is both an
+:class:`~repro.exceptions.InvalidParameterError` (hence ``ValueError``)
+and a ``KeyError`` with a did-you-mean suggestion
+(:func:`unknown_name_error`, which the fixed lint rule set shares).
 
-The four differ only in which record fields are accepted as spellings
+The three differ only in which record fields are accepted as spellings
 (every record's ``key`` and ``aliases``; dynamics and refiners also their
-display ``name``, lint rules their ``code``) and in whether a record
-binds a ``spec_type`` whose instances and type resolve to it (dynamics,
-refiners, executors).  Spec types match exactly: a subclass is its own
+display ``name``).  Spec types match exactly: a subclass is its own
 entry and must be registered itself.
 
 Each owning module keeps its public names as bound methods, e.g.
@@ -23,12 +23,30 @@ import difflib
 
 from repro.exceptions import InvalidParameterError
 
-__all__ = ["Registry", "normalize"]
+__all__ = ["Registry", "normalize", "unknown_name_error"]
 
 
 def normalize(name):
     """The lookup form of a spelling: stripped, lower case, ``_`` joins."""
     return str(name).strip().lower().replace("-", "_").replace(" ", "_")
+
+
+def unknown_name_error(error_type, noun, name, spellings):
+    """The did-you-mean error for ``name``, missing from ``spellings``.
+
+    ``spellings`` maps every normalized spelling to its canonical key
+    (each key's own normalized form included); the message lists the
+    keys, the other spellings, and the closest spelling's key.
+    """
+    aliases = sorted(
+        alias for alias, key in spellings.items() if alias != normalize(key)
+    )
+    close = difflib.get_close_matches(normalize(name), sorted(spellings), n=1)
+    hint = f"; did you mean {spellings[close[0]]!r}?" if close else ""
+    return error_type(
+        f"unknown {noun} {name!r}; choose from "
+        f"{sorted(set(spellings.values()))} (aliases: {aliases}){hint}"
+    )
 
 
 class Registry:
@@ -45,18 +63,14 @@ class Registry:
         ``KeyError`` subclass).
     spellings:
         Record fields, beyond ``key`` and ``aliases``, whose values are
-        accepted as names (``("name",)``, ``("code",)``).
-    specs:
-        Whether records carry a ``spec_type`` that resolves to them.
+        accepted as names (``("name",)``).
     """
 
-    def __init__(self, noun, kind_type, error_type, *, spellings=(),
-                 specs=False):
+    def __init__(self, noun, kind_type, error_type, *, spellings=()):
         self.noun = noun
         self.kind_type = kind_type
         self.error_type = error_type
         self._spellings = tuple(spellings)
-        self._specs = specs
         self._entries = {}      # canonical key -> record
         self._aliases = {}      # normalized spelling -> canonical key
         self._spec_types = {}   # spec type -> canonical key
@@ -79,10 +93,10 @@ class Registry:
                 f"registering a {self.noun} needs an instance of "
                 f"{self.kind_type.__name__}; got {kind!r}"
             )
-        if not kind.key or (self._specs and kind.spec_type is None):
+        if not kind.key or kind.spec_type is None:
             raise InvalidParameterError(
-                f"a {self.kind_type.__name__} needs a canonical key"
-                + (" and a spec_type" if self._specs else "")
+                f"a {self.kind_type.__name__} needs a canonical key and a "
+                "spec_type"
             )
         names = self._names(kind)
         if kind.key in self._entries:
@@ -97,7 +111,7 @@ class Registry:
                 f"{name!r} (for {self._aliases[name]!r})"
                 for name in names if name in self._aliases
             )
-            if self._specs and kind.spec_type in self._spec_types:
+            if kind.spec_type in self._spec_types:
                 taken.append(
                     f"spec type {kind.spec_type.__name__} (for "
                     f"{self._spec_types[kind.spec_type]!r})"
@@ -110,8 +124,7 @@ class Registry:
         self._entries[kind.key] = kind
         for name in names:
             self._aliases[name] = kind.key
-        if self._specs:
-            self._spec_types[kind.spec_type] = kind.key
+        self._spec_types[kind.spec_type] = kind.key
         return kind
 
     def unregister(self, name):
@@ -120,17 +133,16 @@ class Registry:
         kind = self._entries.pop(key)
         for alias in [a for a, k in self._aliases.items() if k == key]:
             del self._aliases[alias]
-        if self._specs:
-            self._spec_types.pop(kind.spec_type, None)
+        self._spec_types.pop(kind.spec_type, None)
         return kind
 
     def resolve(self, name):
         """Canonical key for a name, alias, record, spec, or spec type."""
         if isinstance(name, self.kind_type):
             key = name.key
-        elif self._specs and isinstance(name, type):
+        elif isinstance(name, type):
             key = self._spec_types.get(name)
-        elif self._specs and not isinstance(name, str):
+        elif not isinstance(name, str):
             key = self._spec_types.get(type(name))
         else:
             key = self._aliases.get(normalize(name))
@@ -147,15 +159,6 @@ class Registry:
         return dict(self._entries)
 
     def _unknown(self, name):
-        aliases = sorted(
-            alias for alias, key in self._aliases.items()
-            if alias != normalize(key)
-        )
-        close = difflib.get_close_matches(
-            normalize(name), sorted(self._aliases), n=1
-        )
-        hint = f"; did you mean {self._aliases[close[0]]!r}?" if close else ""
-        return self.error_type(
-            f"unknown {self.noun} {name!r}; choose from "
-            f"{sorted(self._entries)} (aliases: {aliases}){hint}"
+        return unknown_name_error(
+            self.error_type, self.noun, name, self._aliases
         )

@@ -6,22 +6,21 @@ comparisons (PRs 3/5/7), candidate ensembles replay byte-for-byte at
 any worker count, ``_CACHE_VERSION`` bumps whenever serialized chunk
 fields change, and process pools are built only in the execution layer.
 This package
-turns those conventions into an AST-based invariant checker, structured
-the same way the runtime is:
+turns those conventions into an AST-based invariant checker:
 
-* **Registry** — :class:`LintRule` entries under canonical ids with an
-  alias table and :class:`UnknownRuleError` did-you-mean errors: the
-  same :class:`~repro._registry.Registry` as the dynamics, refiner
-  and executor registries.  Registering a rule enrolls
-  it in ``repro lint``, ``repro lint --list``, and the fixture-based
-  test harness automatically.
+* **Rules** — a fixed tuple, :data:`RULES`, of :class:`LintRule`
+  records (canonical id, code, aliases, visitor); ``--select`` and
+  ``--ignore`` pick from it by any of those names, and an unknown name
+  raises :class:`UnknownRuleError` with a did-you-mean suggestion.
+  Every rule in the tuple runs in ``repro lint``, is listed by
+  ``repro lint --list``, and is enrolled in the fixture-based test
+  harness.
 * **Harness** — one parse and one AST walk per file no matter how many
   rules run (:mod:`repro.analysis.visitor`); a new rule is a
-  ~30-line :class:`RuleVisitor` subclass.
+  ~30-line :class:`RuleVisitor` subclass plus one :data:`RULES` entry.
 * **Engine** — file/package walking, ``--select``/``--ignore`` rule
-  selection, ``# repro-lint: disable=...`` pragmas, human/JSON/GitHub
-  output, and a committed shrink-only baseline
-  (:func:`~repro.analysis.findings.apply_baseline`).
+  selection, ``# repro-lint: disable=...`` pragmas, and human/JSON/GitHub
+  output.
 
 Run it as ``python -m repro lint src/`` (see
 :mod:`repro.cli.lint_cmd`).
@@ -29,7 +28,6 @@ Run it as ``python -m repro lint src/`` (see
 
 from __future__ import annotations
 
-from repro.analysis import rules as _rules
 from repro.analysis.engine import (
     LintReport,
     iter_python_files,
@@ -37,23 +35,8 @@ from repro.analysis.engine import (
     lint_source,
     select_rules,
 )
-from repro.analysis.findings import (
-    LintFinding,
-    apply_baseline,
-    format_findings,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.registry import (
-    LintRule,
-    SEVERITIES,
-    UnknownRuleError,
-    get_rule,
-    register_rule,
-    registered_rules,
-    resolve_rule_name,
-    unregister_rule,
-)
+from repro.analysis.findings import LintFinding, format_findings
+from repro.analysis.rules import RULES, LintRule, UnknownRuleError
 from repro.analysis.visitor import ModuleContext, RuleVisitor, run_rules
 
 __all__ = [
@@ -61,23 +44,13 @@ __all__ = [
     "LintReport",
     "LintRule",
     "ModuleContext",
+    "RULES",
     "RuleVisitor",
-    "SEVERITIES",
     "UnknownRuleError",
-    "apply_baseline",
     "format_findings",
-    "get_rule",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "register_rule",
-    "registered_rules",
-    "resolve_rule_name",
     "run_rules",
     "select_rules",
-    "unregister_rule",
-    "write_baseline",
 ]
-
-_rules.register_builtin_rules()

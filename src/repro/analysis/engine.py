@@ -7,16 +7,19 @@ harness (:mod:`repro.analysis.visitor`), and returns a
 :class:`LintReport`.  Syntax errors surface as findings under the
 reserved ``syntax-error`` pseudo-rule (code ``E000``) instead of
 aborting the run, so one broken file cannot hide the rest of the tree.
+Rules are picked from the fixed :data:`~repro.analysis.rules.RULES`
+tuple by key, code or alias (:func:`select_rules`).
 """
 
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.findings import LintFinding, apply_baseline
-from repro.analysis.registry import registered_rules, resolve_rule_name
+from repro._registry import normalize, unknown_name_error
+from repro.analysis.findings import LintFinding
+from repro.analysis.rules import RULES, UnknownRuleError
 from repro.analysis.visitor import ModuleContext, run_rules
 from repro.exceptions import InvalidParameterError
 
@@ -31,7 +34,7 @@ __all__ = [
 # Directory names never worth descending into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
-# Pseudo-rule identifying unparseable files in reports and baselines.
+# Pseudo-rule identifying unparseable files in reports.
 _SYNTAX_RULE = "syntax-error"
 _SYNTAX_CODE = "E000"
 
@@ -43,12 +46,7 @@ class LintReport:
     Attributes
     ----------
     findings:
-        New findings (after baseline subtraction), sorted by location.
-    baselined:
-        Findings forgiven by the baseline this run.
-    stale_baseline:
-        ``path::rule`` keys whose baseline allowance exceeded what the
-        tree still produces — the signal the baseline should shrink.
+        Every finding, sorted by location.
     files_checked:
         Number of python files parsed.
     rules:
@@ -58,28 +56,36 @@ class LintReport:
     findings: tuple
     files_checked: int
     rules: tuple
-    baselined: tuple = ()
-    stale_baseline: dict = field(default_factory=dict)
 
     @property
     def ok(self):
-        """True when the run produced no (non-baselined) findings."""
+        """True when the run produced no findings."""
         return not self.findings
 
-    def all_findings(self):
-        """New and baselined findings together (for --write-baseline)."""
-        return tuple(sorted(self.findings + self.baselined))
+
+# Normalized key/code/alias -> canonical rule key.
+_SPELLINGS = {name: rule.key for rule in RULES for name in rule.names}
+
+
+def _rule_key(name):
+    """Canonical key of a rule id, code or alias."""
+    key = _SPELLINGS.get(normalize(name))
+    if key is None:
+        raise unknown_name_error(
+            UnknownRuleError, "lint rule", name, _SPELLINGS
+        )
+    return key
 
 
 def select_rules(select=None, ignore=None):
     """Resolve ``--select``/``--ignore`` name lists to LintRule objects.
 
-    Both accept iterables of names/codes/aliases (or one comma-separated
-    string).  Unknown names raise
-    :class:`~repro.analysis.registry.UnknownRuleError` with a
-    did-you-mean suggestion.  Returns rules in registration order.
+    Both accept iterables of names/codes/aliases, matched case- and
+    separator-insensitively (or one comma-separated string).
+    Unknown names raise :class:`~repro.analysis.rules.UnknownRuleError`
+    with a did-you-mean suggestion.  Returns rules in :data:`RULES`
+    order.
     """
-    registry = registered_rules()
 
     def _resolve_list(value, option):
         if value is None:
@@ -89,22 +95,23 @@ def select_rules(select=None, ignore=None):
         names = [token for token in (str(v).strip() for v in value) if token]
         if not names:
             raise InvalidParameterError(
-                f"{option} needs at least one rule name; registered rules "
-                f"are {sorted(registry)}"
+                f"{option} needs at least one rule name; the rules are "
+                f"{sorted(rule.key for rule in RULES)}"
             )
-        return {resolve_rule_name(name) for name in names}
+        return {_rule_key(name) for name in names}
 
     selected = _resolve_list(select, "--select")
     ignored = _resolve_list(ignore, "--ignore") or set()
-    keys = [
-        key for key in registry
-        if (selected is None or key in selected) and key not in ignored
-    ]
-    if not keys:
+    rules = tuple(
+        rule for rule in RULES
+        if (selected is None or rule.key in selected)
+        and rule.key not in ignored
+    )
+    if not rules:
         raise InvalidParameterError(
             "the --select/--ignore combination leaves no lint rules to run"
         )
-    return tuple(registry[key] for key in keys)
+    return rules
 
 
 def iter_python_files(paths, *, exclude=()):
@@ -143,10 +150,8 @@ def iter_python_files(paths, *, exclude=()):
     )
 
 
-def lint_source(source, *, path="<string>", rules=None):
-    """Lint one source string; returns sorted findings (no baseline)."""
-    if rules is None:
-        rules = tuple(registered_rules().values())
+def lint_source(source, *, path="<string>", rules=RULES):
+    """Lint one source string; returns sorted findings."""
     try:
         ctx = ModuleContext(path, source)
     except SyntaxError as exc:
@@ -157,19 +162,15 @@ def lint_source(source, *, path="<string>", rules=None):
             code=_SYNTAX_CODE,
             rule=_SYNTAX_RULE,
             message=f"file does not parse: {exc.msg}",
-            severity="error",
         )]
     return run_rules(ctx, rules)
 
 
-def lint_paths(paths, *, select=None, ignore=None, exclude=(),
-               baseline=None):
+def lint_paths(paths, *, select=None, ignore=None, exclude=()):
     """Lint files/directories; returns a :class:`LintReport`.
 
     Parameters mirror the CLI: ``select``/``ignore`` are rule-name lists
-    (see :func:`select_rules`), ``exclude`` holds path glob patterns,
-    and ``baseline`` is a loaded ``path::rule -> count`` mapping whose
-    allowances are subtracted from the findings.
+    (see :func:`select_rules`) and ``exclude`` holds path glob patterns.
     """
     rules = select_rules(select, ignore)
     findings = []
@@ -179,15 +180,8 @@ def lint_paths(paths, *, select=None, ignore=None, exclude=(),
         findings.extend(
             lint_source(source, path=file_path.as_posix(), rules=rules)
         )
-    findings = sorted(findings)
-    if baseline:
-        fresh, forgiven, stale = apply_baseline(findings, baseline)
-    else:
-        fresh, forgiven, stale = findings, [], {}
     return LintReport(
-        findings=tuple(fresh),
-        baselined=tuple(forgiven),
-        stale_baseline=stale,
+        findings=tuple(sorted(findings)),
         files_checked=len(files),
         rules=tuple(rule.key for rule in rules),
     )

@@ -1,47 +1,34 @@
-"""Structured lint findings, output formats, and the shrink-only baseline.
+"""Structured lint findings and their output formats.
 
 A :class:`LintFinding` is one violation at one source location.  The
 module also owns the three output formats (``human``, ``json``,
-``github``) and the committed-baseline mechanics: a baseline file maps
-``path::rule`` keys to finding counts, a lint run subtracts up to that
-many findings per key, and CI commits a baseline that may only shrink —
-new violations always surface, old ones retire as they are fixed.
+``github``).  Every finding is an error: any finding fails a lint run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "FINDINGS_SCHEMA",
     "LintFinding",
     "OUTPUT_FORMATS",
-    "apply_baseline",
-    "baseline_entries",
     "format_findings",
-    "load_baseline",
-    "write_baseline",
 ]
 
 FINDINGS_SCHEMA = "repro.analysis/findings/v1"
-BASELINE_SCHEMA = "repro.analysis/lint-baseline/v1"
 OUTPUT_FORMATS = ("human", "json", "github")
-
-# GitHub Actions workflow-command severities, by finding severity.
-_GITHUB_LEVELS = {"error": "error", "warning": "warning"}
 
 
 @dataclass(frozen=True, order=True)
 class LintFinding:
     """One lint violation: a rule firing at a source location.
 
-    Orders by (path, line, col, code) so reports and baselines are
-    deterministic regardless of rule execution order.
+    Orders by (path, line, col, code) so reports are deterministic
+    regardless of rule execution order.
     """
 
     path: str
@@ -50,7 +37,6 @@ class LintFinding:
     code: str
     rule: str
     message: str
-    severity: str = "error"
 
     def to_dict(self):
         """JSON-ready mapping (the ``--format json`` record)."""
@@ -60,13 +46,9 @@ class LintFinding:
             "path": self.path,
             "line": self.line,
             "col": self.col,
-            "severity": self.severity,
+            "severity": "error",
             "message": self.message,
         }
-
-    def baseline_key(self):
-        """Grouping key for the committed baseline (line numbers drift)."""
-        return f"{self.path}::{self.rule}"
 
     def format_human(self):
         """One ``path:line:col: CODE [rule] message`` report line."""
@@ -77,13 +59,12 @@ class LintFinding:
 
     def format_github(self):
         """One GitHub Actions ``::error file=...`` annotation line."""
-        level = _GITHUB_LEVELS.get(self.severity, "error")
         # Workflow-command message payloads are newline-escaped.
         message = self.message.replace("%", "%25").replace(
             "\n", "%0A"
         )
         return (
-            f"::{level} file={self.path},line={self.line},"
+            f"::error file={self.path},line={self.line},"
             f"col={self.col},title={self.code} {self.rule}::{message}"
         )
 
@@ -107,69 +88,3 @@ def format_findings(findings, fmt="human"):
     if fmt == "github":
         return "\n".join(f.format_github() for f in findings)
     return "\n".join(f.format_human() for f in findings)
-
-
-def baseline_entries(findings):
-    """Count findings per ``path::rule`` key (the baseline payload)."""
-    entries = {}
-    for finding in findings:
-        key = finding.baseline_key()
-        entries[key] = entries.get(key, 0) + 1
-    return dict(sorted(entries.items()))
-
-
-def write_baseline(path, findings):
-    """Write the committed baseline file for ``findings``; returns path."""
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "entries": baseline_entries(findings),
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def load_baseline(path):
-    """Load a baseline file; returns the ``path::rule -> count`` mapping."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InvalidParameterError(
-            f"lint baseline {str(path)!r} does not exist "
-            "(create one with: repro lint <paths> --write-baseline PATH)"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(
-            f"lint baseline {str(path)!r} is not valid JSON: {exc}"
-        ) from None
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise InvalidParameterError(
-            f"lint baseline {str(path)!r} has schema "
-            f"{payload.get('schema')!r}; expected {BASELINE_SCHEMA!r}"
-        )
-    entries = payload.get("entries", {})
-    return {str(k): int(v) for k, v in entries.items()}
-
-
-def apply_baseline(findings, baseline):
-    """Subtract baselined findings; returns ``(fresh, forgiven, stale)``.
-
-    Per ``path::rule`` key, up to ``baseline[key]`` findings are
-    forgiven (oldest lines first, deterministically); the rest are
-    ``fresh`` and must fail the run.  ``stale`` maps keys whose baseline
-    count exceeds what the tree still produces to the unused surplus —
-    the shrink signal: a stale entry means the baseline can (and should)
-    be regenerated smaller.
-    """
-    remaining = dict(baseline)
-    fresh, forgiven = [], []
-    for finding in sorted(findings):
-        key = finding.baseline_key()
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            forgiven.append(finding)
-        else:
-            fresh.append(finding)
-    stale = {k: v for k, v in sorted(remaining.items()) if v > 0}
-    return fresh, forgiven, stale

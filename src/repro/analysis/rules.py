@@ -1,15 +1,14 @@
-"""The built-in lint rules: this codebase's contracts, machine-checked.
+"""The lint rules: this codebase's contracts, machine-checked.
 
 Each rule is a :class:`~repro.analysis.visitor.RuleVisitor` subclass of
-roughly thirty lines, registered as a
-:class:`~repro.analysis.registry.LintRule` by
-:func:`register_builtin_rules`.  The rules encode the conventions the
-past PRs established by hand:
+roughly thirty lines, paired with its id, code and aliases in one
+:class:`LintRule` record of the fixed :data:`RULES` tuple.  The rules
+encode the conventions the past PRs established by hand:
 
 * **R001 no-stringly-dispatch** — branch through the registries
   (:mod:`repro.dynamics`, :mod:`repro.refine`, :mod:`repro.execution`),
   never on registry vocabulary string literals or by reaching into a
-  registry's private dict.
+  registry's private dicts (``_entries``, ``_aliases``, ``_spec_types``).
 * **R002 cache-version-discipline** — modules that persist memo entries
   or compose cache keys must reference a ``_CACHE_VERSION`` constant, so
   serialization changes force a version bump.
@@ -32,11 +31,72 @@ their codes are not reused.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 
-from repro.analysis.registry import LintRule, register_rule
+from repro._registry import normalize
 from repro.analysis.visitor import RuleVisitor
+from repro.exceptions import InvalidParameterError
 
-__all__ = ["register_builtin_rules", "registry_vocabulary"]
+__all__ = ["LintRule", "RULES", "UnknownRuleError", "registry_vocabulary"]
+
+
+class UnknownRuleError(InvalidParameterError, KeyError):
+    """Raised for a lint-rule name that matches no rule in :data:`RULES`.
+
+    Inherits both :class:`~repro.exceptions.InvalidParameterError` (hence
+    ``ValueError``) and ``KeyError``, matching the registry errors
+    (:class:`~repro.dynamics.UnknownDynamicsError`,
+    :class:`~repro.refine.UnknownRefinerError`), so callers validating
+    either way keep working.
+    """
+
+    __str__ = Exception.__str__
+
+
+@dataclass(frozen=True)
+class LintRule:
+    """One invariant checker: a visitor class behind a canonical id.
+
+    Attributes
+    ----------
+    key:
+        Canonical id (``"no-stringly-dispatch"``, ...).
+    code:
+        Short stable code (``"R001"``) shown in findings and usable as a
+        ``--select``/``--ignore`` alias.
+    description:
+        One-line summary shown by ``repro lint --list`` and in the docs.
+    visitor:
+        :class:`~repro.analysis.visitor.RuleVisitor` subclass
+        implementing the check (``visit_<NodeType>`` handlers plus an
+        optional ``finalize``).
+    aliases:
+        Accepted alternative names (the ``code`` is always one too).
+    exempt:
+        Path substrings (posix-style) naming files the rule never runs
+        on — the registry modules themselves are exempt from
+        ``no-stringly-dispatch``, for example.
+    """
+
+    key: str
+    code: str
+    description: str
+    visitor: type
+    aliases: tuple = ()
+    exempt: tuple = ()
+
+    @property
+    def names(self):
+        """Every normalized spelling of the rule: key, code, aliases."""
+        return frozenset(
+            normalize(name) for name in (self.key, self.code, *self.aliases)
+        )
+
+    def applies_to(self, path):
+        """Whether the rule runs on ``path`` (checks :attr:`exempt`)."""
+        posix = str(path).replace("\\", "/")
+        return not any(part in posix for part in self.exempt)
+
 
 # Variable names whose string comparisons smell like retired stringly
 # dispatch (the left-hand sides PRs 3/5/7 cleaned up).
@@ -45,9 +105,13 @@ _DISPATCH_NAMES = frozenset({
     "kind", "method", "key", "executor",
 })
 
+# The private dicts of :class:`repro._registry.Registry`.
+_PRIVATE_REGISTRY_DICTS = frozenset({"_entries", "_aliases", "_spec_types"})
+
 # The registry modules themselves (and this package) legitimately handle
-# registry-name strings.
+# registry-name strings and the registries' private dicts.
 _REGISTRY_MODULES = (
+    "repro/_registry.py",
     "repro/dynamics.py",
     "repro/refine.py",
     "repro/execution/",
@@ -151,7 +215,7 @@ class StringlyDispatchVisitor(RuleVisitor):
 
     def visit_Subscript(self, node):
         target = _terminal_name(node.value)
-        if target in {"_REGISTRY", "_ALIASES"}:
+        if target in _PRIVATE_REGISTRY_DICTS:
             self.add(node, (
                 f"direct access to the private registry dict {target}: use "
                 "the registry's public get_*/resolve_*/registered_* API"
@@ -356,9 +420,9 @@ class ExecutorDisciplineVisitor(RuleVisitor):
             ))
 
 
-def register_builtin_rules():
-    """Register the built-in rule set (idempotent per fresh registry)."""
-    register_rule(LintRule(
+# The rule set, in ``--list`` and run order.
+RULES = (
+    LintRule(
         key="no-stringly-dispatch",
         code="R001",
         description=(
@@ -369,8 +433,8 @@ def register_builtin_rules():
         aliases=("stringly", "stringly-dispatch"),
         visitor=StringlyDispatchVisitor,
         exempt=_REGISTRY_MODULES,
-    ))
-    register_rule(LintRule(
+    ),
+    LintRule(
         key="cache-version-discipline",
         code="R002",
         description=(
@@ -379,8 +443,8 @@ def register_builtin_rules():
         ),
         aliases=("cache-version",),
         visitor=CacheVersionVisitor,
-    ))
-    register_rule(LintRule(
+    ),
+    LintRule(
         key="determinism-hazards",
         code="R003",
         description=(
@@ -390,8 +454,8 @@ def register_builtin_rules():
         ),
         aliases=("determinism",),
         visitor=DeterminismVisitor,
-    ))
-    register_rule(LintRule(
+    ),
+    LintRule(
         key="exception-policy",
         code="R004",
         description=(
@@ -401,8 +465,8 @@ def register_builtin_rules():
         ),
         aliases=("exceptions",),
         visitor=ExceptionPolicyVisitor,
-    ))
-    register_rule(LintRule(
+    ),
+    LintRule(
         key="executor-discipline",
         code="R007",
         description=(
@@ -413,4 +477,5 @@ def register_builtin_rules():
         aliases=("executors",),
         visitor=ExecutorDisciplineVisitor,
         exempt=("repro/execution/",),
-    ))
+    ),
+)

@@ -6,7 +6,9 @@ parent map, and the ``# repro-lint: disable=...`` pragma table), then
 dispatches every node to each rule's ``visit_<NodeType>`` handlers in a
 single pass.  A new rule is a :class:`RuleVisitor` subclass — typically
 ~30 lines: a couple of handlers calling :meth:`RuleVisitor.add`, plus an
-optional :meth:`RuleVisitor.finalize` for whole-module invariants.
+optional :meth:`RuleVisitor.finalize` for whole-module invariants — and
+one :class:`~repro.analysis.rules.LintRule` record in
+:data:`~repro.analysis.rules.RULES`.
 
 Suppression pragmas::
 
@@ -22,9 +24,8 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analysis.findings import LintFinding
 from repro._registry import normalize
-from repro.analysis.registry import UnknownRuleError, resolve_rule_name
+from repro.analysis.findings import LintFinding
 
 __all__ = ["ModuleContext", "RuleVisitor", "run_rules"]
 
@@ -40,21 +41,12 @@ _ALL = "all"
 
 
 def _pragma_rules(spec):
-    """Normalize a pragma's rule list to canonical keys (or ``all``)."""
-    names = set()
-    for token in spec.split(","):
-        token = normalize(token)
-        if not token:
-            continue
-        if token == _ALL:
-            return {_ALL}
-        try:
-            names.add(resolve_rule_name(token))
-        except UnknownRuleError:
-            # Unknown pragma names are kept verbatim: a pragma for a rule
-            # registered later (or third-party) must not crash the run.
-            names.add(token)
-    return names
+    """Normalize a pragma's rule list (ids, codes, aliases or ``all``).
+
+    Names matching no rule are kept and simply never match: a stale
+    pragma must not crash the run.
+    """
+    return {normalize(token) for token in spec.split(",")} - {""}
 
 
 def _parse_pragmas(lines):
@@ -86,7 +78,8 @@ class ModuleContext:
         The parsed ``ast.Module``.
     parents:
         Node -> parent-node map over the whole tree, so handlers can ask
-        for enclosing statements without threading state through a walk.
+        for the enclosing statement without threading state through a
+        walk (:meth:`statement`).
     findings:
         The accumulating :class:`~repro.analysis.findings.LintFinding`
         list (shared by every rule on this file).
@@ -104,16 +97,16 @@ class ModuleContext:
         self._per_line, self._whole_file = _parse_pragmas(self.lines)
         self.findings = []
 
-    def suppressed(self, rule_key, line):
-        """Whether ``rule_key`` is pragma-disabled at ``line``."""
+    def suppressed(self, rule, line):
+        """Whether ``rule`` is pragma-disabled at ``line``."""
         names = self._whole_file | self._per_line.get(line, set())
-        return _ALL in names or rule_key in names
+        return _ALL in names or not names.isdisjoint(rule.names)
 
-    def add(self, rule, node, message, *, severity=None):
+    def add(self, rule, node, message):
         """Record one finding at ``node`` unless a pragma disables it."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        if self.suppressed(rule.key, line):
+        if self.suppressed(rule, line):
             return
         self.findings.append(LintFinding(
             path=self.path,
@@ -122,19 +115,7 @@ class ModuleContext:
             code=rule.code,
             rule=rule.key,
             message=message,
-            severity=rule.severity if severity is None else severity,
         ))
-
-    def parent(self, node):
-        """Immediate parent of ``node`` (None for the module root)."""
-        return self.parents.get(node)
-
-    def enclosing(self, node, types):
-        """Nearest ancestor of ``node`` that is one of ``types``."""
-        current = self.parents.get(node)
-        while current is not None and not isinstance(current, types):
-            current = self.parents.get(current)
-        return current
 
     def statement(self, node):
         """The statement ancestor of ``node`` (or the node itself)."""
@@ -157,9 +138,9 @@ class RuleVisitor:
         self.rule = rule
         self.ctx = ctx
 
-    def add(self, node, message, *, severity=None):
+    def add(self, node, message):
         """Record one finding for this visitor's rule."""
-        self.ctx.add(self.rule, node, message, severity=severity)
+        self.ctx.add(self.rule, node, message)
 
     def finalize(self):
         """Post-walk hook (default: nothing)."""
@@ -170,7 +151,7 @@ def run_rules(ctx, rules):
 
     Each rule's visitor sees every node (``ast.walk`` order) through its
     ``visit_<NodeType>`` handlers, then gets one :meth:`finalize` call.
-    Rules whose :meth:`~repro.analysis.registry.LintRule.applies_to`
+    Rules whose :meth:`~repro.analysis.rules.LintRule.applies_to`
     rejects the file are skipped entirely.
     """
     visitors = [

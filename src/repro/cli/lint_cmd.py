@@ -1,23 +1,14 @@
 """``repro lint`` — run the AST invariant checker over the codebase.
 
-Exit codes follow the linter convention: 0 on a clean tree, 1 when
-findings survive the baseline, 2 on usage errors (unknown rules, missing
-paths — any :class:`~repro.exceptions.ReproError`), and the shared
-BrokenPipeError -> 141 convention of :func:`repro.cli.main` holds for
-every output path.
+Exit codes follow the linter convention: 0 on a clean tree, 1 on any
+finding, 2 on usage errors (unknown rules, missing paths — any
+:class:`~repro.exceptions.ReproError`), and the shared BrokenPipeError
+-> 141 convention of :func:`repro.cli.main` holds for every output path.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.analysis import (
-    format_findings,
-    lint_paths,
-    load_baseline,
-    registered_rules,
-    write_baseline,
-)
+from repro.analysis import RULES, format_findings, lint_paths
 from repro.analysis.findings import OUTPUT_FORMATS
 from repro.core.reporting import format_table
 from repro.exceptions import InvalidParameterError
@@ -48,7 +39,7 @@ def configure_parser(subparsers):
         metavar="RULES",
         default=None,
         help="comma-separated rule ids/codes/aliases to run "
-             "(default: every registered rule; see --list)",
+             "(default: every rule; see --list)",
     )
     parser.add_argument(
         "--ignore",
@@ -72,24 +63,11 @@ def configure_parser(subparsers):
              "::error annotations) (default: human)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="shrink-only baseline file: known findings listed there are "
-             "forgiven (new ones still fail); see --write-baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the --baseline path (or "
-             "lint-baseline.json) instead of failing on them",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         dest="list_rules",
-        help="list every registered rule (id, code, severity, one-line "
-             "description, aliases) and exit",
+        help="list every rule (id, code, one-line description, aliases) "
+             "and exit",
     )
     parser.set_defaults(run=run)
     return parser
@@ -97,14 +75,13 @@ def configure_parser(subparsers):
 
 def _run_list():
     rows = [
-        [rule.key, rule.code, rule.severity, rule.description,
-         ", ".join(rule.aliases)]
-        for rule in registered_rules().values()
+        [rule.key, rule.code, rule.description, ", ".join(rule.aliases)]
+        for rule in RULES
     ]
     print(format_table(
-        ["rule", "code", "severity", "description", "aliases"],
+        ["rule", "code", "description", "aliases"],
         rows,
-        title=f"registered lint rules ({len(rows)})",
+        title=f"lint rules ({len(rows)})",
     ))
     return 0
 
@@ -116,42 +93,21 @@ def run(args):
     if not args.paths:
         raise InvalidParameterError(
             "lint needs at least one file or directory to check "
-            "(or --list to show the registered rules)"
+            "(or --list to show the rules)"
         )
-    baseline = None
-    if args.baseline is not None and not args.write_baseline:
-        baseline = load_baseline(args.baseline)
     report = lint_paths(
         args.paths,
         select=args.select,
         ignore=args.ignore,
         exclude=tuple(args.exclude),
-        baseline=baseline,
     )
-    if args.write_baseline:
-        target = Path(args.baseline or "lint-baseline.json")
-        write_baseline(target, report.all_findings())
-        print(
-            f"wrote {target} ({len(report.all_findings())} finding(s) "
-            f"across {report.files_checked} file(s))"
-        )
-        return 0
     output = format_findings(report.findings, args.format)
     if output:
         print(output)
     if args.format == "human":
-        summary = (
+        print(
             f"{len(report.findings)} finding(s) in "
             f"{report.files_checked} file(s) "
-            f"[{len(report.rules)} rule(s)"
+            f"[{len(report.rules)} rule(s)]"
         )
-        if report.baselined:
-            summary += f"; {len(report.baselined)} baselined"
-        summary += "]"
-        print(summary)
-        for key, surplus in report.stale_baseline.items():
-            print(
-                f"note: baseline entry {key!r} is stale by {surplus} "
-                "(the tree improved; regenerate with --write-baseline)"
-            )
     return 0 if report.ok else 1

@@ -33,9 +33,9 @@ the benchmarks are needed (see ``tests/test_dynamics_registry.py`` for a
 worked example).
 
 The registry is a :class:`~repro._registry.Registry`, the one
-implementation shared with :class:`~repro.refine.RefinerKind` (refiners),
-:class:`~repro.analysis.LintRule` (lint rules), and
-:class:`~repro.execution.ExecutorKind` (ensemble execution strategies).
+implementation shared with :class:`~repro.refine.RefinerKind` (refiners)
+and :class:`~repro.execution.ExecutorKind` (ensemble execution
+strategies).
 A :class:`DiffusionGrid` workload says *what* to diffuse; the executor
 registry decides *how* its chunks run, and the candidate bytes never
 depend on that choice.
@@ -550,8 +550,7 @@ def as_diffusion_grid(grid):
 # The registry.
 
 DYNAMICS = Registry(
-    "dynamics", DynamicsKind, UnknownDynamicsError, spellings=("name",),
-    specs=True,
+    "dynamics", DynamicsKind, UnknownDynamicsError, spellings=("name",)
 )
 register_dynamics = DYNAMICS.register
 unregister_dynamics = DYNAMICS.unregister

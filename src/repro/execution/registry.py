@@ -1,7 +1,7 @@
 """The ExecutorKind registry: pluggable ensemble-execution strategies.
 
-The same :class:`~repro._registry.Registry` as the dynamics, refiner
-and lint-rule registries: a frozen record per strategy under a
+The same :class:`~repro._registry.Registry` as the dynamics and
+refiner registries: a frozen record per strategy under a
 canonical key (``serial`` / ``process`` / ``chaos``) with an alias
 table, a did-you-mean :class:`UnknownExecutorError`, and
 register/resolve/get/unregister functions.  Each entry binds a frozen
@@ -85,9 +85,7 @@ class ExecutorKind:
     replayable: bool = True
 
 
-EXECUTORS = Registry(
-    "executor", ExecutorKind, UnknownExecutorError, specs=True
-)
+EXECUTORS = Registry("executor", ExecutorKind, UnknownExecutorError)
 register_executor = EXECUTORS.register
 unregister_executor = EXECUTORS.unregister
 resolve_executor_name = EXECUTORS.resolve

@@ -542,8 +542,7 @@ def refine_candidates(graph, candidates, refiners):
 # The registry.
 
 REFINERS = Registry(
-    "refiner", RefinerKind, UnknownRefinerError, spellings=("name",),
-    specs=True,
+    "refiner", RefinerKind, UnknownRefinerError, spellings=("name",)
 )
 register_refiner = REFINERS.register
 unregister_refiner = REFINERS.unregister

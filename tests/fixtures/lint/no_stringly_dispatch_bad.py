@@ -1,6 +1,6 @@
 """Known-bad fixture for the no-stringly-dispatch rule (R001)."""
 
-_REGISTRY = {}
+from repro.execution.registry import EXECUTORS
 
 
 def pick_strategy(executor, dynamics):
@@ -8,4 +8,4 @@ def pick_strategy(executor, dynamics):
         return "pool"
     if dynamics in ("ppr", "hk"):   # stringly dynamics membership
         return "diffusion"
-    return _REGISTRY["serial"]      # private registry dict access
+    return EXECUTORS._entries["serial"]  # private registry dict access

@@ -1,12 +1,11 @@
-"""The repro.analysis lint subsystem: registry, harness, rules, CLI.
+"""The repro.analysis lint subsystem: rule set, harness, rules, CLI.
 
-Every registered rule is auto-enrolled in the fixture harness — a
+Every rule in ``RULES`` is enrolled in the fixture harness — a
 known-bad and a known-good snippet under ``tests/fixtures/lint/`` must
 exist and behave — so adding a rule without fixtures fails here, and a
 rule that stops firing on its own bad fixture fails here too.  Also
-covers the registry semantics (aliases, codes, unknown-rule
-did-you-mean, third-party extension rules), suppression pragmas, the
-shrink-only baseline, output formats, and the ``repro lint`` CLI's exit
+covers rule lookup (aliases, codes, unknown-rule did-you-mean),
+suppression pragmas, output formats, and the ``repro lint`` CLI's exit
 codes (0 clean / 1 findings / 2 usage / 141 broken pipe).
 """
 
@@ -22,23 +21,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    RULES,
     LintFinding,
-    LintRule,
-    RuleVisitor,
     UnknownRuleError,
-    apply_baseline,
     format_findings,
-    get_rule,
     iter_python_files,
     lint_paths,
     lint_source,
-    load_baseline,
-    register_rule,
-    registered_rules,
-    resolve_rule_name,
     select_rules,
-    unregister_rule,
-    write_baseline,
 )
 from repro.analysis.rules import registry_vocabulary
 from repro.cli import main
@@ -65,33 +55,36 @@ def _fixture(rule_key, kind):
     return FIXTURES / f"{rule_key.replace('-', '_')}_{kind}.py"
 
 
+def _rule(name):
+    """The one rule ``name`` (a key, code or alias) selects."""
+    (rule,) = select_rules(name)
+    return rule
+
+
 class TestRegistry:
     def test_builtin_rules_present(self):
-        assert set(registered_rules()) >= set(BUILTIN_RULES)
+        assert tuple(rule.key for rule in RULES) == BUILTIN_RULES
 
     def test_codes_and_aliases_resolve(self):
-        assert resolve_rule_name("R001") == "no-stringly-dispatch"
-        assert resolve_rule_name("stringly") == "no-stringly-dispatch"
-        assert resolve_rule_name("r004") == "exception-policy"
-        assert resolve_rule_name("determinism") == "determinism-hazards"
+        assert _rule("R001").key == "no-stringly-dispatch"
+        assert _rule("stringly").key == "no-stringly-dispatch"
+        assert _rule("r004").key == "exception-policy"
+        assert _rule("determinism").key == "determinism-hazards"
 
     def test_resolution_normalizes_case_and_separators(self):
-        assert resolve_rule_name(" Executor-Discipline ") == (
-            "executor-discipline"
-        )
-        assert resolve_rule_name("executor_discipline") == (
-            "executor-discipline"
-        )
-        assert resolve_rule_name("EXECUTORS") == "executor-discipline"
+        assert _rule(" Executor-Discipline ").key == "executor-discipline"
+        assert _rule("executor_discipline").key == "executor-discipline"
+        assert _rule("EXECUTORS").key == "executor-discipline"
 
     def test_resolve_accepts_rule_instance(self):
-        rule = get_rule("exception-policy")
-        assert resolve_rule_name(rule) == "exception-policy"
-        assert get_rule(rule) is rule
+        # Lookup hands back the records of RULES themselves.
+        for rule in RULES:
+            for name in (rule.key, rule.code, *rule.aliases):
+                assert _rule(name) is rule, name
 
     def test_unknown_rule_error_type_and_suggestion(self):
         with pytest.raises(UnknownRuleError) as excinfo:
-            get_rule("exception-polcy")
+            select_rules("exception-polcy")
         assert isinstance(excinfo.value, InvalidParameterError)
         assert isinstance(excinfo.value, ValueError)
         assert isinstance(excinfo.value, KeyError)
@@ -99,53 +92,20 @@ class TestRegistry:
 
     def test_unknown_rule_lists_registry(self):
         with pytest.raises(UnknownRuleError) as excinfo:
-            resolve_rule_name("no-such-rule")
+            select_rules(None, "no-such-rule")
         message = str(excinfo.value)
+        assert message.startswith("unknown lint rule 'no-such-rule'")
         assert "no-stringly-dispatch" in message
         assert "executor-discipline" in message
 
     def test_every_rule_documents_itself(self):
-        for key, rule in registered_rules().items():
-            assert rule.description.strip(), key
-            assert rule.code and rule.code[0] in "RE", key
-            assert rule.severity in ("error", "warning"), key
+        for rule in RULES:
+            assert rule.description.strip(), rule.key
+            assert rule.code and rule.code[0] in "RE", rule.key
 
-    def test_register_unregister_extension_rule(self):
-        class NoEvalVisitor(RuleVisitor):
-            def visit_Call(self, node):
-                if getattr(node.func, "id", None) == "eval":
-                    self.add(node, "eval() is banned")
-
-        rule = LintRule(
-            key="no-eval",
-            code="X900",
-            description="third-party example: ban eval()",
-            aliases=("banned-eval",),
-            visitor=NoEvalVisitor,
-        )
-        register_rule(rule)
-        try:
-            assert resolve_rule_name("x900") == "no-eval"
-            assert resolve_rule_name("banned-eval") == "no-eval"
-            findings = lint_source(
-                "eval('1+1')\n", rules=(get_rule("no-eval"),)
-            )
-            assert [f.rule for f in findings] == ["no-eval"]
-        finally:
-            unregister_rule("no-eval")
-        with pytest.raises(UnknownRuleError):
-            get_rule("no-eval")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            register_rule(get_rule("executor-discipline"))
-
-    def test_invalid_severity_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            LintRule(
-                key="broken", code="X901", description="bad severity",
-                visitor=RuleVisitor, severity="fatal",
-            )
+    def test_keys_codes_and_aliases_are_unique(self):
+        spellings = [name for rule in RULES for name in rule.names]
+        assert len(spellings) == len(set(spellings))
 
 
 class TestFixtureHarness:
@@ -158,7 +118,7 @@ class TestFixtureHarness:
 
     @pytest.mark.parametrize("rule_key", sorted(BUILTIN_RULES))
     def test_bad_fixture_fires_the_rule(self, rule_key):
-        rule = get_rule(rule_key)
+        rule = _rule(rule_key)
         path = _fixture(rule_key, "bad")
         findings = lint_source(
             path.read_text(encoding="utf-8"),
@@ -174,7 +134,7 @@ class TestFixtureHarness:
         path = _fixture(rule_key, "good")
         findings = lint_source(
             path.read_text(encoding="utf-8"),
-            path=path.as_posix(), rules=(get_rule(rule_key),),
+            path=path.as_posix(), rules=(_rule(rule_key),),
         )
         assert findings == [], f"{rule_key}: good fixture was flagged"
 
@@ -182,18 +142,34 @@ class TestFixtureHarness:
         source = 'if executor == "process":\n    pass\n'
         flagged = lint_source(
             source, path="src/repro/ncp/runner.py",
-            rules=(get_rule("no-stringly-dispatch"),),
+            rules=(_rule("no-stringly-dispatch"),),
         )
         exempt = lint_source(
             source, path="src/repro/dynamics.py",
-            rules=(get_rule("no-stringly-dispatch"),),
+            rules=(_rule("no-stringly-dispatch"),),
         )
         assert flagged and exempt == []
+
+    def test_private_registry_dicts_are_flagged_outside_the_registry(self):
+        source = (
+            'ppr = DYNAMICS._entries["ppr"]\n'
+            'serial = EXECUTORS._aliases["serial"]\n'
+            "kind = REFINERS._spec_types[spec_type]\n"
+        )
+        rules = (_rule("no-stringly-dispatch"),)
+        flagged = lint_source(
+            source, path="src/repro/ncp/runner.py", rules=rules
+        )
+        assert [f.line for f in flagged] == [1, 2, 3]
+        assert "_entries" in flagged[0].message
+        assert lint_source(
+            source, path="src/repro/_registry.py", rules=rules
+        ) == []
 
     def test_vocabulary_tracks_later_registrations(self):
         registry_vocabulary()  # a first read must not freeze the names
         source = 'if executor == "lint_probe_alias":\n    pass\n'
-        rules = (get_rule("no-stringly-dispatch"),)
+        rules = (_rule("no-stringly-dispatch"),)
         path = "src/repro/ncp/runner.py"
         probe_spec = dataclasses.make_dataclass(
             "LintProbeSpec", (), frozen=True
@@ -219,7 +195,7 @@ class TestPragmas:
     BAD_LINE = "picks = np.random.choice(graph, 3)"
 
     def test_line_pragma_suppresses(self):
-        rules = (get_rule("determinism-hazards"),)
+        rules = (_rule("determinism-hazards"),)
         assert lint_source(self.BAD_LINE + "\n", rules=rules)
         assert lint_source(
             self.BAD_LINE + "  # repro-lint: disable=determinism-hazards\n",
@@ -227,7 +203,7 @@ class TestPragmas:
         ) == []
 
     def test_pragma_accepts_aliases_and_codes(self):
-        rules = (get_rule("determinism-hazards"),)
+        rules = (_rule("determinism-hazards"),)
         for name in ("determinism", "R003", "all"):
             assert lint_source(
                 f"{self.BAD_LINE}  # repro-lint: disable={name}\n",
@@ -240,7 +216,7 @@ class TestPragmas:
             f"{self.BAD_LINE}\n"
         )
         findings = lint_source(
-            source, rules=(get_rule("determinism-hazards"),)
+            source, rules=(_rule("determinism-hazards"),)
         )
         assert [f.line for f in findings] == [2]
 
@@ -251,7 +227,7 @@ class TestPragmas:
             f"{self.BAD_LINE}\n"
         )
         assert lint_source(
-            source, rules=(get_rule("determinism-hazards"),)
+            source, rules=(_rule("determinism-hazards"),)
         ) == []
 
     def test_disable_file_pragma_must_be_near_the_top(self):
@@ -260,14 +236,14 @@ class TestPragmas:
             f"{self.BAD_LINE}\n"
         )
         findings = lint_source(
-            source, rules=(get_rule("determinism-hazards"),)
+            source, rules=(_rule("determinism-hazards"),)
         )
         assert findings
 
 
 class TestSelectionAndWalker:
     def test_select_rules_default_is_everything(self):
-        assert {r.key for r in select_rules()} == set(registered_rules())
+        assert select_rules() == RULES
 
     def test_select_and_ignore_compose(self):
         picked = select_rules("R001,executors", None)
@@ -305,54 +281,13 @@ class TestSelectionAndWalker:
         report = lint_paths([target])
         assert report.ok
         assert report.files_checked == 1
-        assert set(report.rules) == set(registered_rules())
-
-
-class TestBaseline:
-    def _finding(self, line, rule="exception-policy", path="pkg/mod.py"):
-        return LintFinding(
-            path=path, line=line, col=1, code="R004", rule=rule,
-            message="m", severity="error",
-        )
-
-    def test_apply_baseline_forgives_and_reports_stale(self):
-        findings = [self._finding(1), self._finding(2)]
-        baseline = {"pkg/mod.py::exception-policy": 3}
-        fresh, forgiven, stale = apply_baseline(findings, baseline)
-        assert fresh == []
-        assert len(forgiven) == 2
-        assert stale == {"pkg/mod.py::exception-policy": 1}
-
-    def test_apply_baseline_surfaces_new_findings(self):
-        findings = [self._finding(1), self._finding(2), self._finding(3)]
-        baseline = {"pkg/mod.py::exception-policy": 1}
-        fresh, forgiven, stale = apply_baseline(findings, baseline)
-        assert len(fresh) == 2 and len(forgiven) == 1 and stale == {}
-
-    def test_write_load_roundtrip(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        write_baseline(target, [self._finding(1), self._finding(9)])
-        assert load_baseline(target) == {
-            "pkg/mod.py::exception-policy": 2,
-        }
-
-    def test_load_rejects_missing_and_malformed(self, tmp_path):
-        with pytest.raises(InvalidParameterError):
-            load_baseline(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(InvalidParameterError):
-            load_baseline(bad)
-        wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps({"schema": "other/v9", "entries": {}}))
-        with pytest.raises(InvalidParameterError):
-            load_baseline(wrong)
+        assert report.rules == BUILTIN_RULES
 
 
 class TestOutputFormats:
     FINDING = LintFinding(
         path="src/x.py", line=3, col=7, code="R003",
-        rule="determinism-hazards", message="wall clock", severity="error",
+        rule="determinism-hazards", message="wall clock",
     )
 
     def test_human_format(self):
@@ -411,8 +346,8 @@ class TestLintCli:
     def test_list_documents_every_rule(self, capsys):
         assert main(["lint", "--list"]) == 0
         out = capsys.readouterr().out
-        for key, rule in registered_rules().items():
-            assert key in out
+        for rule in RULES:
+            assert rule.key in out
             assert rule.code in out
             assert rule.description.split(",")[0][:40] in out
 
@@ -439,47 +374,10 @@ class TestLintCli:
             for f in payload["findings"]
         )
 
-    def test_baseline_workflow(self, tmp_path, capsys):
-        bad = _fixture("cache-version-discipline", "bad")
-        baseline = tmp_path / "baseline.json"
-        # Write the baseline, then the same tree lints clean against it.
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline),
-            "--write-baseline",
-        ]) == 0
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-        # A new violation is NOT forgiven by the old baseline.
-        grown = tmp_path / "grown.py"
-        grown.write_text(
-            bad.read_text(encoding="utf-8")
-            + "\n\ndef another_cache_key(x):\n    return str(x)\n"
-        )
-        assert main([
-            "lint", str(grown), "--baseline", str(baseline),
-        ]) == 1
-
-    def test_stale_baseline_is_reported(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text('"""Clean."""\nVALUE = 1\n')
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "schema": "repro.analysis/lint-baseline/v1",
-            "entries": {f"{clean.as_posix()}::exception-policy": 2},
-        }))
-        assert main(["lint", str(clean), "--baseline", str(baseline)]) == 0
-        assert "stale by 2" in capsys.readouterr().out
-
     def test_repo_tree_is_clean(self):
         # The merged tree holds the acceptance bar: `repro lint src/`
-        # exits 0 with the committed (empty-or-shrinking) baseline.
-        baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
-        report = lint_paths(
-            [REPO_ROOT / "src"], baseline=baseline or None
-        )
+        # exits 0.
+        report = lint_paths([REPO_ROOT / "src"])
         assert report.ok, [f.format_human() for f in report.findings]
 
     def test_broken_pipe_exits_141(self):

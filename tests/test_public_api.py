@@ -6,17 +6,16 @@ or a renamed symbol fails loudly, not at a user's first import), asserts
 that every exported module/class/function carries a non-empty docstring,
 that every CLI subcommand and option carries help text, instantiates
 every registered dynamics — default spec, default grid, local point spec
-— through the registry, and holds all four registries (dynamics,
-refiners, lint rules, executors) to one contract through their
-public ``register_*`` / ``unregister_*`` / ``resolve_*_name`` /
-``get_*`` / ``registered_*`` functions.
+— through the registry, and holds all three registries (dynamics,
+refiners, executors) to one contract through their public
+``register_*`` / ``unregister_*`` / ``resolve_*_name`` / ``get_*`` /
+``registered_*`` functions.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
-import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -239,55 +238,42 @@ def test_every_registered_refiner_instantiates():
 def test_every_registered_lint_rule_instantiates(capsys):
     """CI satellite: the public-api-smoke job exercises every lint rule.
 
-    Each registry entry must resolve by key, code, and every alias,
-    describe itself, run its visitor over a trivial module without
+    Each rule in ``RULES`` must be selectable by key, code, and every
+    alias, describe itself, run its visitor over a trivial module without
     findings, appear in ``repro lint --list``, and the linter must exit
-    0 over the package source with the committed baseline.
+    0 over the package source.
     """
     from pathlib import Path
 
-    from repro.analysis import (
-        get_rule,
-        lint_paths,
-        lint_source,
-        load_baseline,
-        registered_rules,
-    )
+    from repro.analysis import RULES, lint_paths, lint_source, select_rules
     from repro.cli import main
 
-    rules = registered_rules()
-    assert set(rules) >= {
+    assert [rule.key for rule in RULES] == [
         "no-stringly-dispatch",
         "cache-version-discipline",
         "determinism-hazards",
         "exception-policy",
         "executor-discipline",
-    }
-    for key, rule in rules.items():
-        assert get_rule(key) is rule, key
-        assert get_rule(rule.code) is rule, key
-        for alias in rule.aliases:
-            assert get_rule(alias) is rule, (key, alias)
-        assert rule.description.strip(), key
-        assert lint_source("VALUE = 1\n", rules=(rule,)) == [], key
+    ]
+    for rule in RULES:
+        for name in (rule.key, rule.code, *rule.aliases):
+            assert select_rules(name) == (rule,), (rule.key, name)
+        assert rule.description.strip(), rule.key
+        assert lint_source("VALUE = 1\n", rules=(rule,)) == [], rule.key
 
     assert main(["lint", "--list"]) == 0
     listing = capsys.readouterr().out
-    for key, rule in rules.items():
-        assert key in listing and rule.code in listing, key
+    for rule in RULES:
+        assert rule.key in listing and rule.code in listing, rule.key
 
     # The merged tree lints clean: `python -m repro lint src/` exits 0.
     repo_root = Path(__file__).resolve().parents[1]
-    baseline = load_baseline(repo_root / "lint-baseline.json")
-    report = lint_paths([repo_root / "src"], baseline=baseline or None)
+    report = lint_paths([repo_root / "src"])
     assert report.ok, [f.format_human() for f in report.findings]
 
 
 class _ProbeSpec:
     """Spec-type base of the contract-test records."""
-
-
-_RULE_CODES = itertools.count(900)
 
 
 def _probe_spec_type(key):
@@ -314,15 +300,6 @@ def _refiner_record(key, aliases):
     )
 
 
-def _rule_record(key, aliases):
-    from repro.analysis import LintRule, RuleVisitor
-
-    return LintRule(
-        key=key, code=f"X{next(_RULE_CODES)}", description="contract probe",
-        visitor=RuleVisitor, aliases=aliases,
-    )
-
-
 def _executor_record(key, aliases):
     from repro.execution import ExecutorKind
 
@@ -330,17 +307,14 @@ def _executor_record(key, aliases):
                         aliases=aliases, spec_type=_probe_spec_type(key))
 
 
-# module, singular noun, plural noun, error class, record factory, and
-# whether records bind a spec type.
+# module, singular noun, plural noun, error class, record factory.
 REGISTRIES = {
     "dynamics": ("repro.dynamics", "dynamics", "dynamics",
-                 "UnknownDynamicsError", _dynamics_record, True),
+                 "UnknownDynamicsError", _dynamics_record),
     "refiner": ("repro.refine", "refiner", "refiners",
-                "UnknownRefinerError", _refiner_record, True),
-    "rule": ("repro.analysis", "rule", "rules", "UnknownRuleError",
-             _rule_record, False),
+                "UnknownRefinerError", _refiner_record),
     "executor": ("repro.execution", "executor", "executors",
-                 "UnknownExecutorError", _executor_record, True),
+                 "UnknownExecutorError", _executor_record),
 }
 
 PROBE = "contract-probe"
@@ -349,7 +323,7 @@ PROBE = "contract-probe"
 @pytest.fixture(params=sorted(REGISTRIES))
 def registry(request):
     """One registry's public functions, with a probe record registered."""
-    module_name, one, many, error, make, specs = REGISTRIES[request.param]
+    module_name, one, many, error, make = REGISTRIES[request.param]
     module = importlib.import_module(module_name)
     api = SimpleNamespace(
         register=getattr(module, f"register_{one}"),
@@ -359,7 +333,6 @@ def registry(request):
         registered=getattr(module, f"registered_{many}"),
         error=getattr(module, error),
         make=make,
-        specs=specs,
     )
     api.probe = api.register(make(PROBE, ("probe_alias",)))
     yield api
@@ -368,7 +341,7 @@ def registry(request):
 
 
 class TestRegistryContract:
-    """The contract every registry keeps, checked on all four."""
+    """The contract every registry keeps, checked on all three."""
 
     def test_normalized_names_and_aliases_resolve(self, registry):
         for spelling in (PROBE, " Contract_Probe ", "PROBE-ALIAS"):
@@ -415,15 +388,13 @@ class TestRegistryContract:
         assert registry.get("probe_alias") is registry.probe
 
     def test_spec_types_resolve_exactly(self, registry):
-        stranger = object()
-        if registry.specs:
-            spec_type = registry.probe.spec_type
-            assert registry.get(spec_type) is registry.probe
-            assert registry.get(spec_type()) is registry.probe
-            # A subclass is its own entry and must be registered itself.
-            stranger = type("Derived", (spec_type,), {})()
-        with pytest.raises(registry.error):
-            registry.resolve(stranger)
+        spec_type = registry.probe.spec_type
+        assert registry.get(spec_type) is registry.probe
+        assert registry.get(spec_type()) is registry.probe
+        # A subclass is its own entry and must be registered itself.
+        for stranger in (type("Derived", (spec_type,), {})(), object()):
+            with pytest.raises(registry.error):
+                registry.resolve(stranger)
 
 
 def test_facade_and_subpackage_exports_agree():
@@ -468,7 +439,7 @@ def test_no_public_callable_chooses_a_backend():
     assert takers <= NUMPY_ONLY_BACKEND, takers
 
 
-def test_exactly_four_registries():
+def test_exactly_three_registries():
     import pkgutil
 
     import repro
@@ -482,9 +453,7 @@ def test_exactly_four_registries():
         for value in vars(module).values():
             if isinstance(value, Registry):
                 nouns[id(value)] = value.noun
-    assert sorted(nouns.values()) == [
-        "dynamics", "executor", "lint rule", "refiner",
-    ]
+    assert sorted(nouns.values()) == ["dynamics", "executor", "refiner"]
 
 
 def _loaded_modules_after(code, prefixes):
