@@ -29,8 +29,10 @@ from repro.analysis.findings import LintFinding
 
 __all__ = ["ModuleContext", "RuleVisitor", "run_rules"]
 
+# The rule list ends at a ``--`` justification or at the next ``#``; a
+# single ``-`` still belongs to a rule name such as ``exception-policy``.
 _PRAGMA_RE = re.compile(
-    r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*([\w,\s._-]+)"
+    r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*((?:[\w,\s.]|-(?!-))+)"
 )
 
 # disable-file pragmas must appear near the top of the module, so a

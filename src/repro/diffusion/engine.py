@@ -44,9 +44,16 @@ thus costs its pushed volume plus ``candidates × B``, the output-sized
 work of Section 3.3. The heat-kernel stages are held the same way, as
 (support rows, values). Only a frontier holding a quarter of the arcs
 switches a sweep or stage to one sparse matmul over the whole adjacency,
-the cheaper schedule once the support saturates the graph. The outputs
-are still dense ``(n, B)`` matrices, so memory is ``O(n B)``; shard the
-columns for very large ``n × B``.
+the cheaper schedule once the support saturates the graph.
+
+The outputs are dense ``(n, B)`` matrices, so memory is ``O(n B)``;
+shard the columns for very large ``n × B``.  Each result also names its
+``support``: the ascending rows where any column can be nonzero (the
+rows ever pushed, or the rows a heat-kernel stage ever kept), found once
+per batch.  The NCP pipeline reads every column on that support only, as
+a ``(rows, values)`` pair (``support_columns`` of the specs in
+:mod:`repro.dynamics`), so its per-column sweep never touches the other
+``n - |support|`` rows.
 """
 
 from __future__ import annotations
@@ -87,6 +94,9 @@ class BatchPushResult:
         ``b`` (entrywise underestimate of the exact PPR).
     residual:
         ``(n, B)`` matrix of final residuals (``r_u < ε_b d_u``).
+    support:
+        Ascending rows pushed in any column, every row after a wide
+        sweep; ``approximation`` is zero on all other rows.
     seed_indices:
         ``(B,)`` index into the ``seeds`` argument for each column.
     alphas:
@@ -107,6 +117,7 @@ class BatchPushResult:
 
     approximation: np.ndarray
     residual: np.ndarray
+    support: np.ndarray
     seed_indices: np.ndarray
     alphas: np.ndarray
     epsilons: np.ndarray
@@ -293,6 +304,9 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     # Built on the first wide sweep only: a run that stays narrow never
     # pays for an O(n B) threshold matrix or an O(m) sparse matrix.
     thresholds = adjacency = None
+    # Rows pushed so far, in any column; ``None`` once a wide sweep has
+    # made every row part of the output's support.
+    ever_pushed = np.zeros(n, dtype=bool)
 
     num_pushes = np.zeros(num_columns, dtype=np.int64)
     work = np.zeros(num_columns, dtype=np.int64)
@@ -342,7 +356,7 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             approximation += alpha_col * pushed
             spread = adjacency @ (pushed / (2.0 * degrees[:, None]))
             residual += (1.0 - alpha_col) * spread + retained * pushed - pushed
-            candidates = None
+            candidates = ever_pushed = None
         else:
             # Narrow sweep: gather only the frontier's CSR slices and
             # scatter-add through one bincount over the distinct arc
@@ -361,6 +375,8 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             residual[targets] += spread
             residual[rows] += retained * pushed
             candidates = _sorted_union(rows, targets)
+            if ever_pushed is not None:
+                ever_pushed[rows] = True
 
         if np.any(num_pushes > push_caps):
             worst = int(np.argmax(num_pushes - push_caps))
@@ -372,6 +388,10 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     return BatchPushResult(
         approximation=approximation,
         residual=residual,
+        support=(
+            np.arange(n) if ever_pushed is None
+            else np.flatnonzero(ever_pushed)
+        ),
         seed_indices=seed_idx,
         alphas=alpha_col,
         epsilons=eps_col,
@@ -396,6 +416,9 @@ class BatchHeatKernelResult:
         ``(n, B)`` matrix; column ``b`` approximates
         ``exp(-t_b (I − M)) s_b`` with the same per-stage ε·d rounding as
         the scalar :func:`repro.diffusion.hk_push.heat_kernel_push`.
+    support:
+        Ascending rows some stage kept in any column; ``approximation``
+        is zero on all other rows.
     seed_indices:
         ``(B,)`` index into the ``seeds`` argument for each column.
     ts:
@@ -419,6 +442,7 @@ class BatchHeatKernelResult:
     """
 
     approximation: np.ndarray
+    support: np.ndarray
     seed_indices: np.ndarray
     ts: np.ndarray
     epsilons: np.ndarray
@@ -723,6 +747,7 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     tail = np.tile(np.repeat(tail_by_t, num_eps), num_seeds)
     return BatchHeatKernelResult(
         approximation=approximation,
+        support=reached,
         seed_indices=seed_idx,
         ts=t_col,
         epsilons=eps_col,

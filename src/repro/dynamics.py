@@ -15,9 +15,11 @@ Three layers:
   dataclasses holding the aggressiveness axis of one dynamics
   (``alpha`` / ``t`` / ``steps`` + ``walk_alpha``).  Each spec knows its
   grid axes, its default truncation thresholds, how to produce its
-  diffusion columns, and how to drive a local cluster from a seed.  A
-  spec with a single-point axis doubles as a point parameter for the
-  seed → cluster drivers.
+  diffusion columns (``support_columns``, each column as the
+  ``(rows, values)`` pair of its support, which the NCP sweep reads;
+  ``iter_columns`` densifies the same columns), and how to drive a local
+  cluster from a seed.  A spec with a single-point axis doubles as a
+  point parameter for the seed → cluster drivers.
 * **Grids** — :class:`DiffusionGrid`: a spec × epsilons × seed-sampling
   plan, the one workload description every NCP entry point takes.
 * **The registry** — :class:`DynamicsKind` entries pair the NCP-side
@@ -99,7 +101,8 @@ def _batched_columns(graph, seed_nodes, grid_size, run_batch):
     """Yield every column of ``run_batch`` over budget-sized seed chunks.
 
     ``run_batch(vectors)`` runs one batched engine call; columns come out
-    in its (seed, axis, epsilon) order, seed slowest.
+    in its (seed, axis, epsilon) order, seed slowest, each as the
+    ``(rows, values)`` pair over the batch's ``support``.
     """
     seed_nodes = list(seed_nodes)
     chunk = max(
@@ -109,8 +112,16 @@ def _batched_columns(graph, seed_nodes, grid_size, run_batch):
         batch = run_batch([
             _seed_vector(graph, s) for s in seed_nodes[start:start + chunk]
         ])
+        rows = batch.support
         for b in range(batch.num_columns):
-            yield batch.approximation[:, b]
+            yield rows, batch.approximation[rows, b]
+
+
+def _dense(n, rows, values):
+    """The length-``n`` vector holding ``values`` at ``rows``, else 0.0."""
+    column = np.zeros(n)
+    column[rows] = values
+    return column
 
 
 class UnknownDynamicsError(InvalidParameterError, KeyError):
@@ -142,8 +153,20 @@ class _SpecBase:
     key), ``candidate_label`` (``ClusterCandidate.method`` value),
     ``local_method`` (``LocalClusterResult.method`` value) and
     ``default_epsilons``, plus ``grid_params`` / ``from_grid_params`` /
-    ``iter_columns`` / ``local_sweep_vectors``.
+    ``support_columns`` / ``local_sweep_vectors``.
     """
+
+    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
+        """Iterate the dense length-``n`` vector of every grid column.
+
+        The columns of :meth:`support_columns`, in its order, each
+        scattered into a fresh zero vector.  ``backend`` may only be
+        ``None`` or ``"numpy"``.
+        """
+        check_numpy_backend(backend)
+        columns = self.support_columns(graph, seed_nodes, epsilons=epsilons)
+        return (_dense(graph.num_nodes, rows, values)
+                for rows, values in columns)
 
     def grid_axes(self):
         """Ordered mapping of swept axis name -> tuple of values."""
@@ -206,15 +229,14 @@ class PPR(_SpecBase):
     def from_grid_params(cls, params):
         return cls(alpha=params["alphas"])
 
-    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
-        """Iterate one diffusion vector per (seed, alpha, epsilon) point.
+    def support_columns(self, graph, seed_nodes, *, epsilons):
+        """Iterate one diffusion column per (seed, alpha, epsilon) point.
 
         Columns enumerate seed (slowest) x alpha x epsilon (fastest),
         batched per seed chunk through
-        :func:`~repro.diffusion.engine.batch_ppr_push`.  ``backend`` may
-        only be ``None`` or ``"numpy"``.
+        :func:`~repro.diffusion.engine.batch_ppr_push`; each is the
+        ``(rows, values)`` pair over the rows its batch ever pushed.
         """
-        check_numpy_backend(backend)
         epsilons = tuple(epsilons)
         return _batched_columns(
             graph, seed_nodes, self.grid_size(epsilons),
@@ -262,14 +284,14 @@ class HeatKernel(_SpecBase):
     def from_grid_params(cls, params):
         return cls(t=params["ts"])
 
-    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
-        """Iterate one diffusion vector per (seed, t, epsilon) grid point.
+    def support_columns(self, graph, seed_nodes, *, epsilons):
+        """Iterate one diffusion column per (seed, t, epsilon) grid point.
 
         Batched per seed chunk through
-        :func:`~repro.diffusion.engine.batch_hk_push`.  ``backend`` may
-        only be ``None`` or ``"numpy"``.
+        :func:`~repro.diffusion.engine.batch_hk_push`; each is the
+        ``(rows, values)`` pair over the rows any stage of its batch
+        kept.
         """
-        check_numpy_backend(backend)
         epsilons = tuple(epsilons)
         return _batched_columns(
             graph, seed_nodes, self.grid_size(epsilons),
@@ -341,18 +363,15 @@ class LazyWalk(_SpecBase):
     def grid_size(self, epsilons):
         return len(self.steps) * len(tuple(epsilons))
 
-    def iter_columns(self, graph, seed_nodes, *, epsilons, backend=None):
-        """Iterate one charge vector per (seed, epsilon, step) grid point.
+    def support_columns(self, graph, seed_nodes, *, epsilons):
+        """Iterate one charge column per (seed, epsilon, step) grid point.
 
         The walk is run once to the largest requested step count per
         (seed, epsilon); the prefix trajectory supplies every smaller
-        step count for free, in sorted-unique order.  ``backend`` may
-        only be ``None`` or ``"numpy"``.
+        step count for free, in sorted-unique order.  Each column is the
+        ``(rows, values)`` pair over its nonzero charge.
         """
-        check_numpy_backend(backend)
-        return self._walk_columns(graph, seed_nodes, tuple(epsilons))
-
-    def _walk_columns(self, graph, seed_nodes, epsilons):
+        epsilons = tuple(epsilons)
         wanted = sorted(set(self.steps))
         horizon = wanted[-1]
         for seed_node in seed_nodes:
@@ -363,7 +382,9 @@ class LazyWalk(_SpecBase):
                     alpha=self.walk_alpha, keep_trajectory=True,
                 )
                 for k in wanted:
-                    yield walk.trajectory[k]
+                    charge = walk.trajectory[k]
+                    rows = np.flatnonzero(charge)
+                    yield rows, charge[rows]
 
     def local_sweep_vectors(self, graph, seed_vector, *, epsilon):
         """Sweep the charge after every step, as Nibble does."""

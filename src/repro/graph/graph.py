@@ -53,9 +53,18 @@ class Graph:
     -----
     Prefer the builders (:func:`repro.graph.build.from_edges` and friends)
     over calling this constructor directly.
+
+    The arrays are taken without copying.  ``total_volume`` is computed
+    once.  :func:`repro.ncp.runner.graph_fingerprint` memoizes its digest
+    on the graph only while all three CSR arrays own their data and are
+    read-only, as the builders' arrays do; a graph over a view of a
+    writable array, a memmap or shared memory is hashed on every call.
     """
 
-    __slots__ = ("_indptr", "_indices", "_weights", "_degrees")
+    __slots__ = (
+        "_indptr", "_indices", "_weights", "_degrees", "_total_volume",
+        "_fingerprint",
+    )
 
     def __init__(self, indptr, indices, weights, *, validate=True):
         self._indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -89,6 +98,9 @@ class Graph:
                     self._weights):
             if arr.flags.writeable:
                 arr.setflags(write=False)
+        self._total_volume = float(self._degrees.sum())
+        # Memo of :func:`repro.ncp.runner.graph_fingerprint`.
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # Validation
@@ -172,7 +184,7 @@ class Graph:
     @property
     def total_volume(self):
         """Total volume ``vol(V) = sum_i d_i = 2 * total edge weight``."""
-        return float(self._degrees.sum())
+        return self._total_volume
 
     def __len__(self):
         return self.num_nodes

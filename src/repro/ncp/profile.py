@@ -39,10 +39,10 @@ import numpy as np
 
 from repro._validation import as_rng, check_int, check_numpy_backend
 from repro.dynamics import get_dynamics
-from repro.exceptions import PartitionError
+from repro.exceptions import InvalidParameterError, PartitionError
 from repro.partition.metrics import conductance
 from repro.partition.multilevel import recursive_bisection_clusters
-from repro.partition.sweep import sweep_cut
+from repro.partition.sweep import sweep_support
 from repro.refine import (
     apply_refiners,
     as_pipeline,
@@ -119,16 +119,23 @@ def _sample_seed_nodes(graph, num_seeds, rng):
     )
 
 
-def _record_sweep_candidates(graph, approximation, candidates, method,
+def _record_sweep_candidates(graph, rows, values, candidates, method,
                              max_cluster_size):
-    """Sweep a diffusion output and record best-per-octave candidates."""
-    support = np.flatnonzero(approximation > 0)
+    """Sweep one diffusion column and record best-per-octave candidates.
+
+    The column is ``values`` at the ascending nodes ``rows`` and 0.0
+    everywhere else, so its positive entries, the sweep's support, are
+    found without touching the other nodes.
+    """
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError("scores must contain only finite values")
+    positive = values > 0
+    support = rows[positive]
     if support.size < 2:
         return
     try:
-        sweep = sweep_cut(
-            graph, approximation, degree_normalize=True,
-            restrict_to=support, max_size=max_cluster_size,
+        sweep = sweep_support(
+            graph, support, values[positive], max_size=max_cluster_size
         )
     except PartitionError:
         return
@@ -184,17 +191,19 @@ def grid_candidates_for_seed_nodes(graph, seed_nodes, spec, *, epsilons,
     The sharding entry point used by :mod:`repro.ncp.runner`: the caller
     controls exactly which seed nodes this invocation covers, so grid
     chunks can be distributed across processes and merged
-    deterministically.  Dispatch is fully generic — the spec provides the
-    diffusion columns, this function sweeps them.  ``backend`` may only be
-    ``None`` or ``"numpy"``.
+    deterministically.  Dispatch is fully generic — the spec's
+    ``support_columns`` provides each diffusion column as its support and
+    the values there, and this function sweeps that support only.
+    ``backend`` may only be ``None`` or ``"numpy"``.
     """
     check_numpy_backend(backend)
     get_dynamics(spec)  # raises UnknownDynamicsError for foreign specs
     label = spec.candidate_label
     candidates = []
-    for scores in spec.iter_columns(graph, seed_nodes, epsilons=epsilons):
+    columns = spec.support_columns(graph, seed_nodes, epsilons=epsilons)
+    for rows, values in columns:
         _record_sweep_candidates(
-            graph, scores, candidates, label, max_cluster_size
+            graph, rows, values, candidates, label, max_cluster_size
         )
     return candidates
 

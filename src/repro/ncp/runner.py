@@ -300,12 +300,30 @@ def graph_fingerprint(graph):
     to the same graph built in memory with int64 indices — while the
     per-array length framing means no byte sequence can alias across an
     array boundary.
+
+    The digest is memoized on the graph, so a second call costs nothing,
+    but only while the three CSR arrays own their data and are read-only
+    (``flags.owndata and not flags.writeable``), as the builders' arrays
+    are.  A graph over a view of a writable array, a memmap or a
+    shared-memory segment can change under it, so it is hashed anew on
+    every call.
     """
+    # A view, a memmap or a shared-memory array does not own its data,
+    # and a writable one can be changed through the graph's own array.
+    frozen = all(
+        arr.flags.owndata and not arr.flags.writeable
+        for arr in (graph.indptr, graph.indices, graph.weights)
+    )
+    if frozen and graph._fingerprint is not None:
+        return graph._fingerprint
     digest = hashlib.sha256()
     _fingerprint_array(digest, "indptr", graph.indptr, "<i8")
     _fingerprint_array(digest, "indices", graph.indices, "<i8")
     _fingerprint_array(digest, "weights", graph.weights, "<f8")
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    if frozen:
+        graph._fingerprint = fingerprint
+    return fingerprint
 
 
 def _grid_params(grid, graph):

@@ -5,9 +5,12 @@ return the prefix of minimum conductance. This is the rounding step shared by
 every spectral method in the paper — global (Section 3.2), locally-biased
 (Problem (8)), and strongly local (Section 3.3). The incremental update makes
 a full sweep cost ``O(m + n log n)``; the scan vectorizes that incremental
-update into a single bincount/cumsum pass over the CSR arrays.  The
-node-at-a-time loop it replaced stays beside it as the private parity
-oracle the tests compare against.
+update into a single bincount/cumsum pass over the arcs of the swept
+prefix, so a local sweep costs its prefix's arcs, never ``O(n)``.
+:func:`sweep_support` takes a vector as its support and the values there,
+the form the NCP pipeline hands each diffusion column over in.  The
+node-at-a-time loop the scan replaced stays beside it as the private
+parity oracle the tests compare against.
 
 Conventions: diffusion outputs are degree-normalized before ordering
 (``p_u / d_u``), which is the ordering for which the Cheeger-style guarantees
@@ -108,6 +111,38 @@ def sweep_cut(graph, scores, *, degree_normalize=True, restrict_to=None,
     else:
         candidates = np.arange(graph.num_nodes)
     order = candidates[np.argsort(-keys[candidates], kind="stable")]
+    return _sweep_order(graph, order, max_size, max_volume, min_size)
+
+
+def sweep_support(graph, support, scores, *, max_size=None):
+    """Degree-normalized sweep over a vector's support.
+
+    ``scores[i]`` is the score of node ``support[i]``; ``support`` is
+    ascending and every node outside it is never swept.  The result is
+    bitwise that of ``sweep_cut(graph, dense, restrict_to=support)`` for
+    the length-``n`` vector ``dense`` holding ``scores`` at ``support``:
+    the keys are the same quotients and the stable sort sees them in the
+    same order.  The cost is ``O(|support| log |support|)`` plus the
+    swept prefix's arcs, independent of ``n``.
+
+    Raises
+    ------
+    PartitionError
+        On an empty support or a support node without positive degree.
+    """
+    support = np.asarray(support, dtype=np.int64)
+    if support.size == 0:
+        raise PartitionError("restrict_to must be nonempty")
+    degrees = graph.degrees[support]
+    if np.any(degrees <= 0):
+        raise PartitionError("degree normalization needs positive degrees")
+    keys = np.asarray(scores, dtype=float) / degrees
+    order = support[np.argsort(-keys, kind="stable")]
+    return _sweep_order(graph, order, max_size, None, 1)
+
+
+def _sweep_order(graph, order, max_size, max_volume, min_size):
+    """Scan the prefixes of ``order`` and return the best as a result."""
     if max_size is None:
         max_size = order.size
     max_size = min(max_size, order.size)
@@ -157,7 +192,8 @@ def _prefix_scan(graph, order, max_size, max_volume, min_size):
     internal at step ``max(rank(u), rank(v))``; a bincount over that step
     index plus a cumulative sum reproduces the scalar scan's incremental
     ``cut``/``volume`` updates without the per-edge Python loop. Ties are
-    broken identically to the scalar scan (first minimum wins).
+    broken identically to the scalar scan (first minimum wins).  Only the
+    prefix's arcs are read, so the scan costs ``O(prefix arcs)``.
     """
     degrees = graph.degrees
     total_volume = graph.total_volume
@@ -169,14 +205,18 @@ def _prefix_scan(graph, order, max_size, max_volume, min_size):
     prefix = order[:limit].astype(np.int64)
     volumes = np.cumsum(degrees[prefix])
 
-    rank = np.full(n, limit, dtype=np.int64)
+    # Rank lookup through an unfilled length-n scratch map: it is written
+    # at the prefix only, and a read counts only when the prefix node at
+    # the (clipped) rank read is the arc target itself, so no O(n) fill.
+    rank = np.empty(n, dtype=np.int64)
     rank[prefix] = np.arange(limit)
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     arc_positions, counts = gather_csr_arcs(indptr, prefix)
     if arc_positions.size:
         src_rank = np.repeat(np.arange(limit), counts)
-        dst_rank = rank[indices[arc_positions]]
-        internal = dst_rank < limit
+        targets = indices[arc_positions]
+        dst_rank = np.clip(rank[targets], 0, limit - 1)
+        internal = prefix[dst_rank] == targets
         step = np.maximum(src_rank[internal], dst_rank[internal])
         # Each internal undirected edge contributes two arcs with the same
         # step, so this bincount accumulates exactly 2 x internal weight.

@@ -66,15 +66,21 @@ def pytest_configure(config):
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
+def _on_support(column):
+    """A dense column as the ``(rows, values)`` pair of its support."""
+    rows = np.flatnonzero(column)
+    return rows, column[rows]
+
+
 def _scalar_ppr_columns(spec, graph, seed_nodes, *, epsilons):
     """PPR grid columns, one single-column FIFO push at a time."""
     for seed_node in seed_nodes:
         vector = degree_weighted_indicator_seed(graph, [int(seed_node)])
         for alpha in spec.alpha:
             for epsilon in epsilons:
-                yield approximate_ppr_push(
+                yield _on_support(approximate_ppr_push(
                     graph, vector, alpha=alpha, epsilon=epsilon
-                ).approximation
+                ).approximation)
 
 
 def _scalar_hk_columns(spec, graph, seed_nodes, *, epsilons):
@@ -83,9 +89,9 @@ def _scalar_hk_columns(spec, graph, seed_nodes, *, epsilons):
         vector = degree_weighted_indicator_seed(graph, [int(seed_node)])
         for t in spec.t:
             for epsilon in epsilons:
-                yield heat_kernel_push(
+                yield _on_support(heat_kernel_push(
                     graph, vector, t, epsilon=epsilon
-                ).approximation
+                ).approximation)
 
 
 @contextlib.contextmanager
@@ -96,10 +102,12 @@ def _scalar_oracles():
     time, the truncated walk spreads one node at a time, and every sweep
     runs the node-at-a-time prefix scan — the same column order and
     tie-breaking as the numpy path, so whole pipelines can be compared.
+    The grids are swapped at ``support_columns``, the entry point the NCP
+    pipeline drains; ``iter_columns`` densifies it, so it follows.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PPR, "iter_columns", _scalar_ppr_columns)
-        patch.setattr(HeatKernel, "iter_columns", _scalar_hk_columns)
+        patch.setattr(PPR, "support_columns", _scalar_ppr_columns)
+        patch.setattr(HeatKernel, "support_columns", _scalar_hk_columns)
         patch.setattr(
             truncated_walk, "_walk_step", truncated_walk._walk_step_scalar
         )

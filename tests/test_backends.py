@@ -22,6 +22,7 @@ from repro.ncp.runner import (
     _chunk_cache_key,
     run_ncp_ensemble,
 )
+from repro.partition import sweep
 from repro.partition.sweep import _prefix_scan_scalar, sweep_cut
 
 
@@ -93,6 +94,35 @@ class TestBackendParityHarness:
             assert candidate_signature(got) == candidate_signature(
                 reference
             )
+
+    @pytest.mark.parametrize("spec_type", [PPR, HeatKernel],
+                             ids=["ppr", "hk"])
+    def test_oracle_swap_reaches_the_pipeline(self, whiskered, spec_type,
+                                              scalar_oracles):
+        # The fixture must patch the entry point ``run_ncp_ensemble``
+        # drains, or the parity test above compares numpy with numpy.
+        numpy_columns = spec_type.support_columns
+        hits = []
+        with scalar_oracles(), pytest.MonkeyPatch.context() as patch:
+            oracle = spec_type.support_columns
+            oracle_scan = sweep._prefix_scan
+            assert oracle is not numpy_columns
+            assert oracle_scan is sweep._prefix_scan_scalar
+
+            def sentinel(spec, *args, **kwargs):
+                hits.append("columns")
+                return oracle(spec, *args, **kwargs)
+
+            def scan_sentinel(*args):
+                hits.append("scan")
+                return oracle_scan(*args)
+
+            patch.setattr(spec_type, "support_columns", sentinel)
+            patch.setattr(sweep, "_prefix_scan", scan_sentinel)
+            run = run_ncp_ensemble(
+                whiskered, DiffusionGrid(spec_type(), num_seeds=2, seed=0)
+            )
+        assert {"columns", "scan"} <= set(hits) and run.candidates
 
     def test_sweep_scan_matches_the_reference_scan(self, whiskered):
         rng = np.random.default_rng(5)

@@ -631,7 +631,7 @@ class TestEnginePerformanceRegression:
 
     The single engine-speed check in the repository: every canonical
     dynamics' full grid on the AtP-DBLP reference graph, drained through
-    the same ``spec.iter_columns`` entry point the NCP pipeline uses,
+    the same ``spec.support_columns`` entry point the NCP pipeline uses,
     once on the numpy kernels and once on the scalar oracles.  End-to-end
     pipeline numbers come from perfbench.
     """
@@ -655,7 +655,7 @@ class TestEnginePerformanceRegression:
 
         def best_seconds(spec):
             def drain(seeds):
-                for _column in spec.iter_columns(
+                for _column in spec.support_columns(
                     graph, seeds, epsilons=self.EPSILONS
                 ):
                     pass

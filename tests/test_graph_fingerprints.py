@@ -9,10 +9,15 @@ downstream result and must be deliberate.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.datasets import lfr_graph, load_graph, rmat_graph
-from repro.ncp.runner import graph_fingerprint
+from repro.dynamics import PPR, DiffusionGrid
+from repro.graph.generators import ring_of_cliques
+from repro.graph.graph import Graph
+from repro.ncp import runner
+from repro.ncp.runner import graph_fingerprint, run_ncp_ensemble
 
 PINNED = {
     "atp-0": (
@@ -37,4 +42,38 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_generated_graph_fingerprint_is_pinned(name):
     build, expected = PINNED[name]
-    assert graph_fingerprint(build()) == expected
+    graph = build()
+    assert graph_fingerprint(graph) == expected
+    # The second call is served from the memo, with the same digest.
+    assert graph_fingerprint(graph) == expected
+
+
+class TestFingerprintMemo:
+    def test_runner_hashes_a_built_graph_once(self, monkeypatch):
+        graph = ring_of_cliques(4, 5)
+        hashed = []
+
+        def spy(digest, tag, array, canonical):
+            hashed.append(tag)
+            return fingerprint_array(digest, tag, array, canonical)
+
+        fingerprint_array = runner._fingerprint_array
+        monkeypatch.setattr(runner, "_fingerprint_array", spy)
+        grid = DiffusionGrid(PPR(alpha=(0.1,)), epsilons=(1e-3,),
+                             num_seeds=2, seed=0)
+        first = run_ncp_ensemble(graph, grid)
+        second = run_ncp_ensemble(graph, grid)
+        assert hashed == ["indptr", "indices", "weights"]
+        assert first.fingerprint == second.fingerprint
+
+    def test_graph_over_a_writable_base_is_hashed_every_call(self):
+        # A path 0 - 1 - 2 whose weights are a view of a caller array the
+        # graph cannot freeze: mutating the base must move the digest.
+        base = np.array([1.0, 1.0, 1.0, 1.0])
+        graph = Graph(
+            np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), base[:],
+            validate=False,
+        )
+        before = graph_fingerprint(graph)
+        base[0] = 2.0
+        assert graph_fingerprint(graph) != before

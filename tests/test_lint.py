@@ -210,6 +210,19 @@ class TestPragmas:
                 rules=rules,
             ) == [], name
 
+    def test_pragma_allows_a_trailing_justification(self):
+        # The form the visitor docstring documents: the rule list stops
+        # at ``--``, so the justification is not read as a rule name.
+        rules = (_rule("determinism-hazards"),)
+        bad = "np.random.choice(g, 3)"
+        assert lint_source(
+            f"{bad}  # repro-lint: disable=determinism -- why it is ok\n",
+            rules=rules,
+        ) == []
+        assert [f.code for f in lint_source(bad + "\n", rules=rules)] == [
+            "R003"
+        ]
+
     def test_pragma_only_covers_its_line(self):
         source = (
             f"{self.BAD_LINE}  # repro-lint: disable=determinism\n"
