@@ -7,8 +7,10 @@ Data Analysis" (arXiv:1203.0786).
 Subpackages
 -----------
 ``repro.api``
-    The one-stop typed facade: specs, grids, registry, ensembles, local
-    clustering, verification.
+    The one public facade: graphs, specs, grids, registries, ensembles,
+    local clustering, verification and the error types. Its ``__all__``
+    is the package's only hand-written export list; ``repro`` re-exports
+    every name in it, so ``repro.PPR is repro.api.PPR``.
 ``repro.cli``
     The ``python -m repro`` workbench: datasets / ncp / cluster / lint
     subcommands over the facade; every run that produces files writes
@@ -57,60 +59,9 @@ from repro import core, datasets, diffusion, dynamics, graph
 from repro import execution
 from repro import linalg, ncp, partition, refine, regularization
 from repro import api
-from repro.core.framework import canonical_dynamics, verify_paper_theorem
-from repro.datasets.suite import UnknownGraphError, load_any_graph
-from repro.diffusion.engine import (
-    BatchPushResult,
-    batch_ppr_push,
-    ppr_push_frontier,
-)
-from repro.dynamics import (
-    DiffusionGrid,
-    DynamicsKind,
-    HeatKernel,
-    LazyWalk,
-    PPR,
-    UnknownDynamicsError,
-    get_dynamics,
-)
-from repro.execution import (
-    Chaos,
-    ChunkExecutionError,
-    ExecutorKind,
-    FaultPlan,
-    RetryPolicy,
-    UnknownExecutorError,
-    get_executor,
-    register_executor,
-    registered_executors,
-    unregister_executor,
-)
-from repro.exceptions import (
-    ConvergenceError,
-    DisconnectedGraphError,
-    EmptyGraphError,
-    ExperimentError,
-    FlowError,
-    GraphError,
-    InvalidParameterError,
-    PartitionError,
-    ReproError,
-)
-from repro.graph.build import from_edges
-from repro.graph.graph import Graph
-from repro.ncp.profile import cluster_ensemble_ncp
-from repro.ncp.runner import run_ncp_ensemble
-from repro.partition.local import local_cluster
-from repro.refine import (
-    FlowImprove,
-    MOV,
-    MQI,
-    Pipeline,
-    UnknownRefinerError,
-    get_refiner,
-)
+from repro.api import *  # noqa: F401,F403 -- the facade, re-exported whole
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 
 def __getattr__(name):
@@ -122,63 +73,21 @@ def __getattr__(name):
         return importlib.import_module("repro.cli")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 __all__ = [
-    "BatchPushResult",
-    "Chaos",
-    "ChunkExecutionError",
-    "ConvergenceError",
-    "DiffusionGrid",
-    "DisconnectedGraphError",
-    "DynamicsKind",
-    "EmptyGraphError",
-    "ExecutorKind",
-    "ExperimentError",
-    "FaultPlan",
-    "FlowError",
-    "FlowImprove",
-    "Graph",
-    "GraphError",
-    "HeatKernel",
-    "InvalidParameterError",
-    "LazyWalk",
-    "MOV",
-    "MQI",
-    "PPR",
-    "PartitionError",
-    "Pipeline",
-    "ReproError",
-    "RetryPolicy",
-    "UnknownDynamicsError",
-    "UnknownExecutorError",
-    "UnknownGraphError",
-    "UnknownRefinerError",
+    *api.__all__,
     "__version__",
     "api",
-    "batch_ppr_push",
-    "canonical_dynamics",
     "cli",
-    "cluster_ensemble_ncp",
     "core",
     "datasets",
     "diffusion",
     "dynamics",
     "execution",
-    "from_edges",
-    "get_dynamics",
-    "get_executor",
-    "get_refiner",
     "graph",
     "linalg",
-    "load_any_graph",
-    "local_cluster",
     "ncp",
     "partition",
-    "ppr_push_frontier",
     "refine",
-    "register_executor",
-    "registered_executors",
     "regularization",
-    "run_ncp_ensemble",
-    "unregister_executor",
-    "verify_paper_theorem",
 ]

@@ -1,8 +1,12 @@
-"""``repro.api`` — the one-stop typed facade over the unified dynamics.
+"""``repro.api`` — the one public facade of the package.
 
-Everything a downstream user needs to run the paper's three canonical
-diffusion dynamics — and any newly registered one — through one
-vocabulary:
+This module holds the only hand-written export list; :mod:`repro`
+re-exports it unchanged, so ``repro.X`` and ``repro.api.X`` are the same
+object for every name below. Everything a downstream user needs to run
+the paper's three canonical diffusion dynamics — and any newly
+registered one — through one vocabulary:
+
+* **Graphs** — :class:`Graph` and :func:`from_edges`.
 
 * **Specs & grids** — :class:`PPR`, :class:`HeatKernel`, :class:`LazyWalk`,
   :class:`DiffusionGrid`; the registry (:func:`get_dynamics`,
@@ -27,8 +31,12 @@ vocabulary:
 * **Graphs by name** — :func:`load_graph` / :func:`suite_names` (the
   named suite) and :func:`load_any_graph` (suite name *or* external
   edge-list/JSON file; :class:`UnknownGraphError` on neither).
+* **Strongly local kernels** — :func:`batch_ppr_push` /
+  :class:`BatchPushResult` (many ACL pushes at once) and
+  :func:`ppr_push_frontier` (one push, frontier-batched).
 * **Verification** — :func:`verify_paper_theorem` (Section 3.1,
   numerically).
+* **Errors** — :class:`ReproError` and its subclasses.
 
 The same vocabulary is scriptable without Python: ``python -m repro``
 (:mod:`repro.cli`) exposes the suite, the NCP runner, the local driver,
@@ -73,6 +81,23 @@ from repro.dynamics import (
     registered_dynamics,
     unregister_dynamics,
 )
+from repro.diffusion.engine import (
+    BatchPushResult,
+    batch_ppr_push,
+    ppr_push_frontier,
+)
+from repro.exceptions import (
+    ConvergenceError,
+    DisconnectedGraphError,
+    EmptyGraphError,
+    FlowError,
+    GraphError,
+    InvalidParameterError,
+    PartitionError,
+    ReproError,
+)
+from repro.graph.build import from_edges
+from repro.graph.graph import Graph
 from repro.ncp.compare import Figure1Result, figure1_comparison
 from repro.refine import (
     FlowImprove,
@@ -117,16 +142,24 @@ from repro.partition.local import LocalClusterResult, local_cluster
 
 __all__ = [
     "ApproximateComputation",
+    "BatchPushResult",
     "Chaos",
     "ChunkExecutionError",
     "ClusterCandidate",
+    "ConvergenceError",
     "DiffusionGrid",
+    "DisconnectedGraphError",
     "DynamicsKind",
+    "EmptyGraphError",
     "ExecutorKind",
     "FaultPlan",
     "Figure1Result",
+    "FlowError",
     "FlowImprove",
+    "Graph",
+    "GraphError",
     "HeatKernel",
+    "InvalidParameterError",
     "LazyWalk",
     "LocalClusterResult",
     "MOV",
@@ -134,10 +167,12 @@ __all__ = [
     "NCPProfile",
     "NCPRunResult",
     "PPR",
+    "PartitionError",
     "Pipeline",
     "RefinementStep",
     "RefinementTrace",
     "RefinerKind",
+    "ReproError",
     "RetryPolicy",
     "UnknownDynamicsError",
     "UnknownExecutorError",
@@ -148,17 +183,20 @@ __all__ = [
     "as_pipeline",
     "as_refiner",
     "as_refiner_chain",
+    "batch_ppr_push",
     "best_per_size_bucket",
     "canonical_dynamics",
     "cluster_ensemble_ncp",
     "figure1_comparison",
     "flow_cluster_ensemble_ncp",
+    "from_edges",
     "get_dynamics",
     "get_executor",
     "get_refiner",
     "load_any_graph",
     "load_graph",
     "local_cluster",
+    "ppr_push_frontier",
     "refine_candidates",
     "register_dynamics",
     "register_executor",

@@ -5,9 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.cli.manifest import graph_record
-# Re-exported: the CLI manifests time themselves with the same stopwatch
-# the experiment records use.
-from repro.core.experiments import Stopwatch  # noqa: F401
 from repro.datasets.suite import load_any_graph, suite_names
 from repro.exceptions import InvalidParameterError
 

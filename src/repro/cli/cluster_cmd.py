@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from repro.cli import manifest as manifest_mod
 from repro.cli._common import (
-    Stopwatch,
     add_graph_arguments,
     ensure_out_dir,
     parse_int_list,
     resolve_graph,
 )
 from repro.cli.specs import parse_dynamics_spec, parse_refiner_chain
+from repro.core.experiments import Stopwatch
 from repro.core.reporting import format_table
 from repro.exceptions import InvalidParameterError
 from repro.partition.local import local_cluster

@@ -5,7 +5,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.cli import manifest as manifest_mod
-from repro.cli._common import Stopwatch, ensure_out_dir
+from repro.cli._common import ensure_out_dir
+from repro.core.experiments import Stopwatch
 from repro.core.reporting import format_markdown_table, format_table
 from repro.datasets.scale import SCALE_SUITE
 from repro.datasets.suite import describe, load_graph, suite_names

@@ -31,7 +31,6 @@ import numpy as np
 from repro._validation import check_numpy_backend
 from repro.cli import manifest as manifest_mod
 from repro.cli._common import (
-    Stopwatch,
     add_graph_arguments,
     ensure_out_dir,
     parse_float_list,
@@ -42,6 +41,7 @@ from repro.cli.specs import (
     parse_executor_spec,
     parse_refiner_chain,
 )
+from repro.core.experiments import Stopwatch
 from repro.core.reporting import format_table
 from repro.exceptions import InvalidParameterError, PartitionError
 from repro.execution import get_executor

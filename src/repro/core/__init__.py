@@ -4,9 +4,7 @@ and plain-text reporting."""
 from repro.core.experiments import (
     ExperimentRecord,
     Stopwatch,
-    records_table,
     run_multidynamics_ncp,
-    write_record,
 )
 from repro.core.framework import (
     ApproximateComputation,
@@ -20,10 +18,8 @@ from repro.core.framework import (
 from repro.core.reporting import (
     format_comparison_verdict,
     format_markdown_table,
-    format_series,
     format_table,
     format_value,
-    geometric_midpoints,
     jsonable,
 )
 
@@ -36,15 +32,11 @@ __all__ = [
     "canonical_dynamics",
     "format_comparison_verdict",
     "format_markdown_table",
-    "format_series",
     "format_table",
     "format_value",
-    "geometric_midpoints",
     "get_dynamics",
     "jsonable",
-    "records_table",
     "registered_dynamics",
     "run_multidynamics_ncp",
     "verify_paper_theorem",
-    "write_record",
 ]

@@ -1,18 +1,14 @@
 """Experiment records and shared drivers.
 
-Every benchmark produces an :class:`ExperimentRecord` naming the paper
-artifact it reproduces, the workload, the qualitative claim, and whether the
-measured shape agrees. ``EXPERIMENTS.md`` is assembled from these records.
+:func:`run_multidynamics_ncp` summarizes its run in an
+:class:`ExperimentRecord` naming the paper artifact it reproduces, the
+workload, the qualitative claim, and whether the measured shape agrees.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from repro.core.reporting import format_table, jsonable
 
 
 @dataclass
@@ -48,29 +44,6 @@ class ExperimentRecord:
     details: dict = field(default_factory=dict)
     seconds: float = 0.0
 
-    def summary_row(self):
-        return [
-            self.experiment_id,
-            self.paper_artifact,
-            "MATCH" if self.shape_matches else "MISMATCH",
-            self.observed,
-        ]
-
-    def to_json(self):
-        return json.dumps(
-            jsonable({
-                "experiment_id": self.experiment_id,
-                "paper_artifact": self.paper_artifact,
-                "workload": self.workload,
-                "claim": self.claim,
-                "observed": self.observed,
-                "shape_matches": self.shape_matches,
-                "details": self.details,
-                "seconds": self.seconds,
-            }),
-            indent=2,
-        )
-
 
 class Stopwatch:
     """Wall-time stopwatch.
@@ -96,24 +69,6 @@ class Stopwatch:
     def __exit__(self, *exc_info):
         self.seconds = self.elapsed()
         return False
-
-
-def records_table(records):
-    """Summary table over several experiment records."""
-    return format_table(
-        ["id", "artifact", "shape", "observed"],
-        [r.summary_row() for r in records],
-        title="Reproduction summary",
-    )
-
-
-def write_record(record, directory):
-    """Persist a record as ``<directory>/<experiment_id>.json``."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / f"{record.experiment_id}.json"
-    target.write_text(record.to_json(), encoding="utf-8")
-    return target
 
 
 def run_multidynamics_ncp(

@@ -2,8 +2,8 @@
 
 The benchmark harness regenerates the paper's figure panels as aligned ASCII
 tables (series of Y values over log-spaced X buckets), so "who wins, by
-roughly what factor, where crossovers fall" is readable directly from
-``pytest benchmarks/ --benchmark-only`` output and from ``EXPERIMENTS.md``.
+roughly what factor, where crossovers fall" is readable directly from the
+``pytest benchmarks/`` output.
 """
 
 from __future__ import annotations
@@ -114,23 +114,7 @@ def format_markdown_table(headers, rows, *, precision=4, align=None):
     return "\n".join(lines)
 
 
-def format_series(xs, ys_by_label, *, x_label="x", title=None, precision=4):
-    """Render parallel series (one column per label) over shared X values."""
-    labels = list(ys_by_label)
-    headers = [x_label] + labels
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [ys_by_label[label][i] for label in labels])
-    return format_table(headers, rows, title=title, precision=precision)
-
-
 def format_comparison_verdict(description, expected, observed):
     """One-line PASS/FAIL verdict for a qualitative shape claim."""
     status = "PASS" if expected == observed else "FAIL"
     return f"[{status}] {description}: expected {expected}, observed {observed}"
-
-
-def geometric_midpoints(edges):
-    """Geometric midpoints of consecutive bucket edges (for log-bucket X)."""
-    edges = np.asarray(edges, dtype=float)
-    return np.sqrt(edges[:-1] * edges[1:])

@@ -12,7 +12,6 @@ from repro.diffusion.engine import (
 )
 from repro.diffusion.heat_kernel import (
     heat_kernel_matrix,
-    heat_kernel_profile,
     heat_kernel_vector,
 )
 from repro.diffusion.hk_push import (
@@ -24,12 +23,9 @@ from repro.diffusion.hk_push import (
 )
 from repro.diffusion.lazy_walk import (
     lazy_walk_matrix_power_dense,
-    lazy_walk_trajectory,
     lazy_walk_vector,
-    mixing_time,
 )
 from repro.diffusion.pagerank import (
-    global_pagerank,
     lazy_equivalent_gamma,
     lazy_pagerank_exact,
     pagerank_exact,
@@ -46,9 +42,6 @@ from repro.diffusion.seeds import (
     degree_seed,
     degree_weighted_indicator_seed,
     indicator_seed,
-    random_sign_seed,
-    random_unit_seed,
-    uniform_seed,
 )
 from repro.diffusion.truncated_walk import (
     TruncatedWalkResult,
@@ -69,18 +62,14 @@ __all__ = [
     "gather_csr_arcs",
     "degree_seed",
     "degree_weighted_indicator_seed",
-    "global_pagerank",
     "heat_kernel_matrix",
-    "heat_kernel_profile",
     "heat_kernel_push",
     "heat_kernel_vector",
     "indicator_seed",
     "lazy_equivalent_gamma",
     "lazy_pagerank_exact",
     "lazy_walk_matrix_power_dense",
-    "lazy_walk_trajectory",
     "lazy_walk_vector",
-    "mixing_time",
     "pagerank_exact",
     "pagerank_operator",
     "pagerank_power",
@@ -88,10 +77,7 @@ __all__ = [
     "poisson_tail",
     "ppr_push_frontier",
     "push_invariant_residual",
-    "random_sign_seed",
-    "random_unit_seed",
     "terms_for_tail",
     "truncated_lazy_walk",
-    "uniform_seed",
     "untruncated_lazy_walk",
 ]

@@ -111,15 +111,3 @@ def heat_kernel_matrix(graph, t, *, kind="normalized"):
         sym = heat_kernel_dense(normalized_laplacian(graph), t)
         return (root[:, None] * sym) / root[None, :]
     return heat_kernel_dense(_heat_operator(graph, kind), t)
-
-
-def heat_kernel_profile(graph, seed_vector, times, *, kind="random_walk"):
-    """Evaluate the diffusion at several times (one Lanczos space per time).
-
-    Returns an ``(len(times), n)`` array; row ``i`` is the charge at
-    ``times[i]``. Used to trace the regularization path in ``t``.
-    """
-    rows = [
-        heat_kernel_vector(graph, seed_vector, t, kind=kind) for t in times
-    ]
-    return np.stack(rows, axis=0)

@@ -27,74 +27,8 @@ def lazy_walk_vector(graph, seed_vector, num_steps, *, alpha=0.5):
     return charge
 
 
-def lazy_walk_trajectory(graph, seed_vector, num_steps, *, alpha=0.5):
-    """All intermediate charge vectors; row ``k`` is ``W_α^k s``.
-
-    Returns an ``(num_steps + 1, n)`` array, including the seed itself as
-    row 0. The trajectory is the regularization path of experiment E6: the
-    step count plays the role of the regularization parameter.
-    """
-    num_steps = check_int(num_steps, "num_steps", minimum=0)
-    alpha = check_probability(alpha, "alpha")
-    seed = check_vector(seed_vector, graph.num_nodes, "seed_vector")
-    walk = lazy_walk_matrix(graph, alpha)
-    rows = np.empty((num_steps + 1, graph.num_nodes))
-    rows[0] = seed
-    for k in range(1, num_steps + 1):
-        rows[k] = walk @ rows[k - 1]
-    return rows
-
-
 def lazy_walk_matrix_power_dense(graph, num_steps, *, alpha=0.5):
     """Dense ``W_α^k`` (test oracle / SDP experiments; O(k n^3) worst case)."""
     num_steps = check_int(num_steps, "num_steps", minimum=0)
     walk = lazy_walk_matrix(graph, alpha).toarray()
     return np.linalg.matrix_power(walk, num_steps)
-
-
-def mixing_time(graph, *, alpha=0.5, tolerance=0.25, max_steps=100_000,
-                seed_node=None):
-    """Steps for the lazy walk from a worst-start to mix to total-variation
-    ``tolerance`` from stationarity.
-
-    With ``seed_node`` given, measures mixing from that start only (cheaper).
-    Used to calibrate "aggressiveness" parameters across the three dynamics.
-
-    Raises
-    ------
-    ConvergenceError
-        When some start is still farther than ``tolerance`` from
-        stationarity after ``max_steps`` steps, carrying the final
-        total-variation distance as ``residual``. (Returning ``max_steps``
-        would silently misreport a non-mixed walk as mixed.)
-    """
-    from repro.diffusion.seeds import degree_seed, indicator_seed
-    from repro.exceptions import ConvergenceError
-
-    stationary = degree_seed(graph)
-    starts = (
-        [seed_node]
-        if seed_node is not None
-        else [int(np.argmin(graph.degrees)), int(np.argmax(graph.degrees))]
-    )
-    walk = lazy_walk_matrix(graph, alpha)
-    worst = 0
-    for start in starts:
-        charge = indicator_seed(graph, [start])
-        steps = 0
-        while True:
-            tv = 0.5 * float(np.abs(charge - stationary).sum())
-            if tv <= tolerance:
-                break
-            if steps >= max_steps:
-                raise ConvergenceError(
-                    f"lazy walk from node {start} did not mix to "
-                    f"total-variation {tolerance} within {max_steps} steps "
-                    f"(reached {tv:.3g})",
-                    iterations=steps,
-                    residual=tv,
-                )
-            charge = walk @ charge
-            steps += 1
-        worst = max(worst, steps)
-    return worst

@@ -127,14 +127,6 @@ def lazy_equivalent_gamma(alpha):
     return 2.0 * alpha / (1.0 + alpha)
 
 
-def global_pagerank(graph, gamma, *, tol=1e-12):
-    """Classical (non-personalized) PageRank: seed = uniform distribution."""
-    n = graph.num_nodes
-    if n == 0:
-        raise InvalidParameterError("pagerank of an empty graph")
-    return pagerank_exact(graph, gamma, np.full(n, 1.0 / n), tol=tol)
-
-
 def pagerank_resolvent_dense(graph, gamma):
     """Dense ``R_γ = γ (I − (1−γ) M)^{-1}`` (test oracle / SDP experiments)."""
     gamma = check_probability(gamma, "gamma")

@@ -1,20 +1,16 @@
 """Seed (initial charge) distributions for diffusion dynamics.
 
 Section 3.1: "In each of these cases, there is an input 'seed' distribution
-vector". Footnote 16 spells out the two regimes this module serves:
-
-* global spectral partitioning — a random unit vector or random ±1 vector
-  (orthogonal to the trivial direction), so the diffusion reveals the
-  slowest-mixing global direction;
-* local spectral partitioning — the indicator vector of a small seed set,
-  so the truncated diffusion stays near the seeds.
+vector". This module serves the local regime of footnote 16: the
+indicator vector of a small seed set, so the truncated diffusion stays near
+the seeds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._validation import as_rng, check_node
+from repro._validation import check_node
 from repro.exceptions import InvalidParameterError
 
 
@@ -54,37 +50,3 @@ def degree_weighted_indicator_seed(graph, nodes):
         raise InvalidParameterError("seed set has zero volume")
     seed[node_list] = degrees / total
     return seed
-
-
-def uniform_seed(graph):
-    """Uniform probability vector ``1/n``."""
-    n = graph.num_nodes
-    if n == 0:
-        raise InvalidParameterError("uniform seed of an empty graph")
-    return np.full(n, 1.0 / n)
-
-
-def random_unit_seed(graph, seed=None, *, orthogonal_to_trivial=True):
-    """Random unit vector, optionally orthogonal to ``D^{1/2} 1``.
-
-    The global-partitioning seed of footnote 16: a random direction whose
-    diffusion converges to the Fiedler direction once the trivial component
-    is removed.
-    """
-    rng = as_rng(seed)
-    vector = rng.standard_normal(graph.num_nodes)
-    if orthogonal_to_trivial:
-        trivial = np.sqrt(graph.degrees)
-        trivial = trivial / np.linalg.norm(trivial)
-        vector -= (trivial @ vector) * trivial
-    norm = np.linalg.norm(vector)
-    if norm == 0:
-        raise InvalidParameterError("degenerate random seed (zero vector)")
-    return vector / norm
-
-
-def random_sign_seed(graph, seed=None):
-    """Random ±1 vector scaled to unit norm (footnote 16's other option)."""
-    rng = as_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=graph.num_nodes)
-    return signs / np.sqrt(graph.num_nodes)

@@ -52,7 +52,3 @@ class PartitionError(ReproError):
 
 class FlowError(ReproError):
     """Raised for malformed flow networks or flow-algorithm failures."""
-
-
-class ExperimentError(ReproError):
-    """Raised when an experiment driver receives an inconsistent setup."""

@@ -3,7 +3,6 @@
 from repro.graph.build import (
     connected_component_labels,
     empty_graph,
-    from_dense,
     from_edges,
     from_scipy_sparse,
     induced_subgraph_fast,
@@ -20,7 +19,6 @@ from repro.graph.matrices import (
     adjacency_matrix,
     combinatorial_laplacian,
     degree_matrix,
-    degree_vector,
     laplacian_quadratic_form,
     lazy_walk_matrix,
     normalized_laplacian,
@@ -33,7 +31,6 @@ __all__ = [
     "Graph",
     "connected_component_labels",
     "empty_graph",
-    "from_dense",
     "from_edges",
     "from_scipy_sparse",
     "induced_subgraph_fast",
@@ -45,7 +42,6 @@ __all__ = [
     "adjacency_matrix",
     "combinatorial_laplacian",
     "degree_matrix",
-    "degree_vector",
     "laplacian_quadratic_form",
     "lazy_walk_matrix",
     "normalized_laplacian",

@@ -15,40 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._validation import as_rng, check_int, check_positive, check_probability
-from repro.exceptions import GraphError
 from repro.graph.build import from_edges
-
-
-def bipartite_from_memberships(num_left, memberships):
-    """Build a bipartite graph from right-node membership lists.
-
-    Parameters
-    ----------
-    num_left:
-        Number of left nodes (ids ``0 .. num_left-1``).
-    memberships:
-        For each right node, an iterable of left-node ids it connects to.
-        Right node ``j`` receives id ``num_left + j``.
-
-    Returns
-    -------
-    graph:
-        The bipartite :class:`~repro.graph.graph.Graph`.
-    num_right:
-        Number of right nodes.
-    """
-    num_left = check_int(num_left, "num_left", minimum=1)
-    edges = []
-    num_right = 0
-    for j, members in enumerate(memberships):
-        num_right += 1
-        for u in members:
-            if not 0 <= u < num_left:
-                raise GraphError(
-                    f"membership id {u} out of range [0, {num_left})"
-                )
-            edges.append((u, num_left + j))
-    return from_edges(num_left + num_right, edges), num_right
 
 
 def is_bipartite(graph):

@@ -154,32 +154,6 @@ def _csr_from_sorted_keys(num_nodes, key, weights):
     return Graph(indptr, indices, arc_weights, validate=False)
 
 
-def from_dense(matrix, *, tol=0.0):
-    """Build a graph from a dense symmetric adjacency matrix.
-
-    Entries with absolute value ``<= tol`` are treated as absent. The matrix
-    must be square, symmetric, have a zero diagonal, and nonnegative entries.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise GraphError(f"adjacency matrix must be square; got {arr.shape}")
-    if not np.allclose(arr, arr.T):
-        raise GraphError("adjacency matrix must be symmetric")
-    if np.any(np.abs(np.diag(arr)) > tol):
-        raise GraphError("adjacency matrix must have a zero diagonal")
-    if np.any(arr < -tol):
-        raise GraphError("adjacency entries must be nonnegative")
-    n = arr.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    mask = arr[iu, ju] > tol
-    return from_edges(
-        n,
-        np.stack([iu[mask], ju[mask]], axis=1),
-        arr[iu, ju][mask],
-        combine="error",
-    )
-
-
 def from_scipy_sparse(matrix, *, tol=0.0):
     """Build a graph from a scipy sparse symmetric adjacency matrix."""
     from scipy import sparse

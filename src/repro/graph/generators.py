@@ -6,9 +6,7 @@ partitioning theory, several of which the paper names explicitly:
 * "long stringy" graphs (paths, lollipops, and the Guattery–Miller *roach*)
   on which spectral methods saturate the quadratic Cheeger bound, because
   spectral methods "confuse long paths with deep cuts" (Section 3.2);
-* near-expanders (complete graphs, hypercubes) on which flow-based metric
-  embeddings pay their ``O(log n)`` factor;
-* planted-cut families (barbell, ring of cliques, caveman) whose optimal
+* planted-cut families (barbell, ring of cliques) whose optimal
   conductance cut is known in closed form, used as test oracles.
 
 All generators return validated :class:`~repro.graph.graph.Graph` objects
@@ -16,8 +14,6 @@ with unit weights unless stated otherwise.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro._validation import check_int, check_positive
 from repro.exceptions import InvalidParameterError
@@ -70,19 +66,6 @@ def grid_graph(rows, cols):
                 edges.append((u, u + 1))
             if r + 1 < rows:
                 edges.append((u, u + cols))
-    return from_edges(rows * cols, edges)
-
-
-def torus_graph(rows, cols):
-    """``rows x cols`` grid with wraparound (discrete torus)."""
-    rows = check_int(rows, "rows", minimum=3)
-    cols = check_int(cols, "cols", minimum=3)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            edges.append((u, r * cols + (c + 1) % cols))
-            edges.append((u, ((r + 1) % rows) * cols + c))
     return from_edges(rows * cols, edges)
 
 
@@ -143,17 +126,6 @@ def roach_graph(body_length, antenna_length):
     return from_edges(2 * length, edges)
 
 
-def ladder_graph(length):
-    """Ladder: two paths of ``length`` nodes joined by rungs."""
-    length = check_int(length, "length", minimum=2)
-    edges = []
-    for i in range(length - 1):
-        edges.append((i, i + 1))
-        edges.append((length + i, length + i + 1))
-    edges.extend((i, length + i) for i in range(length))
-    return from_edges(2 * length, edges)
-
-
 def ring_of_cliques(num_cliques, clique_size):
     """``num_cliques`` copies of ``K_k`` arranged in a ring, bridged by edges.
 
@@ -174,38 +146,6 @@ def ring_of_cliques(num_cliques, clique_size):
     return from_edges(c * k, edges)
 
 
-def connected_caveman_graph(num_caves, cave_size):
-    """Connected caveman graph: cliques with one edge rewired to the next cave."""
-    c = check_int(num_caves, "num_caves", minimum=3)
-    k = check_int(cave_size, "cave_size", minimum=3)
-    edges = set()
-    for q in range(c):
-        base = q * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                edges.add((base + i, base + j))
-        # Rewire the (0, 1) edge of each cave to point into the next cave.
-        edges.discard((base, base + 1))
-        edges.add(tuple(sorted((base, ((q + 1) % c) * k + 1))))
-    return from_edges(c * k, sorted(edges))
-
-
-def binary_tree_graph(depth):
-    """Complete binary tree of the given depth (``depth = 0`` is one node)."""
-    depth = check_int(depth, "depth", minimum=0)
-    n = 2 ** (depth + 1) - 1
-    edges = [(child, (child - 1) // 2) for child in range(1, n)]
-    return from_edges(n, edges)
-
-
-def hypercube_graph(dimension):
-    """Boolean hypercube ``Q_d``: a bounded-degree near-expander."""
-    d = check_int(dimension, "dimension", minimum=1)
-    n = 1 << d
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
-    return from_edges(n, edges)
-
-
 def weighted_path_graph(weights):
     """Path whose ``i``-th edge has the given positive weight."""
     weights = list(weights)
@@ -213,15 +153,3 @@ def weighted_path_graph(weights):
         raise InvalidParameterError("weighted_path_graph needs >= 1 edge weight")
     edges = [(i, i + 1) for i in range(len(weights))]
     return from_edges(len(weights) + 1, edges, weights)
-
-
-def dumbbell_expander(core_size, path_length):
-    """Two complete cores joined by a long path (an expander-with-a-bar).
-
-    Unlike :func:`barbell_graph` the connecting path is the interesting part:
-    its length controls how badly the spectral method wants to cut the bar in
-    the middle rather than at its ends.
-    """
-    k = check_int(core_size, "core_size", minimum=3)
-    p = check_int(path_length, "path_length", minimum=1)
-    return barbell_graph(k, p)

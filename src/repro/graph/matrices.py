@@ -33,11 +33,6 @@ def adjacency_matrix(graph):
     )
 
 
-def degree_vector(graph):
-    """Weighted degree vector ``d`` (copy)."""
-    return graph.degrees.copy()
-
-
 def degree_matrix(graph):
     """Sparse diagonal degree matrix ``D``."""
     return sparse.diags(graph.degrees, format="csr")

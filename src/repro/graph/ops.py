@@ -1,32 +1,17 @@
 """Whole-graph operations and summary statistics.
 
 Helpers here are shared by the partitioning stack and the niceness measures:
-breadth-first distance aggregates, degree statistics, and graph surgery that
-does not belong on the :class:`~repro.graph.graph.Graph` class itself.
+breadth-first distance aggregates, triangle counts, and relabelling, which
+do not belong on the :class:`~repro.graph.graph.Graph` class itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._validation import check_int, check_node
+from repro._validation import check_node
 from repro.exceptions import DisconnectedGraphError, EmptyGraphError
 from repro.graph.build import from_edges
-
-
-def degree_histogram(graph):
-    """Histogram of unweighted degrees: ``counts[k]`` = #nodes with k neighbors."""
-    counts = np.diff(graph.indptr)
-    if counts.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.bincount(counts.astype(np.int64))
-
-
-def average_degree(graph):
-    """Average weighted degree ``vol(V) / n``."""
-    if graph.num_nodes == 0:
-        raise EmptyGraphError("average degree of an empty graph")
-    return graph.total_volume / graph.num_nodes
 
 
 def average_shortest_path_length(graph, *, sources=None):
@@ -84,13 +69,6 @@ def diameter(graph, *, sources=None):
     return best
 
 
-def k_hop_ball(graph, center, radius):
-    """Node ids within ``radius`` hops of ``center`` (sorted array)."""
-    radius = check_int(radius, "radius", minimum=0)
-    dist = graph.bfs_distances(center, max_distance=radius)
-    return np.flatnonzero((dist >= 0) & (dist <= radius))
-
-
 def triangle_count(graph):
     """Total number of triangles (unweighted)."""
     total = 0
@@ -103,43 +81,6 @@ def triangle_count(graph):
                 higher[higher > v], v_nbrs[v_nbrs > v], assume_unique=True
             ).size)
     return total
-
-
-def clustering_coefficient(graph):
-    """Global clustering coefficient: 3 * triangles / #connected triples."""
-    counts = np.diff(graph.indptr).astype(float)
-    triples = float(np.sum(counts * (counts - 1) / 2.0))
-    if triples == 0:
-        return 0.0
-    return 3.0 * triangle_count(graph) / triples
-
-
-def remove_edges(graph, edges_to_remove):
-    """Return a copy of ``graph`` with the listed undirected edges removed."""
-    drop = {tuple(sorted((int(u), int(v)))) for u, v in edges_to_remove}
-    us, vs, ws = graph.edge_array()
-    kept_edges, kept_weights = [], []
-    for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
-        if (u, v) not in drop:
-            kept_edges.append((u, v))
-            kept_weights.append(w)
-    return from_edges(graph.num_nodes, kept_edges, kept_weights)
-
-
-def add_edges(graph, new_edges, new_weights=None):
-    """Return a copy of ``graph`` with additional undirected edges.
-
-    Duplicate additions merge by summing weights.
-    """
-    us, vs, ws = graph.edge_array()
-    new_edges = list(new_edges)
-    if new_weights is None:
-        new_weights = [1.0] * len(new_edges)
-    edges = list(zip(us.tolist(), vs.tolist())) + [
-        (int(u), int(v)) for u, v in new_edges
-    ]
-    weights = ws.tolist() + [float(w) for w in new_weights]
-    return from_edges(graph.num_nodes, edges, weights, combine="sum")
 
 
 def relabel(graph, permutation):

@@ -26,17 +26,6 @@ import numpy as np
 from repro._validation import as_rng, check_int, check_probability
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph.build import from_edges
-from repro.graph.generators import complete_graph, path_graph
-
-
-def erdos_renyi_graph(n, p, seed=None):
-    """G(n, p): each of the ``n(n-1)/2`` edges appears independently."""
-    n = check_int(n, "n", minimum=1)
-    p = check_probability(p, "p", inclusive_low=True, inclusive_high=True)
-    rng = as_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    return from_edges(n, np.stack([iu[mask], ju[mask]], axis=1))
 
 
 def random_regular_graph(n, degree, seed=None, *, max_tries=200):
@@ -95,37 +84,6 @@ def random_regular_graph(n, degree, seed=None, *, max_tries=200):
     raise GraphError(
         f"failed to sample a simple {degree}-regular graph in {max_tries} tries"
     )
-
-
-def watts_strogatz_graph(n, k, p, seed=None):
-    """Watts–Strogatz small world: ring lattice with random rewiring.
-
-    ``k`` (even) is the lattice degree and ``p`` the rewiring probability.
-    """
-    n = check_int(n, "n", minimum=3)
-    k = check_int(k, "k", minimum=2, maximum=n - 1)
-    if k % 2:
-        raise InvalidParameterError(f"k must be even; got {k}")
-    p = check_probability(p, "p", inclusive_low=True, inclusive_high=True)
-    rng = as_rng(seed)
-    existing = set()
-    for u in range(n):
-        for offset in range(1, k // 2 + 1):
-            existing.add(tuple(sorted((u, (u + offset) % n))))
-    edges = sorted(existing)
-    final = set(existing)
-    for u, v in edges:
-        if rng.random() < p:
-            final.discard((u, v))
-            for _ in range(50):
-                w = int(rng.integers(n))
-                cand = tuple(sorted((u, w)))
-                if w != u and cand not in final:
-                    final.add(cand)
-                    break
-            else:
-                final.add((u, v))
-    return from_edges(n, sorted(final))
 
 
 def preferential_attachment_graph(n, m, seed=None):
@@ -275,12 +233,6 @@ def stochastic_block_model(block_sizes, probabilities, seed=None):
         np.concatenate(all_edges) if all_edges else np.empty((0, 2), dtype=np.int64)
     )
     return from_edges(n, edges)
-
-
-def block_labels(block_sizes):
-    """Ground-truth labels aligned with :func:`stochastic_block_model`."""
-    sizes = [check_int(s, "block size", minimum=1) for s in block_sizes]
-    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 def forest_fire_graph(n, forward_p, seed=None):

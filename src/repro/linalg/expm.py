@@ -14,8 +14,6 @@ Both only touch the operator through matvecs, preserving sparsity.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro._validation import check_int, check_positive, check_real
@@ -128,19 +126,3 @@ def heat_kernel_dense(matrix, t):
         raise InvalidParameterError("heat_kernel_dense needs a square matrix")
     values, vectors = np.linalg.eigh((arr + arr.T) / 2.0)
     return (vectors * np.exp(-t * values)) @ vectors.T
-
-
-def phi_weights(t, num_terms):
-    """Taylor weights ``t^k e^{-t} / k!`` of the heat-kernel series.
-
-    These are the Poisson(t) probabilities; the heat-kernel push algorithm
-    (:mod:`repro.diffusion.hk_push`) budgets its residual against them.
-    """
-    t = check_positive(t, "t", allow_zero=True)
-    num_terms = check_int(num_terms, "num_terms", minimum=1)
-    weights = np.empty(num_terms + 1)
-    log_term = -t
-    for k in range(num_terms + 1):
-        weights[k] = math.exp(log_term)
-        log_term += math.log(t) - math.log(k + 1) if t > 0 else -math.inf
-    return weights

@@ -139,7 +139,7 @@ def _record_sweep_candidates(graph, rows, values, candidates, method,
         )
     except PartitionError:
         return
-    _octave_candidates(graph, sweep, candidates, method, max_cluster_size)
+    _octave_candidates(sweep, candidates, method, max_cluster_size)
 
 
 def cluster_ensemble_ncp(graph, grid):
@@ -208,8 +208,13 @@ def grid_candidates_for_seed_nodes(graph, seed_nodes, spec, *, epsilons,
     return candidates
 
 
-def _octave_candidates(graph, sweep, out, method, max_cluster_size):
-    """Push best-per-octave sweep prefixes into ``out``."""
+def _octave_candidates(sweep, out, method, max_cluster_size):
+    """Push best-per-octave sweep prefixes into ``out``.
+
+    A sweep profile holds finite conductances and ``inf`` for the prefixes
+    it did not score, never NaN, so ``argmin`` picks the first finite
+    minimum whenever the octave has one.
+    """
     profile = sweep.profile
     order = sweep.order
     size_limit = min(profile.shape[0], max_cluster_size)
@@ -217,10 +222,8 @@ def _octave_candidates(graph, sweep, out, method, max_cluster_size):
     while octave_start <= size_limit:
         octave_stop = min(2 * octave_start, size_limit + 1)
         window = profile[octave_start - 1:octave_stop - 1]
-        if window.size and np.isfinite(window).any():
-            local_best = int(np.nanargmin(
-                np.where(np.isfinite(window), window, np.nan)
-            ))
+        local_best = int(np.argmin(window))
+        if np.isfinite(window[local_best]):
             k = octave_start + local_best
             out.append(
                 ClusterCandidate(

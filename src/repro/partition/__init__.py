@@ -1,12 +1,6 @@
 """Graph partitioning: metrics, sweep cuts, spectral and flow-based global
-partitioners, strongly local methods, MOV locally-biased spectral, and
-baselines."""
+partitioners, strongly local methods, and MOV locally-biased spectral."""
 
-from repro.partition.baselines import (
-    bfs_ball_cluster,
-    kernighan_lin_bisection,
-    random_bisection,
-)
 from repro.partition.flow_improve import (
     FlowImproveResult,
     dilate,
@@ -16,7 +10,6 @@ from repro.partition.local import (
     LocalClusterResult,
     best_local_cluster,
     local_cluster,
-    seed_excluded_from_own_cluster,
 )
 from repro.partition.maxflow import FlowNetwork, MaxFlowResult
 from repro.partition.metrics import (
@@ -28,7 +21,6 @@ from repro.partition.metrics import (
     expansion,
     graph_conductance_exact,
     internal_conductance,
-    normalized_cut,
 )
 from repro.partition.mov import MOVResult, kappa_for_gamma, mov_cluster, mov_vector
 from repro.partition.mqi import MQIResult, mqi, mqi_certificate
@@ -44,10 +36,9 @@ from repro.partition.spectral import (
     SpectralCutResult,
     cheeger_certificate,
     spectral_bisection_median,
-    spectral_cluster_ensemble,
     spectral_cut,
 )
-from repro.partition.sweep import SweepCutResult, all_prefix_clusters, sweep_cut
+from repro.partition.sweep import SweepCutResult, sweep_cut
 
 __all__ = [
     "BisectionResult",
@@ -59,10 +50,8 @@ __all__ = [
     "MaxFlowResult",
     "SpectralCutResult",
     "SweepCutResult",
-    "all_prefix_clusters",
     "balance",
     "best_local_cluster",
-    "bfs_ball_cluster",
     "cheeger_certificate",
     "cheeger_lower_bound",
     "cheeger_upper_bound",
@@ -77,19 +66,14 @@ __all__ = [
     "heavy_edge_matching",
     "internal_conductance",
     "kappa_for_gamma",
-    "kernighan_lin_bisection",
     "local_cluster",
     "mov_cluster",
     "mov_vector",
     "mqi",
     "mqi_certificate",
     "multilevel_bisection",
-    "normalized_cut",
-    "random_bisection",
     "recursive_bisection_clusters",
-    "seed_excluded_from_own_cluster",
     "spectral_bisection_median",
-    "spectral_cluster_ensemble",
     "spectral_cut",
     "sweep_cut",
 ]

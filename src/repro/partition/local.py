@@ -274,13 +274,3 @@ def best_local_cluster(graph, seed_nodes, *, methods=("acl", "nibble", "hk"),
     if best is None:
         raise PartitionError("no local method produced a cluster")
     return best
-
-
-def seed_excluded_from_own_cluster(graph, seed_node, **acl_kwargs):
-    """Exhibit the Section 3.3 pathology for a given seed, if present.
-
-    Returns ``(result, excluded)`` where ``excluded`` is True when the ACL
-    sweep cluster does not contain the seed node.
-    """
-    result = _acl_cluster(graph, [seed_node], **acl_kwargs)
-    return result, not result.contains_seed

@@ -51,17 +51,6 @@ def expansion(graph, nodes):
     return cut / min(inside, graph.num_nodes - inside)
 
 
-def normalized_cut(graph, nodes):
-    """Normalized cut ``cut(S) (1/vol(S) + 1/vol(S̄))``."""
-    mask = _validated_mask(graph, nodes)
-    cut = graph.cut_weight(mask)
-    vol_s = float(graph.degrees[mask].sum())
-    vol_rest = graph.total_volume - vol_s
-    if vol_s <= 0 or vol_rest <= 0:
-        raise PartitionError("normalized cut undefined: zero-volume side")
-    return cut * (1.0 / vol_s + 1.0 / vol_rest)
-
-
 def cut_and_volumes(graph, nodes):
     """Return ``(cut weight, vol(S), vol(S̄))`` in one pass."""
     mask = _validated_mask(graph, nodes)

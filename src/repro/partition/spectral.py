@@ -151,24 +151,3 @@ def spectral_bisection_median(graph, *, laplacian="combinatorial",
     order = np.argsort(y, kind="stable")
     half = np.sort(order[: n // 2])
     return half, _conductance(graph, half)
-
-
-def spectral_cluster_ensemble(graph, *, method="lanczos", seed=None,
-                              max_size=None):
-    """All sweep prefixes of the Fiedler embedding as candidate clusters.
-
-    The global-spectral contribution to an NCP: each prefix of the sweep is
-    a candidate cluster with a known conductance. Returns ``(sizes, phis,
-    volumes, order)`` arrays aligned by prefix.
-    """
-    lambda2, x = fiedler_pair(graph, method=method, seed=seed)
-    embedding = x / np.sqrt(graph.degrees)
-    from repro.partition.sweep import all_prefix_clusters
-
-    rows_fwd, order_fwd = all_prefix_clusters(
-        graph, embedding, degree_normalize=False, max_size=max_size
-    )
-    rows_bwd, order_bwd = all_prefix_clusters(
-        graph, -embedding, degree_normalize=False, max_size=max_size
-    )
-    return (rows_fwd, order_fwd), (rows_bwd, order_bwd)

@@ -164,27 +164,6 @@ def _sweep_order(graph, order, max_size, max_volume, min_size):
     )
 
 
-def all_prefix_clusters(graph, scores, *, degree_normalize=True,
-                        restrict_to=None, max_size=None):
-    """Every sweep prefix with its conductance, as ``(size, φ, volume)`` rows.
-
-    The cluster-ensemble generator for NCP profiles: a single diffusion
-    yields one candidate cluster per prefix size.
-    """
-    result = sweep_cut(
-        graph, scores, degree_normalize=degree_normalize,
-        restrict_to=restrict_to, max_size=max_size,
-    )
-    rows = []
-    degrees = graph.degrees
-    volume = 0.0
-    for position, phi in enumerate(result.profile):
-        volume += float(degrees[int(result.order[position])])
-        if np.isfinite(phi):
-            rows.append((position + 1, float(phi), volume))
-    return rows, result.order
-
-
 def _prefix_scan(graph, order, max_size, max_volume, min_size):
     """Vectorized prefix-conductance scan over the CSR arrays.
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.exceptions import EmptyGraphError, GraphError
 from repro.graph.build import (
     empty_graph,
-    from_dense,
     from_edges,
     from_scipy_sparse,
     union_disjoint,
@@ -222,18 +221,6 @@ class TestConversions:
         dense = weighted_triangle.to_dense()
         assert np.allclose(dense, dense.T)
         assert dense[0, 1] == 1.0 and dense[1, 2] == 2.0 and dense[0, 2] == 3.0
-
-    def test_from_dense_roundtrip(self, weighted_triangle):
-        rebuilt = from_dense(weighted_triangle.to_dense())
-        assert rebuilt == weighted_triangle
-
-    def test_from_dense_rejects_asymmetric(self):
-        with pytest.raises(GraphError, match="symmetric"):
-            from_dense([[0, 1], [0, 0]])
-
-    def test_from_dense_rejects_diagonal(self):
-        with pytest.raises(GraphError, match="diagonal"):
-            from_dense([[1, 0], [0, 0]])
 
     def test_from_scipy_sparse_roundtrip(self, ring):
         from repro.graph.matrices import adjacency_matrix

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.graph import generators as gen
 from repro.graph import random_generators as rgen
 
@@ -36,10 +36,6 @@ class TestDeterministicFamilies:
         assert g.num_nodes == 20
         assert g.num_edges == 4 * 4 + 3 * 5  # horizontal + vertical
 
-    def test_torus_regular(self):
-        g = gen.torus_graph(4, 5)
-        assert np.all(g.degrees == 4)
-
     def test_barbell_bridge(self):
         g = gen.barbell_graph(6)
         assert g.cut_weight(range(6)) == 1.0
@@ -66,32 +62,12 @@ class TestDeterministicFamilies:
         antennae = [4, 5, 6, 7, 12, 13, 14, 15]
         assert g.cut_weight(antennae) == 2.0
 
-    def test_ladder(self):
-        g = gen.ladder_graph(5)
-        assert g.num_nodes == 10
-        assert g.num_edges == 4 + 4 + 5
-
     def test_ring_of_cliques(self):
         g = gen.ring_of_cliques(4, 5)
         assert g.num_nodes == 20
         assert g.is_connected()
         # One clique is separated by exactly 2 bridge edges.
         assert g.cut_weight(range(5)) == 2.0
-
-    def test_connected_caveman_is_connected(self):
-        g = gen.connected_caveman_graph(5, 4)
-        assert g.is_connected()
-
-    def test_binary_tree(self):
-        g = gen.binary_tree_graph(3)
-        assert g.num_nodes == 15
-        assert g.num_edges == 14
-        assert g.is_connected()
-
-    def test_hypercube_regular(self):
-        g = gen.hypercube_graph(4)
-        assert g.num_nodes == 16
-        assert np.all(g.degrees == 4)
 
     def test_weighted_path(self):
         g = gen.weighted_path_graph([1.0, 2.0, 0.5])
@@ -107,14 +83,6 @@ class TestDeterministicFamilies:
 
 
 class TestRandomFamilies:
-    def test_erdos_renyi_determinism(self):
-        a = rgen.erdos_renyi_graph(50, 0.1, seed=3)
-        b = rgen.erdos_renyi_graph(50, 0.1, seed=3)
-        assert a == b
-
-    def test_erdos_renyi_extremes(self):
-        assert rgen.erdos_renyi_graph(10, 0.0, seed=0).num_edges == 0
-        assert rgen.erdos_renyi_graph(10, 1.0, seed=0).num_edges == 45
 
     def test_random_regular_degrees(self):
         g = rgen.random_regular_graph(50, 6, seed=1)
@@ -127,12 +95,6 @@ class TestRandomFamilies:
     def test_random_regular_degree_bound(self):
         with pytest.raises(InvalidParameterError):
             rgen.random_regular_graph(4, 4, seed=0)
-
-    def test_watts_strogatz_node_degree_sum(self):
-        g = rgen.watts_strogatz_graph(40, 4, 0.2, seed=2)
-        assert g.num_nodes == 40
-        # Rewiring preserves the edge count.
-        assert g.num_edges == 40 * 4 // 2
 
     def test_preferential_attachment_counts(self):
         g = rgen.preferential_attachment_graph(60, 3, seed=4)
@@ -160,10 +122,6 @@ class TestRandomFamilies:
     def test_sbm_probability_validation(self):
         with pytest.raises(InvalidParameterError):
             rgen.stochastic_block_model([5, 5], np.array([[0.5, 1.5], [1.5, 0.5]]))
-
-    def test_block_labels(self):
-        labels = rgen.block_labels([2, 3])
-        assert labels.tolist() == [0, 0, 1, 1, 1]
 
     def test_forest_fire_connected(self):
         g = rgen.forest_fire_graph(100, 0.3, seed=8)
@@ -198,6 +156,6 @@ class TestGeneratorSeeding:
         assert builder(42) == builder(42)
 
     def test_different_seeds_differ(self):
-        a = rgen.erdos_renyi_graph(40, 0.2, seed=1)
-        b = rgen.erdos_renyi_graph(40, 0.2, seed=2)
+        a = rgen.planted_partition_graph(3, 10, 0.5, 0.05, seed=1)
+        b = rgen.planted_partition_graph(3, 10, 0.5, 0.05, seed=2)
         assert a != b

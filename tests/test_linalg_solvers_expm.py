@@ -20,7 +20,6 @@ from repro.linalg.expm import (
     expm_action_lanczos,
     expm_action_taylor,
     heat_kernel_dense,
-    phi_weights,
     taylor_terms_for_tolerance,
 )
 from repro.linalg.fiedler import (
@@ -157,10 +156,6 @@ class TestExpmAction:
         rough = expm_action_taylor(L, v, 2.0, spectral_bound=2.0, num_terms=1)
         full = expm_action_taylor(L, v, 2.0, spectral_bound=2.0, tol=1e-14)
         assert np.linalg.norm(rough - v) < np.linalg.norm(full - v) + 2.0
-
-    def test_phi_weights_sum_to_poisson_mass(self):
-        weights = phi_weights(2.5, 60)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_lanczos(self, ring):
         L = normalized_laplacian(ring)

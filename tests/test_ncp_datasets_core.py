@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.experiments import ExperimentRecord, Stopwatch, records_table
+from repro.core.experiments import Stopwatch
 from repro.core.framework import (
     canonical_dynamics,
     get_dynamics,
@@ -13,10 +13,8 @@ from repro.core.framework import (
 )
 from repro.core.reporting import (
     format_comparison_verdict,
-    format_series,
     format_table,
     format_value,
-    geometric_midpoints,
 )
 from repro.datasets.suite import describe, load_graph, load_suite, suite_names
 from repro.datasets.synthetic_dblp import (
@@ -211,13 +209,6 @@ class TestReporting:
         assert len(lines) == 4
         assert lines[0].startswith("a")
 
-    def test_format_series(self):
-        text = format_series(
-            [1, 2], {"spectral": [0.1, 0.2], "flow": [0.05, 0.1]},
-            x_label="size",
-        )
-        assert "spectral" in text and "flow" in text
-
     def test_format_markdown_table(self):
         from repro.core import format_markdown_table
 
@@ -258,38 +249,8 @@ class TestReporting:
         assert "[PASS]" in format_comparison_verdict("x", True, True)
         assert "[FAIL]" in format_comparison_verdict("x", True, False)
 
-    def test_geometric_midpoints(self):
-        mids = geometric_midpoints([1.0, 4.0, 16.0])
-        assert np.allclose(mids, [2.0, 8.0])
-
 
 class TestExperimentRecords:
-    def test_record_roundtrip(self, tmp_path):
-        import json
-
-        from repro.core.experiments import write_record
-
-        record = ExperimentRecord(
-            experiment_id="E0",
-            paper_artifact="Figure 1(a)",
-            workload="test",
-            claim="flow wins",
-            observed="flow wins 80%",
-            shape_matches=True,
-            details={"fraction": 0.8},
-        )
-        path = write_record(record, tmp_path)
-        loaded = json.loads(path.read_text())
-        assert loaded["shape_matches"] is True
-        assert loaded["details"]["fraction"] == 0.8
-
-    def test_records_table(self):
-        record = ExperimentRecord(
-            experiment_id="E1", paper_artifact="F1", workload="w",
-            claim="c", observed="o", shape_matches=False,
-        )
-        table = records_table([record])
-        assert "MISMATCH" in table
 
     def test_stopwatch(self):
         with Stopwatch() as timer:

@@ -5,9 +5,8 @@ identical whether chunks run serially in-process, on a worker pool, or
 come back from the on-disk memo — and identical to the direct generator
 loop.  All workloads are expressed as :class:`repro.dynamics.DiffusionGrid`
 specs; the deprecated keyword-soup path is covered by the dedicated
-shim-parity module.  The regression tests pin the profile bugs fixed in
-PR 2: the top-edge bucket drop, the collision-prone flow dedup key, and
-the mixing-time non-convergence lie.
+shim-parity module.  The regression tests pin two fixed profile bugs:
+the top-edge bucket drop and the collision-prone flow dedup key.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.diffusion import mixing_time
 from repro.dynamics import DiffusionGrid, HeatKernel, LazyWalk, PPR
 from repro.exceptions import (
     ConvergenceError,
@@ -487,20 +485,6 @@ class TestDedupKeyRegression:
         a = np.array([0, 2, 5], dtype=np.int64)
         unique = _unique_clusters([a, a.copy(), a.copy()])
         assert len(unique) == 1
-
-
-class TestMixingTimeRegression:
-    def test_non_converged_walk_raises(self, barbell):
-        # The barbell needs far more than 2 steps to mix; the old code
-        # returned max_steps as if it had converged.
-        with pytest.raises(ConvergenceError) as excinfo:
-            mixing_time(barbell, tolerance=0.05, max_steps=2)
-        assert excinfo.value.iterations == 2
-        assert excinfo.value.residual > 0.05
-
-    def test_converged_walk_still_returns_steps(self, planted):
-        steps = mixing_time(planted, tolerance=0.25)
-        assert 0 < steps < 100_000
 
 
 class TestMetricsGuards:

@@ -18,13 +18,11 @@ from repro.partition.metrics import (
     cheeger_lower_bound,
     cheeger_upper_bound,
     conductance,
-    cut_and_volumes,
     expansion,
     graph_conductance_exact,
     internal_conductance,
-    normalized_cut,
 )
-from repro.partition.sweep import all_prefix_clusters, sweep_cut
+from repro.partition.sweep import sweep_cut
 
 
 def to_networkx(graph):
@@ -66,12 +64,6 @@ class TestConductance:
     def test_expansion_on_cycle(self):
         g = cycle_graph(8)
         assert expansion(g, range(4)) == pytest.approx(2 / 4)
-
-    def test_normalized_cut_relation(self, ring):
-        side = list(range(11))
-        cut, vol_s, vol_rest = cut_and_volumes(ring, side)
-        expected = cut / vol_s + cut / vol_rest
-        assert normalized_cut(ring, side) == pytest.approx(expected)
 
     def test_balance_range(self, whiskered, rng):
         for _ in range(5):
@@ -169,16 +161,6 @@ class TestSweepCut:
         with pytest.raises(PartitionError):
             sweep_cut(ring, rng.random(ring.num_nodes),
                       restrict_to=np.array([], dtype=np.int64))
-
-    def test_all_prefix_clusters_rows(self, barbell):
-        from repro.linalg.fiedler import fiedler_embedding
-
-        y = fiedler_embedding(barbell, method="exact")
-        rows, order = all_prefix_clusters(barbell, y, degree_normalize=False)
-        sizes = [r[0] for r in rows]
-        assert sizes == sorted(sizes)
-        best = min(r[1] for r in rows)
-        assert best == pytest.approx(1 / 57)
 
 
 class TestInternalConductance:

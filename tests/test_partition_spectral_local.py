@@ -1,4 +1,4 @@
-"""Tests for spectral cuts, local clustering drivers, MOV, and baselines."""
+"""Tests for spectral cuts, local clustering drivers, and MOV."""
 
 from __future__ import annotations
 
@@ -6,22 +6,13 @@ import numpy as np
 import pytest
 
 from repro.dynamics import HeatKernel, LazyWalk, PPR
-from repro.exceptions import InvalidParameterError, PartitionError
-from repro.graph.generators import barbell_graph, lollipop_graph, roach_graph
+from repro.exceptions import InvalidParameterError
+from repro.graph.generators import roach_graph
 from repro.graph.random_generators import whiskered_expander
-from repro.partition.baselines import (
-    bfs_ball_cluster,
-    kernighan_lin_bisection,
-    random_bisection,
-)
 from repro.partition.local import best_local_cluster, local_cluster
 from repro.partition.metrics import conductance
 from repro.partition.mov import kappa_for_gamma, mov_cluster, mov_vector
-from repro.partition.spectral import (
-    cheeger_certificate,
-    spectral_cut,
-    spectral_cluster_ensemble,
-)
+from repro.partition.spectral import cheeger_certificate, spectral_cut
 
 
 class TestSpectralCut:
@@ -73,12 +64,6 @@ class TestSpectralCut:
             )
             ratios.append(phi_bisect / conductance(g, antennae))
         assert ratios[0] < ratios[1] < ratios[2]
-
-    def test_ensemble_has_both_orientations(self, barbell):
-        (rows_fwd, _), (rows_bwd, _) = spectral_cluster_ensemble(
-            barbell, method="exact"
-        )
-        assert rows_fwd and rows_bwd
 
     def test_iterative_methods_match_exact(self, ring):
         exact = spectral_cut(ring, method="exact")
@@ -216,31 +201,3 @@ class TestMOV:
         lam2 = fiedler_value(lollipop, method="exact")
         result = mov_cluster(lollipop, [10], gamma_fraction=0.5)
         assert result.rayleigh >= lam2 - 1e-9
-
-
-class TestBaselines:
-    def test_random_bisection_valid(self, ring):
-        nodes, phi = random_bisection(ring, seed=0)
-        assert 0 < nodes.size < ring.num_nodes
-        assert phi > 0
-
-    def test_bfs_ball_on_grid_compact(self, grid):
-        nodes, phi = bfs_ball_cluster(grid, 27, 9)
-        assert nodes.size == 9
-        # A ball is much better than random on a grid.
-        _, random_phi = random_bisection(grid, seed=1)
-        assert phi < 1.0
-
-    def test_kl_beats_random_on_planted(self, planted):
-        _, random_phi = random_bisection(planted, seed=2)
-        _, kl_phi = kernighan_lin_bisection(planted, seed=2)
-        assert kl_phi < random_phi
-
-    def test_kl_finds_barbell_cut(self):
-        g = barbell_graph(8)
-        _, phi = kernighan_lin_bisection(g, seed=3)
-        assert phi == pytest.approx(1 / 57)
-
-    def test_ball_size_validation(self, ring):
-        with pytest.raises(InvalidParameterError):
-            bfs_ball_cluster(ring, 0, ring.num_nodes)

@@ -13,6 +13,8 @@ saturate it.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +27,7 @@ from repro.diffusion.truncated_walk import truncated_lazy_walk
 from repro.dynamics import PPR, HeatKernel, LazyWalk
 from repro.exceptions import InvalidParameterError, PartitionError
 from repro.graph.build import from_edges
-from repro.ncp.profile import grid_candidates_for_seed_nodes
+from repro.ncp.profile import _octave_candidates, grid_candidates_for_seed_nodes
 from repro.partition.sweep import sweep_cut, sweep_support
 
 SPECS = (PPR(alpha=(0.05, 0.15)), HeatKernel(t=(2.0, 8.0)),
@@ -175,3 +177,23 @@ class TestSupportSweep:
             grid_candidates_for_seed_nodes(
                 whiskered, [0], PPR(), epsilons=(1e-3,), max_cluster_size=10
             )
+
+    @pytest.mark.parametrize("profile, picks", [
+        ([np.inf, 0.5, 0.4, 0.3, np.inf, 0.2, 0.25, 0.1, 0.3, 0.3,
+          np.inf, np.inf], [(3, 0.4), (6, 0.2), (8, 0.1)]),
+        # The octave of sizes 4-7 has no finite prefix: no candidate.
+        ([0.9, 0.5, 0.6, np.inf, np.inf, np.inf, np.inf, 0.2, 0.3, 0.1,
+          0.4, np.inf], [(1, 0.9), (2, 0.5), (10, 0.1)]),
+        # Tied minima: the smallest prefix wins.
+        ([0.5, 0.3, 0.3, 0.2, 0.4, 0.2, 0.2, 0.7, 0.1, 0.1, 0.1, np.inf],
+         [(1, 0.5), (2, 0.3), (4, 0.2), (9, 0.1)]),
+    ], ids=["mixed", "all-inf-octave", "tied-minimum"])
+    def test_octave_candidates_take_the_first_finite_minimum(self, profile,
+                                                             picks):
+        order = np.arange(12)[::-1]
+        sweep = SimpleNamespace(profile=np.array(profile), order=order)
+        out = []
+        _octave_candidates(sweep, out, "spectral", 12)
+        assert [(c.size, c.conductance) for c in out] == picks
+        for c in out:
+            assert np.array_equal(c.nodes, np.sort(order[:c.size]))
