@@ -15,8 +15,6 @@ Three measurements:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import format_comparison_verdict, format_table
 from repro.datasets import load_graph
 from repro.graph.generators import barbell_graph

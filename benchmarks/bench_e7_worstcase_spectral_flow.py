@@ -16,8 +16,6 @@ Three claims from the paper, measured over size sweeps:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import format_comparison_verdict, format_table
 from repro.graph.generators import cycle_graph, roach_graph
 from repro.graph.random_generators import random_regular_graph

@@ -19,7 +19,6 @@ from repro.graph.generators import (
     barbell_graph,
     grid_graph,
     lollipop_graph,
-    ring_of_cliques,
     roach_graph,
 )
 from repro.graph.random_generators import (

@@ -46,11 +46,22 @@ work of Section 3.3. The heat-kernel stages are held the same way, as
 switches a sweep or stage to one sparse matmul over the whole adjacency,
 the cheaper schedule once the support saturates the graph.
 
-The outputs are dense ``(n, B)`` matrices, so memory is ``O(n B)``;
-shard the columns for very large ``n × B``.  Each result also names its
-``support``: the ascending rows where any column can be nonzero (the
-rows ever pushed, or the rows a heat-kernel stage ever kept), found once
-per batch.  The NCP pipeline reads every column on that support only, as
+The wide PPR sweep does its dense ``(n, B)`` arithmetic on the live
+columns only.  Once at most half of the working columns have an entry
+with ``r_u ≥ ε d_u``, the finished ones are written to the outputs and
+dropped from every per-column array.  A column with no such entry never
+pushes again, since only its own pushes change its residual, and every
+op of a sweep (the sparse matmul included) is per column, so retiring
+columns changes no bit of any output.  The sweep's temporaries are
+written with ``out=`` into buffers allocated on the first wide sweep.
+
+The outputs are dense ``(n, B)`` matrices, so memory is ``O(n B)``: a
+wide sweep adds three float buffers and one bool buffer of that size,
+and after a retirement the working copies of the live columns, at most
+half the outputs.  Shard the columns for very large ``n × B``.  Each
+result also names its ``support``: the ascending rows where any column
+can be nonzero (the rows ever pushed, or the rows a heat-kernel stage
+ever kept), found once per batch.  The NCP pipeline reads every column on that support only, as
 a ``(rows, values)`` pair (``support_columns`` of the specs in
 :mod:`repro.dynamics`), so its per-column sweep never touches the other
 ``n - |support|`` rows.
@@ -228,6 +239,17 @@ def _spread(graph, rows, share, mask, slot_of):
     return targets, sums.reshape(targets.size, num_columns)
 
 
+def _view(buffer, shape):
+    """A C-contiguous ``shape`` view of the front of a flat ``buffer``."""
+    return buffer[: shape[0] * shape[1]].reshape(shape)
+
+
+def _store(outputs, state, columns, which):
+    """Copy the working ``state`` columns ``which`` into ``outputs``."""
+    for output, values in zip(outputs, state):
+        output[..., columns[which]] = values[..., which]
+
+
 def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
                    max_pushes=None):
     """Run many independent ACL push diffusions in synchronized sweeps.
@@ -302,15 +324,12 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     retained = 0.5 * (1.0 - alpha_col)
     slot_of = np.empty(n, dtype=np.int64)
     # Built on the first wide sweep only: a run that stays narrow never
-    # pays for an O(n B) threshold matrix or an O(m) sparse matrix.
+    # pays for the O(n B) threshold matrix and sweep buffers or for the
+    # O(m) sparse matrix.
     thresholds = adjacency = None
     # Rows pushed so far, in any column; ``None`` once a wide sweep has
     # made every row part of the output's support.
     ever_pushed = np.zeros(n, dtype=bool)
-
-    num_pushes = np.zeros(num_columns, dtype=np.int64)
-    work = np.zeros(num_columns, dtype=np.int64)
-    pushed_volume = np.zeros(num_columns)
     num_sweeps = 0
 
     # A sweep changes the residual only on the rows it pushes and on
@@ -318,14 +337,25 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     # ``candidates is None`` means every row is scanned (after a wide
     # sweep, whose candidate set would be most of the graph anyway).
     candidates = np.flatnonzero(seed_matrix.any(axis=1))
-    approximation = np.zeros((n, num_columns))
-    residual = seed_matrix[:, seed_idx].copy()
+    outputs = (
+        np.zeros((n, num_columns)),
+        seed_matrix[:, seed_idx].copy(),
+        np.zeros(num_columns, dtype=np.int64),
+        np.zeros(num_columns, dtype=np.int64),
+        np.zeros(num_columns),
+    )
+    # The sweeps update the live columns only, and ``columns`` maps each
+    # to its output column; until a wide sweep retires the finished
+    # columns, the working state is the outputs themselves.
+    approximation, residual, num_pushes, work, pushed_volume = outputs
+    columns = np.arange(num_columns)
+    grid_alphas, grid_epsilons = alpha_col, eps_col
 
     while True:
         if candidates is None:
-            if thresholds is None:
-                thresholds = degrees[:, None] * eps_col
-            active = residual >= thresholds
+            active = np.greater_equal(
+                residual, thresholds, out=_view(active_buffer, residual.shape)
+            )
             rows = np.flatnonzero(active.any(axis=1))
             mask = None
         else:
@@ -344,18 +374,60 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
         if 4 * frontier_arcs >= graph.indices.size:
             # Wide sweep: the frontier covers most arcs, so one sparse
             # matmul over the whole adjacency beats gathering CSR slices.
-            if active is None:
-                active = np.zeros((n, num_columns), dtype=bool)
-                active[rows] = mask
             if adjacency is None:
                 adjacency = adjacency_matrix(graph)
-            pushed = np.where(active, residual, 0.0)
-            num_pushes += active.sum(axis=0)
-            work += (1 + deg_counts) @ active
-            pushed_volume += degrees @ active
-            approximation += alpha_col * pushed
-            spread = adjacency @ (pushed / (2.0 * degrees[:, None]))
-            residual += (1.0 - alpha_col) * spread + retained * pushed - pushed
+                thresholds = degrees[:, None] * eps_col
+                # Per-row weights of the push counters: one push and
+                # ``1 + deg(u)`` work.
+                push_weights = np.stack((np.ones(n), 1.0 + deg_counts))
+                # The sweep temporaries, written with ``out=`` on every
+                # wide sweep; retiring columns only shortens their views.
+                sweep_buffers = np.empty((3, residual.size))
+                active_buffer = np.empty(residual.size, dtype=bool)
+            if active is None:
+                active = _view(active_buffer, residual.shape)
+                active.fill(False)
+                active[rows] = mask
+            live = active.any(axis=0)
+            if 2 * np.count_nonzero(live) <= live.size:
+                # Retire the finished columns.  None has an active entry,
+                # and only a column's own pushes change its residual, so
+                # none pushes again: store them and drop them from every
+                # per-column array.  Each op of a sweep is per column, so
+                # the live columns' results are bitwise unchanged.
+                state = (approximation, residual, num_pushes, work,
+                         pushed_volume)
+                _store(outputs, state, columns, ~live)
+                (approximation, residual, num_pushes, work, pushed_volume,
+                 alpha_col, eps_col, retained, push_caps, thresholds,
+                 columns, active) = (
+                    values[..., live] for values in (
+                        *state, alpha_col, eps_col, retained, push_caps,
+                        thresholds, columns, active,
+                    )
+                )
+            pushed, scaled, update = (
+                _view(buffer, residual.shape) for buffer in sweep_buffers
+            )
+            # ``update`` holds ``active`` as 0/1 floats until the pushes
+            # are counted; the counts are integers below 2**53, so the
+            # float matmul is exact.
+            np.copyto(update, active)
+            np.multiply(residual, update, out=pushed)
+            pushes, arcs = push_weights @ update
+            num_pushes += pushes.astype(np.int64)
+            work += arcs.astype(np.int64)
+            pushed_volume += degrees @ update
+            np.multiply(alpha_col, pushed, out=update)
+            approximation += update
+            np.divide(pushed, 2.0 * degrees[:, None], out=scaled)
+            spread = adjacency @ scaled
+            # residual += (1 - α) spread + retained pushed - pushed
+            np.multiply(1.0 - alpha_col, spread, out=spread)
+            np.multiply(retained, pushed, out=update)
+            np.add(spread, update, out=update)
+            np.subtract(update, pushed, out=update)
+            residual += update
             candidates = ever_pushed = None
         else:
             # Narrow sweep: gather only the frontier's CSR slices and
@@ -382,9 +454,16 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             worst = int(np.argmax(num_pushes - push_caps))
             raise InvalidParameterError(
                 f"push exceeded max_pushes={int(push_caps[worst])} in "
-                f"column {worst}; epsilon too small?"
+                f"column {columns[worst]}; epsilon too small?"
             )
 
+    if columns.size < num_columns:
+        _store(
+            outputs,
+            (approximation, residual, num_pushes, work, pushed_volume),
+            columns, slice(None),
+        )
+    approximation, residual, num_pushes, work, pushed_volume = outputs
     return BatchPushResult(
         approximation=approximation,
         residual=residual,
@@ -393,8 +472,8 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             else np.flatnonzero(ever_pushed)
         ),
         seed_indices=seed_idx,
-        alphas=alpha_col,
-        epsilons=eps_col,
+        alphas=grid_alphas,
+        epsilons=grid_epsilons,
         num_pushes=num_pushes,
         work=work,
         pushed_volume=pushed_volume,

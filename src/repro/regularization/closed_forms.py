@@ -35,7 +35,6 @@ import numpy as np
 
 from repro._validation import check_int, check_positive, check_probability
 from repro.exceptions import InvalidParameterError
-from repro.regularization.sdp import normalize_to_density
 
 
 def _symmetric_eigh(matrix):

@@ -38,6 +38,7 @@ from repro.diffusion.seeds import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.graph.build import from_edges
+from repro.graph.matrices import adjacency_matrix
 from repro.partition.sweep import sweep_cut
 
 
@@ -570,6 +571,98 @@ class TestCompactKernelPath:
                         scalar.dropped_mass, abs=1e-15
                     )
                     b += 1
+
+
+@pytest.fixture
+def wide_path_used(monkeypatch):
+    """Fail the test unless a kernel ran its full-adjacency path."""
+    import repro.diffusion.engine as engine
+
+    calls = []
+
+    def counted_adjacency(graph):
+        calls.append(graph)
+        return adjacency_matrix(graph)
+
+    monkeypatch.setattr(engine, "adjacency_matrix", counted_adjacency)
+    yield
+    assert calls, "no wide sweep or stage ran"
+
+
+class TestWidePathRetirement:
+    """The wide PPR sweep drops the columns that finished early.
+
+    A column that stops pushing is stored and leaves the working set, so
+    its result, and the live columns', must be what the full-width sweep
+    gives.
+    """
+
+    ALPHAS = (0.01, 0.3)
+    EPS = (1e-5, 1e-3)
+    # ``batch_ppr_push`` on atp with the default PPR grid, eight seeds:
+    # SHA-256 of the approximation and residual bytes, the push and work
+    # counters and the sweep count, and the total pushed volume.
+    PIN_SEEDS = (1081, 96, 21, 651, 392, 343, 52, 810)
+    PIN_SHA256 = (
+        "d4a95acd2d33df368e70dff4273b226d70a28fe331195af66d2dc27eae44130f"
+    )
+    PIN_PUSHED_VOLUME = 18068709.0
+
+    def test_ppr_columns_meet_the_paper_guarantees(
+            self, whiskered, wide_path_used):
+        from repro.diffusion.push import push_invariant_residual
+
+        graph = whiskered
+        seeds = (0, 7, graph.num_nodes // 2)
+        batch = batch_ppr_push(
+            graph, seeds, alphas=self.ALPHAS, epsilons=self.EPS
+        )
+        alone_sweeps = []
+        b = 0
+        for seed_node in seeds:
+            s = indicator_seed(graph, [seed_node])
+            for alpha in self.ALPHAS:
+                exact = lazy_pagerank_exact(graph, alpha, s)
+                for epsilon in self.EPS:
+                    column = batch.column(b)
+                    bound = epsilon * graph.degrees
+                    assert np.all(
+                        np.abs(column.approximation - exact) <= bound + 1e-12
+                    )
+                    assert np.all(column.residual < bound)
+                    assert push_invariant_residual(graph, column, s) < 1e-10
+                    alone = batch_ppr_push(
+                        graph, [seed_node], alphas=(alpha,),
+                        epsilons=(epsilon,),
+                    )
+                    assert batch.num_pushes[b] == alone.num_pushes[0]
+                    assert batch.work[b] == alone.work[0]
+                    alone_sweeps.append(alone.num_sweeps)
+                    b += 1
+        # Most columns finish long before the batch does, so the wide
+        # sweeps run with some of them retired.
+        assert max(alone_sweeps) == batch.num_sweeps
+        assert np.median(alone_sweeps) < batch.num_sweeps / 4
+
+    def test_atp_default_grid_bytes_are_pinned(self, wide_path_used):
+        import hashlib
+
+        from repro.datasets import load_graph
+
+        batch = batch_ppr_push(
+            load_graph("atp"), self.PIN_SEEDS, alphas=PPR().alpha,
+            epsilons=PPR.default_epsilons,
+        )
+        digest = hashlib.sha256()
+        for part in (batch.approximation, batch.residual, batch.num_pushes,
+                     batch.work, np.int64(batch.num_sweeps)):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == self.PIN_SHA256
+        # The volume is a BLAS matrix-vector product, so it is compared
+        # to roundoff rather than pinned bit for bit.
+        assert batch.pushed_volume.sum() == pytest.approx(
+            self.PIN_PUSHED_VOLUME, rel=1e-15
+        )
 
 
 class TestVectorizedTruncatedWalk:

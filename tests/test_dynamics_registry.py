@@ -10,9 +10,8 @@ sharded NCP runner and the local-cluster driver without touching either.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar
+from typing import ClassVar
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

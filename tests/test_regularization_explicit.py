@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidParameterError
 from repro.regularization.implicit import (
     early_stopping_path,
     noise_sensitivity,

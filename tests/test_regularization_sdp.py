@@ -14,7 +14,6 @@ from repro.regularization.closed_forms import (
     GeneralizedEntropy,
     LogDeterminant,
     MatrixPNorm,
-    eta_for_lazy_walk,
     eta_for_pagerank,
     heat_kernel_density,
     lazy_walk_density,
