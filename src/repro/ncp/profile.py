@@ -44,7 +44,6 @@ from repro.partition.metrics import conductance
 from repro.partition.multilevel import recursive_bisection_clusters
 from repro.partition.sweep import sweep_support
 from repro.refine import (
-    apply_refiners,
     as_pipeline,
     as_refiner_chain,
     refine_candidates,
@@ -291,23 +290,24 @@ def flow_cluster_ensemble_ncp(graph, *, min_size=4, seed=None,
     )
     if max_refine_size is None:
         max_refine_size = graph.num_nodes
-    candidates = []
-    for nodes in _unique_clusters(clusters):
-        phi = conductance(graph, nodes)
-        candidates.append(
-            ClusterCandidate(nodes=nodes, conductance=phi, method="flow")
+    sides = [
+        ClusterCandidate(
+            nodes=nodes, conductance=conductance(graph, nodes), method="flow"
         )
-        if chain and nodes.size <= max_refine_size:
-            trace = apply_refiners(graph, nodes, chain, pre_conductance=phi)
-            if trace.changed and trace.final_conductance < phi - 1e-15:
-                candidates.append(
-                    ClusterCandidate(
-                        nodes=trace.nodes,
-                        conductance=trace.final_conductance,
-                        method="flow",
-                        refinement=trace.steps,
-                    )
-                )
+        for nodes in _unique_clusters(clusters)
+    ]
+    # One refine_candidates call, so MQI runs every side's rounds in waves.
+    refined = iter(refine_candidates(
+        graph, [side for side in sides if side.size <= max_refine_size],
+        chain,
+    ))
+    candidates = []
+    for side in sides:
+        candidates.append(side)
+        if chain and side.size <= max_refine_size:
+            better = next(refined)
+            if better.refined and better.conductance < side.conductance - 1e-15:
+                candidates.append(better)
     return candidates
 
 

@@ -24,7 +24,7 @@ from repro._validation import check_int
 from repro.diffusion._csr import gather_csr_arcs
 from repro.exceptions import PartitionError
 from repro.partition.metrics import conductance
-from repro.partition.mqi import mqi
+from repro.partition.mqi import _mqi_waves
 
 
 @dataclass
@@ -123,10 +123,15 @@ def flow_improve(graph, nodes, *, dilation_radius=1, max_rounds=50):
     -------
     FlowImproveResult
     """
-    base = np.asarray(sorted(set(int(u) for u in nodes)), dtype=np.int64)
-    if base.size == 0 or base.size >= graph.num_nodes:
-        raise PartitionError("flow_improve needs a nonempty proper subset")
-    initial_phi = conductance(graph, base)
+    return _flow_improve_many(
+        graph, [nodes], dilation_radius=dilation_radius,
+        max_rounds=max_rounds,
+    )[0]
+
+
+def _flow_region(graph, base, dilation_radius):
+    """The dilated region MQI searches, or ``None`` when even ``base``
+    exceeds half the graph volume."""
     region = dilate(graph, base, dilation_radius)
     if region.size >= graph.num_nodes:
         region = base
@@ -145,31 +150,41 @@ def flow_improve(graph, nodes, *, dilation_radius=1, max_rounds=50):
             volume += du
         region = np.asarray(sorted(kept), dtype=np.int64)
     if float(graph.degrees[region].sum()) > half:
-        # The proposal itself exceeds half the volume: fall back to it.
-        return FlowImproveResult(
-            nodes=base,
-            conductance=initial_phi,
+        return None
+    return region
+
+
+def _flow_improve_many(graph, node_sets, *, dilation_radius, max_rounds):
+    """:func:`flow_improve` for many proposals: every region is dilated
+    first, then all of them run through one MQI wave loop."""
+    bases, phis, regions = [], [], []
+    for nodes in node_sets:
+        base = np.asarray(sorted(set(int(u) for u in nodes)), dtype=np.int64)
+        if base.size == 0 or base.size >= graph.num_nodes:
+            raise PartitionError(
+                "flow_improve needs a nonempty proper subset"
+            )
+        bases.append(base)
+        phis.append(conductance(graph, base))
+        regions.append(_flow_region(graph, base, dilation_radius))
+    flowing = [i for i, region in enumerate(regions) if region is not None]
+    solved = dict(zip(flowing, _mqi_waves(
+        graph, [regions[i] for i in flowing], max_rounds=max_rounds,
+    )))
+    results = []
+    for i, (base, initial_phi) in enumerate(zip(bases, phis)):
+        result = solved.get(i)
+        improved = (
+            result is not None
+            and result.conductance < initial_phi - 1e-15
+        )
+        results.append(FlowImproveResult(
+            nodes=result.nodes if improved else base,
+            conductance=result.conductance if improved else initial_phi,
             initial_conductance=initial_phi,
             dilation_radius=dilation_radius,
-            improved=False,
-        )
-    result = mqi(graph, region, max_rounds=max_rounds)
-    if result.conductance < initial_phi - 1e-15:
-        return FlowImproveResult(
-            nodes=result.nodes,
-            conductance=result.conductance,
-            initial_conductance=initial_phi,
-            dilation_radius=dilation_radius,
-            improved=True,
-            rounds=result.rounds,
-            converged=result.converged,
-        )
-    return FlowImproveResult(
-        nodes=base,
-        conductance=initial_phi,
-        initial_conductance=initial_phi,
-        dilation_radius=dilation_radius,
-        improved=False,
-        rounds=result.rounds,
-        converged=result.converged,
-    )
+            improved=improved,
+            rounds=result.rounds if result is not None else 0,
+            converged=result.converged if result is not None else True,
+        ))
+    return results

@@ -10,16 +10,17 @@ blocking flows found by DFS with iterator pointers. Complexity ``O(V^2 E)``
 in general; on the unit-ish networks MQI builds it behaves much better.
 Capacities are floats; comparisons use a relative tolerance.
 
-MQI does not run here on integer-weighted graphs.  It divides its network
-by ``gcd(cut, vol)``, so every capacity is an exact integer, and solves it
-with scipy's compiled Dinic; the round stops when the flow equals the
-scaled ``cut · vol``, with no tolerance.  It reads the improved set off
-the nodes reachable from the source in the residual graph: the minimal
-min-cut source side, identical for every maximum flow, so both solvers
-give the same set.  :class:`FlowNetwork` is the fallback for rounds with
-a non-integer weight or a capacity above ``2**31 - 1`` (scipy's int32
-capacities would wrap), and the oracle the compiled rounds are tested
-against.
+MQI does not run here on integer-weighted graphs.  It divides each
+side's network by ``gcd(cut, vol)``, so every capacity is an exact
+integer, and solves the networks of many sides at once, as blocks of one
+union network, with scipy's compiled Dinic; a side stops when the flow
+on its source arcs equals its scaled ``cut · vol``, with no tolerance.
+It reads the improved set off the nodes reachable from the source in the
+residual graph: the minimal min-cut source side, identical for every
+maximum flow, so both solvers give the same set.  :class:`FlowNetwork`
+is the per-side fallback for a side with a non-integer weight or a
+capacity above ``2**31 - 1`` (scipy's int32 capacities would wrap), and
+the oracle the compiled waves are tested against.
 """
 
 from __future__ import annotations

@@ -20,24 +20,46 @@ is *optimal among subsets of the original side* — a strictly flow-based
 object, which is why its clusters score well on conductance but can be
 stringy (the Figure 1 tradeoff).
 
-Solving a round
----------------
-When every edge at a node of ``A`` has an integer weight, a round is
-built in numpy (one CSR gather of the side's arcs, one ``bincount`` for
-the boundary weights) as an *integer* network and solved by scipy's
-compiled Dinic (``scipy.sparse.csgraph.maximum_flow``).  Dividing by
-``g = gcd(c, v)`` keeps the capacities small: with ``V = v/g`` and
-``C = c/g`` the arcs carry ``V · w``, ``V · boundary(u)`` and
-``C · d(u)``, which is the network above scaled by ``1/g``.  A round
-improves nothing iff the flow value equals ``V · c``, an exact integer
-test with no tolerance.  The improved set is ``A`` minus the nodes
-reachable from the source in the residual graph.  That reachable set is
-the *minimal* source side of a minimum cut, the same for every maximum
-flow, so the result does not depend on which max-flow the solver finds.
+Solving a wave
+--------------
+Candidates are independent, so a *wave* runs one round for many sides at
+once.  Each side is one block of a union network; all blocks share one
+source and one sink, and no arc joins two blocks.  The union is built in
+numpy: one CSR gather of every side's arcs, an inside test on
+``block · n + node`` keys, and ``bincount`` / ``reduceat`` sums per block.
+A wave is cut into consecutive groups of at most ``2**13`` gathered arcs,
+so one union network and its solve stay near a megabyte whatever the
+number of candidates.
+
+When every edge at a node of ``A`` has an integer weight, its block is an
+*integer* network.  Dividing by ``g = gcd(c, v)`` keeps the capacities
+small: with ``V = v/g`` and ``C = c/g`` the arcs carry ``V · w``,
+``V · boundary(u)`` and ``C · d(u)``, which is the network above scaled
+by ``1/g``.  Every integer block of the wave is solved by one call to
+scipy's compiled Dinic (``scipy.sparse.csgraph.maximum_flow``) and one
+``breadth_first_order`` over the residual graph.  A block improves
+nothing iff the flow on its source arcs equals ``V · c``, an exact
+integer test with no tolerance.  Its improved set is ``A`` minus the
+block's nodes reachable from the source in the residual graph.
+
+The reachable set is the *minimal* source side of a minimum cut, the
+same for every maximum flow, so the result does not depend on which
+max-flow the solver finds.  The blocks share only the source and the
+sink, so a maximum flow of the union is a maximum flow on every block,
+and reach never crosses from one block into another: a path between
+blocks passes through the sink, which is unreachable at a maximum flow,
+or through the source, where every path starts anyway.  So each block's
+reach, and hence its result, is exactly what solving that block alone
+would give.
+
+The integer sums also give each round's conductance exactly: cut and
+volume are integers below ``2**53``, so ``c / min(v, vol(G) - v)`` is
+bitwise what :func:`~repro.partition.metrics.conductance` returns,
+without its O(m) scan.
 
 scipy stores capacities as int32 and wraps larger values silently, so a
-round whose side has a non-integer weight, or whose network would need a
-capacity above ``2**31 - 1``, runs on the pure-Python
+block whose side has a non-integer weight, or whose network would need a
+capacity above ``2**31 - 1``, runs on its own on the pure-Python
 :class:`~repro.partition.maxflow.FlowNetwork` instead, with float
 capacities and a relative tolerance on the stopping test.  The input
 alone decides which path runs; both return the same subset wherever both
@@ -46,7 +68,6 @@ apply.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,6 +81,8 @@ from repro.partition.metrics import conductance
 
 _REL_EPS = 1e-12
 _INT32_MAX = 2**31 - 1
+_EXACT_MAX = 2**53
+_WAVE_ARCS = 2**13
 
 
 @dataclass
@@ -93,108 +116,163 @@ class MQIResult:
     converged: bool = True
 
 
-def _one_round(graph, side):
-    """One MQI max-flow round; returns an improved subset or ``None``.
+def _wave(graph, sides, *, solve=True):
+    """φ of every side and, when ``solve``, one MQI round on each.
 
-    ``side`` is a sorted array of distinct node ids.  The round runs on
-    the compiled solver whenever :func:`_integer_network` can build the
-    network exactly, and on :func:`_float_round` otherwise.
+    ``sides`` are sorted arrays of distinct node ids.  Returns ``(phis,
+    improved)``: ``phis[b]`` is φ of ``sides[b]``, and ``improved[b]``
+    the strictly better subset the round found, or ``None`` when no
+    subset of the side improves it.  ``improved`` is ``None`` when
+    ``solve`` is false.
     """
-    built = _integer_network(graph, side)
-    if built is None:
-        return _float_round(graph, side)
-    reached = _min_cut_source_side(*built)
-    if reached is None:
-        return None  # the flow saturates every sink arc: no improvement
-    keep = np.ones(side.size, dtype=bool)
-    keep[reached[reached < side.size]] = False
-    improved = side[keep]
-    if improved.size == 0 or improved.size == side.size:
-        return None
-    return improved
+    phis, improved, union = _build_wave(graph, sides, solve=solve)
+    # The solve runs once _build_wave has returned and freed its
+    # arc-level arrays.
+    if union is not None:
+        _solve_union(*union, sides, improved)
+    return phis, improved
 
 
-def _integer_network(graph, side):
-    """The round's network with exact int32 capacities.
+def _build_wave(graph, sides, *, solve):
+    """φ of every side, the fallback rounds, and the union network.
 
-    Returns ``(network, saturated)``: a ``(k+2) × (k+2)`` int32
-    ``csr_array`` whose rows ``0..k-1`` are the side, row ``k`` the
-    source and row ``k+1`` the sink, and the flow value ``V·cut`` that
-    means no improvement.  Returns ``None`` when the side has no
-    boundary, a side arc has a non-integer weight, or a capacity exceeds
-    ``2**31 - 1``; scipy would wrap such a capacity silently.
+    Returns ``(phis, improved, union)``.  ``improved`` holds the results
+    of the blocks that take the :func:`_float_round` fallback (``None``
+    elsewhere), and ``union`` is ``(network, blocks, starts, saturated)``
+    for :func:`_solve_union`, or ``None`` when no block is compiled.
     """
-    k = side.size
-    arcs, counts = gather_csr_arcs(graph.indptr, side)
+    count = len(sides)
+    sizes = np.fromiter(map(len, sides), dtype=np.int64, count=count)
+    starts = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    nodes = np.concatenate(sides)
+    row_block = np.repeat(np.arange(count), sizes)
+    arcs, counts = gather_csr_arcs(graph.indptr, nodes)
     heads = graph.indices[arcs]
     weights = graph.weights[arcs]
-    rows = np.repeat(np.arange(k), counts)
-    local = np.minimum(np.searchsorted(side, heads), k - 1)
-    inside = side[local] == heads
+    rows = np.repeat(np.arange(nodes.size), counts)
+    arc_block = row_block[rows]
+    # block·n + node is sorted and unique across the wave: each side is
+    # sorted, and the blocks follow one another.
+    keys = row_block * graph.num_nodes + nodes
+    local = np.searchsorted(keys, arc_block * graph.num_nodes + heads)
+    np.minimum(local, nodes.size - 1, out=local)
+    inside = keys[local] == arc_block * graph.num_nodes + heads
     boundary = np.bincount(
-        rows[~inside], weights=weights[~inside], minlength=k
+        rows[~inside], weights=weights[~inside], minlength=nodes.size
     )
-    degrees = graph.degrees[side]
+    degrees = graph.degrees[nodes]
     # A sink arc carries C·d(u) >= d(u), so a degree above int32 already
-    # rules the network out; below it the float sums of integer weights
-    # are exact.
-    if (not boundary.any() or degrees.max() > _INT32_MAX
-            or np.any(weights != np.floor(weights))):
-        return None
-    boundary = boundary.astype(np.int64)
-    degrees = degrees.astype(np.int64)
-    internal = weights[inside].astype(np.int64)
-    cut, volume = int(boundary.sum()), int(degrees.sum())
-    common = math.gcd(cut, volume)
-    vol_scale, cut_scale = volume // common, cut // common
-    widest = max(int(internal.max(initial=0)), int(boundary.max()))
-    if (vol_scale * widest > _INT32_MAX
-            or cut_scale * int(degrees.max()) > _INT32_MAX):
-        return None
-    # Each side row holds its internal arcs in CSR order, then its sink
-    # arc; the gathered arcs are already grouped by row, so every arc's
-    # slot is known without a sort.
-    internal_rows = rows[inside]
-    fed = np.flatnonzero(boundary)
-    indptr = np.zeros(k + 3, dtype=np.int64)
-    indptr[1:k + 1] = np.cumsum(np.bincount(internal_rows, minlength=k) + 1)
-    indptr[k + 1:] = indptr[k] + fed.size
-    internal_arcs = np.arange(internal_rows.size) + internal_rows
-    sink_arcs = indptr[1:k + 1] - 1
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    capacity = np.empty(indptr[-1], dtype=np.int64)
-    indices[internal_arcs] = local[inside]
-    capacity[internal_arcs] = vol_scale * internal
-    indices[sink_arcs] = k + 1
-    capacity[sink_arcs] = cut_scale * degrees
-    indices[indptr[k]:] = fed
-    capacity[indptr[k]:] = vol_scale * boundary[fed]
-    network = sparse.csr_array(
-        (capacity.astype(np.int32), indices, indptr.astype(np.int32)),
-        shape=(k + 2, k + 2),
+    # rules a block out; below it the float sums of integer weights are
+    # exact, and so are the int64 block sums below 2**53.
+    integral = np.ones(count, dtype=bool)
+    integral[arc_block[weights != np.floor(weights)]] = False
+    integral[row_block[degrees > _INT32_MAX]] = False
+    counted = integral[row_block]
+    cut = np.add.reduceat(
+        np.where(counted, boundary, 0.0).astype(np.int64), starts[:-1]
     )
-    return network, vol_scale * cut
+    volume = np.add.reduceat(
+        np.where(counted, degrees, 0.0).astype(np.int64), starts[:-1]
+    )
+    exact = integral & (volume <= _EXACT_MAX)
+    denominator = np.minimum(volume, graph.total_volume - volume)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phis = (cut / denominator).tolist()
+    for b in np.flatnonzero(~exact | (denominator <= 0)):
+        phis[b] = conductance(graph, sides[b])
+    if not solve:
+        return phis, None, None
+
+    compiled = exact & (cut > 0)
+    common = np.maximum(np.gcd(cut, volume), 1)
+    vol_scale = np.where(compiled, volume // common, 0)
+    cut_scale = np.where(compiled, cut // common, 0)
+    # Float products of integers are exact up to 2**53, so these tests
+    # against 2**31 - 1 are exact.
+    internal_cap = vol_scale[arc_block] * weights
+    source_cap = vol_scale[row_block] * boundary
+    sink_cap = cut_scale[row_block] * degrees
+    wide = np.zeros(count, dtype=bool)
+    wide[arc_block[inside & (internal_cap > _INT32_MAX)]] = True
+    wide[row_block[np.maximum(source_cap, sink_cap) > _INT32_MAX]] = True
+    compiled &= ~wide
+    improved = [None] * count
+    for b in np.flatnonzero(~exact | wide):
+        improved[b] = _float_round(graph, sides[b])
+    if not compiled.any():
+        return phis, improved, None
+
+    # The union network: rows 0..size-1 are the compiled blocks' nodes,
+    # block after block, row ``size`` is the source and ``size + 1`` the
+    # sink.  Each node row holds its internal arcs in CSR order, then its
+    # sink arc; the gathered arcs are already grouped by row, so every
+    # arc's slot is known without a sort.
+    row_on = compiled[row_block]
+    union_rows = np.flatnonzero(row_on)
+    size = union_rows.size
+    renumber = np.cumsum(row_on) - 1
+    arc_on = inside & row_on[rows]
+    tails = renumber[rows[arc_on]]
+    fed = np.flatnonzero(boundary[union_rows])
+    indptr = np.zeros(size + 3, dtype=np.int64)
+    indptr[1:size + 1] = np.cumsum(np.bincount(tails, minlength=size) + 1)
+    indptr[size + 1:] = indptr[size] + fed.size
+    internal_slots = np.arange(tails.size) + tails
+    sink_slots = indptr[1:size + 1] - 1
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    capacity = np.empty(indptr[-1], dtype=np.int32)
+    indices[internal_slots] = renumber[local[arc_on]]
+    capacity[internal_slots] = internal_cap[arc_on]
+    indices[sink_slots] = size + 1
+    capacity[sink_slots] = sink_cap[union_rows]
+    indices[indptr[size]:] = fed
+    capacity[indptr[size]:] = source_cap[union_rows[fed]]
+    network = sparse.csr_array(
+        (capacity, indices, indptr.astype(np.int32)),
+        shape=(size + 2, size + 2),
+    )
+    blocks = np.flatnonzero(compiled)
+    union_starts = np.zeros(blocks.size + 1, dtype=np.int64)
+    np.cumsum(sizes[blocks], out=union_starts[1:])
+    return phis, improved, (
+        network, blocks, union_starts, vol_scale[blocks] * cut[blocks]
+    )
 
 
-def _min_cut_source_side(network, saturated):
-    """Solve an :func:`_integer_network` with scipy's compiled Dinic.
+def _solve_union(network, blocks, starts, saturated, sides, improved):
+    """Solve a union network by scipy's compiled Dinic and split it.
 
-    Returns the nodes reachable from the source in the residual graph,
-    or ``None`` when the flow value equals ``saturated``.
+    ``blocks`` are the compiled sides in union order, their rows start at
+    ``starts``, and ``saturated[i]`` is the flow that means block ``i``
+    cannot improve.  Each improving block's subset goes into
+    ``improved``.
     """
     # Imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
     # which ``import repro`` otherwise never loads.
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
     source, sink = network.shape[0] - 2, network.shape[0] - 1
-    solved = maximum_flow(network, source, sink, method="dinic")
-    if solved.flow_value == saturated:
-        return None
+    flow = maximum_flow(network, source, sink, method="dinic").flow
     # int64: a reverse residual cap(u, x) + flow(x, u) may exceed int32.
-    residual = network.astype(np.int64) - solved.flow.astype(np.int64)
-    return breadth_first_order(
+    residual = network.astype(np.int64) - flow.astype(np.int64)
+    reached = breadth_first_order(
         residual > 0, source, directed=True, return_predecessors=False
     )
+    cut_off = np.zeros(source, dtype=bool)
+    cut_off[reached[reached < source]] = True
+    # Saturation per block, from the flow on the block's source arcs.
+    source_arcs = slice(flow.indptr[source], flow.indptr[sink])
+    sent = np.zeros(blocks.size, dtype=np.int64)
+    np.add.at(
+        sent, np.searchsorted(starts, flow.indices[source_arcs], "right") - 1,
+        flow.data[source_arcs],
+    )
+    for i in np.flatnonzero(sent < saturated):
+        side = sides[blocks[i]]
+        kept = side[~cut_off[starts[i]:starts[i + 1]]]
+        if 0 < kept.size < side.size:
+            improved[blocks[i]] = kept
 
 
 def _float_round(graph, side):
@@ -241,8 +319,98 @@ def _float_round(graph, side):
     return improved
 
 
+def _checked_side(graph, nodes):
+    """``nodes`` as MQI's sorted side; raises when MQI cannot take it."""
+    side = np.unique(np.asarray(nodes, dtype=np.int64))
+    if side.size == 0 or side.size >= graph.num_nodes:
+        raise PartitionError("MQI needs a nonempty proper subset")
+    volume = float(graph.degrees[side].sum())
+    if volume > graph.total_volume / 2.0 + 1e-9:
+        raise PartitionError(
+            "MQI requires vol(side) <= vol(G)/2; pass the smaller side"
+        )
+    return side
+
+
+def _wave_groups(graph, sides):
+    """Split ``sides`` into consecutive runs of at most ``_WAVE_ARCS``
+    gathered arcs, so one union network stays near a megabyte; a larger
+    side runs alone."""
+    indptr = graph.indptr
+    group, arcs = [], 0
+    for side in sides:
+        count = int(indptr[side + 1].sum() - indptr[side].sum())
+        if group and arcs + count > _WAVE_ARCS:
+            yield group
+            group, arcs = [], 0
+        group.append(side)
+        arcs += count
+    yield group
+
+
+def _mqi_waves(graph, sides, *, max_rounds):
+    """Iterated MQI on many checked sides at once, one wave per round.
+
+    Returns one :class:`MQIResult` per side, each exactly what iterating
+    that side alone gives.  A side leaves the wave when a round finds no
+    improving subset; the wave after the last round only measures φ.
+    """
+    current = list(sides)
+    initial = [0.0] * len(sides)
+    history = [[] for _ in sides]
+    converged = [False] * len(sides)
+    live = list(range(len(sides)))
+    for round_ in range(max_rounds + 1):
+        if not live:
+            break
+        solve = round_ < max_rounds
+        phis, improved = [], []
+        for group in _wave_groups(graph, [current[b] for b in live]):
+            group_phis, group_improved = _wave(graph, group, solve=solve)
+            phis += group_phis
+            if solve:
+                improved += group_improved
+        for b, phi in zip(live, phis):
+            if round_ == 0:
+                initial[b] = phi
+            else:
+                history[b].append(phi)
+        if not solve:
+            break
+        still = []
+        for b, better in zip(live, improved):
+            if better is None:
+                converged[b] = True
+            else:
+                current[b] = better
+                still.append(b)
+        live = still
+    results = []
+    for b in range(len(sides)):
+        if not converged[b]:
+            warnings.warn(
+                f"mqi exhausted max_rounds={max_rounds} while rounds were "
+                f"still improving; the result may not be subset-optimal "
+                f"(MQIResult.converged is False)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        results.append(MQIResult(
+            nodes=current[b],
+            conductance=history[b][-1] if history[b] else initial[b],
+            initial_conductance=initial[b],
+            rounds=len(history[b]),
+            history=history[b],
+            converged=converged[b],
+        ))
+    return results
+
+
 def mqi(graph, nodes, *, max_rounds=100):
     """Iterate MQI rounds until no subset of the side improves conductance.
+
+    The one-side case of the wave loop that :class:`repro.refine.MQI`
+    runs over a whole candidate ensemble.
 
     Parameters
     ----------
@@ -259,42 +427,8 @@ def mqi(graph, nodes, *, max_rounds=100):
     -------
     MQIResult
     """
-    side = np.unique(np.asarray(nodes, dtype=np.int64))
-    if side.size == 0 or side.size >= graph.num_nodes:
-        raise PartitionError("MQI needs a nonempty proper subset")
-    volume = float(graph.degrees[side].sum())
-    if volume > graph.total_volume / 2.0 + 1e-9:
-        raise PartitionError(
-            "MQI requires vol(side) <= vol(G)/2; pass the smaller side"
-        )
-    initial_phi = conductance(graph, side)
-    history = []
-    current = side
-    converged = False
-    for _ in range(max_rounds):
-        improved = _one_round(graph, current)
-        if improved is None:
-            converged = True
-            break
-        current = improved
-        history.append(conductance(graph, current))
-    if not converged:
-        warnings.warn(
-            f"mqi exhausted max_rounds={max_rounds} while rounds were "
-            f"still improving; the result may not be subset-optimal "
-            f"(MQIResult.converged is False)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    final_phi = conductance(graph, current)
-    return MQIResult(
-        nodes=np.sort(current),
-        conductance=final_phi,
-        initial_conductance=initial_phi,
-        rounds=len(history),
-        history=history,
-        converged=converged,
-    )
+    side = _checked_side(graph, nodes)
+    return _mqi_waves(graph, [side], max_rounds=max_rounds)[0]
 
 
 def mqi_certificate(graph, nodes, *, trials=200, seed=None):

@@ -23,7 +23,9 @@ Three layers:
 * **Chains** — :func:`apply_refiners` threads a cluster through an
   ordered refiner chain and returns a :class:`RefinementTrace`;
   :func:`refine_candidates` lifts that over whole NCP candidate
-  ensembles.
+  ensembles, one chain stage at a time: each stage's ``refine_many``
+  sees every candidate, which lets :class:`MQI` and
+  :class:`FlowImprove` run all their max-flow rounds in waves.
 * **Pipelines** — :class:`Pipeline` pairs a diffusion workload (any
   :class:`~repro.dynamics.DiffusionGrid`-compatible value) with a refiner
   chain.  Every NCP and local-clustering entry point accepts one:
@@ -55,10 +57,10 @@ from repro.exceptions import (
     InvalidParameterError,
     PartitionError,
 )
-from repro.partition.flow_improve import flow_improve
+from repro.partition.flow_improve import _flow_improve_many
 from repro.partition.metrics import conductance
 from repro.partition.mov import mov_cluster
-from repro.partition.mqi import mqi
+from repro.partition.mqi import _checked_side, _mqi_waves
 
 __all__ = [
     "FlowImprove",
@@ -160,8 +162,28 @@ class _RefinerBase:
 
     Subclasses define the class attribute ``name`` (canonical registry
     key) and implement ``refine(graph, nodes, pre_conductance=None)``
-    returning ``(nodes, RefinementStep)``.
+    returning ``(nodes, RefinementStep)``.  They may also implement
+    :meth:`refine_many`, which must give exactly what looping ``refine``
+    gives.
     """
+
+    def refine_many(self, graph, node_sets, pre_conductances):
+        """``refine`` applied to each set: one ``(nodes, step)`` per set.
+
+        ``pre_conductances[i]`` is φ of ``node_sets[i]``, or ``None`` to
+        compute it.  :class:`MQI` and :class:`FlowImprove` override this
+        with MQI waves, which solve one round of every set at once.
+        """
+        return [
+            self.refine(graph, nodes, pre_conductance=pre)
+            for nodes, pre in zip(node_sets, pre_conductances)
+        ]
+
+    @staticmethod
+    def _pre(graph, nodes, pre_conductance):
+        if pre_conductance is not None:
+            return float(pre_conductance)
+        return conductance(graph, nodes)
 
     def params(self):
         """Ordered ``(field, value)`` pairs pinning this spec exactly."""
@@ -235,19 +257,39 @@ class MQI(_RefinerBase):
 
     def refine(self, graph, nodes, pre_conductance=None):
         """One chained-refiner stage: iterated MQI inside ``nodes``."""
-        pre = (
-            float(pre_conductance)
-            if pre_conductance is not None
-            else conductance(graph, nodes)
+        return self._waves(graph, [nodes], [pre_conductance])[0]
+
+    def refine_many(self, graph, node_sets, pre_conductances):
+        """:meth:`refine` for every set, all sets' rounds in waves."""
+        if type(self).refine is not MQI.refine:
+            # A subclass that redefines ``refine`` keeps it per set.
+            return super().refine_many(graph, node_sets, pre_conductances)
+        return self._waves(graph, node_sets, pre_conductances)
+
+    def _waves(self, graph, node_sets, pre_conductances):
+        pres = [
+            self._pre(graph, nodes, pre)
+            for nodes, pre in zip(node_sets, pre_conductances)
+        ]
+        half = graph.total_volume / 2.0 + 1e-9
+        fitting = [
+            i for i, nodes in enumerate(node_sets)
+            if float(graph.degrees[nodes].sum()) <= half
+        ]
+        results = _mqi_waves(
+            graph, [_checked_side(graph, node_sets[i]) for i in fitting],
+            max_rounds=self.max_rounds,
         )
-        volume = float(graph.degrees[nodes].sum())
-        if volume > graph.total_volume / 2.0 + 1e-9:
-            return self._unchanged(nodes, pre)
-        result = mqi(graph, nodes, max_rounds=self.max_rounds)
-        return self._accept_if_better(
-            graph, nodes, result.nodes, result.conductance, pre,
-            rounds=result.rounds, converged=result.converged,
-        )
+        refined = [
+            self._unchanged(nodes, pre)
+            for nodes, pre in zip(node_sets, pres)
+        ]
+        for i, result in zip(fitting, results):
+            refined[i] = self._accept_if_better(
+                graph, node_sets[i], result.nodes, result.conductance,
+                pres[i], rounds=result.rounds, converged=result.converged,
+            )
+        return refined
 
 
 @dataclass(frozen=True)
@@ -277,23 +319,38 @@ class FlowImprove(_RefinerBase):
 
     def refine(self, graph, nodes, pre_conductance=None):
         """One chained-refiner stage: dilation + iterated MQI."""
-        pre = (
-            float(pre_conductance)
-            if pre_conductance is not None
-            else conductance(graph, nodes)
-        )
-        result = flow_improve(
-            graph, nodes, dilation_radius=self.dilation_radius,
+        return self._waves(graph, [nodes], [pre_conductance])[0]
+
+    def refine_many(self, graph, node_sets, pre_conductances):
+        """:meth:`refine` for every set: all sets are dilated, then every
+        region's rounds run in waves."""
+        if type(self).refine is not FlowImprove.refine:
+            # A subclass that redefines ``refine`` keeps it per set.
+            return super().refine_many(graph, node_sets, pre_conductances)
+        return self._waves(graph, node_sets, pre_conductances)
+
+    def _waves(self, graph, node_sets, pre_conductances):
+        pres = [
+            self._pre(graph, nodes, pre)
+            for nodes, pre in zip(node_sets, pre_conductances)
+        ]
+        results = _flow_improve_many(
+            graph, node_sets, dilation_radius=self.dilation_radius,
             max_rounds=self.max_rounds,
         )
-        if not result.improved:
-            return self._unchanged(
-                nodes, pre, rounds=result.rounds, converged=result.converged,
-            )
-        return self._accept_if_better(
-            graph, nodes, result.nodes, result.conductance, pre,
-            rounds=result.rounds, converged=result.converged,
-        )
+        refined = []
+        for nodes, pre, result in zip(node_sets, pres, results):
+            if result.improved:
+                refined.append(self._accept_if_better(
+                    graph, nodes, result.nodes, result.conductance, pre,
+                    rounds=result.rounds, converged=result.converged,
+                ))
+            else:
+                refined.append(self._unchanged(
+                    nodes, pre, rounds=result.rounds,
+                    converged=result.converged,
+                ))
+        return refined
 
 
 @dataclass(frozen=True)
@@ -329,11 +386,7 @@ class MOV(_RefinerBase):
 
     def refine(self, graph, nodes, pre_conductance=None):
         """One chained-refiner stage: MOV solve + sweep from the set."""
-        pre = (
-            float(pre_conductance)
-            if pre_conductance is not None
-            else conductance(graph, nodes)
-        )
+        pre = self._pre(graph, nodes, pre_conductance)
         try:
             result = mov_cluster(
                 graph, nodes, gamma_fraction=self.gamma_fraction,
@@ -484,25 +537,45 @@ def apply_refiners(graph, nodes, refiners, *, pre_conductance=None):
     conductance or passes the set through unchanged, so
     ``final_conductance <= initial_conductance`` always holds.
     """
-    chain = as_refiner_chain(refiners)
-    current = _as_node_array(nodes)
-    phi = (
-        float(pre_conductance)
-        if pre_conductance is not None
-        else conductance(graph, current)
-    )
-    initial = phi
-    steps = []
+    return _refine_all(
+        graph, [nodes], [pre_conductance], as_refiner_chain(refiners)
+    )[0]
+
+
+def _refine_all(graph, node_sets, pre_conductances, chain):
+    """Thread many clusters through a chain, one stage at a time.
+
+    Each stage refines every cluster (through ``refine_many``) before the
+    next stage starts.  Clusters are independent, so every trace is what
+    threading its cluster alone would give.
+    """
+    current = [_as_node_array(nodes) for nodes in node_sets]
+    phis = [
+        _RefinerBase._pre(graph, nodes, pre)
+        for nodes, pre in zip(current, pre_conductances)
+    ]
+    initial = list(phis)
+    steps = [[] for _ in current]
     for spec in chain:
-        current, step = spec.refine(graph, current, pre_conductance=phi)
-        steps.append(step)
-        phi = step.post_conductance
-    return RefinementTrace(
-        nodes=current,
-        steps=tuple(steps),
-        initial_conductance=initial,
-        final_conductance=phi,
-    )
+        # ``refine_many`` is optional: a spec without it loops ``refine``.
+        refine_many = getattr(
+            type(spec), "refine_many", _RefinerBase.refine_many
+        )
+        for i, (nodes, step) in enumerate(
+            refine_many(spec, graph, current, phis)
+        ):
+            current[i] = nodes
+            phis[i] = step.post_conductance
+            steps[i].append(step)
+    return [
+        RefinementTrace(
+            nodes=nodes,
+            steps=tuple(trail),
+            initial_conductance=first,
+            final_conductance=phi,
+        )
+        for nodes, trail, first, phi in zip(current, steps, initial, phis)
+    ]
 
 
 def refine_candidates(graph, candidates, refiners):
@@ -518,12 +591,14 @@ def refine_candidates(graph, candidates, refiners):
     chain = as_refiner_chain(refiners)
     if not chain:
         return list(candidates)
+    traces = _refine_all(
+        graph,
+        [candidate.nodes for candidate in candidates],
+        [candidate.conductance for candidate in candidates],
+        chain,
+    )
     refined = []
-    for candidate in candidates:
-        trace = apply_refiners(
-            graph, candidate.nodes, chain,
-            pre_conductance=candidate.conductance,
-        )
+    for candidate, trace in zip(candidates, traces):
         if trace.changed:
             refined.append(dataclasses.replace(
                 candidate,

@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse.csgraph import maximum_flow
 
 from repro.exceptions import FlowError, PartitionError
-from repro.graph.build import from_edges
+from repro.graph.build import from_edges, union_disjoint
 from repro.graph.generators import (
     barbell_graph,
     lollipop_graph,
@@ -29,7 +29,7 @@ from repro.partition.multilevel import (
 )
 
 # ``repro.partition.mqi`` the module (the package re-exports the function
-# under the same name), for its private round helpers.
+# under the same name), for its private wave helpers.
 mqi_module = importlib.import_module("repro.partition.mqi")
 INT32_MAX = 2**31 - 1
 
@@ -162,53 +162,188 @@ def _reweighted_lollipop(weight_of):
     )
 
 
-class TestCompiledMQIRound:
-    """The compiled round (integer network, scipy Dinic) against the
-    :class:`FlowNetwork` round it replaces, which stays as the fallback."""
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record what each MQI wave hands to the compiled union solve and to
+    the :class:`FlowNetwork` fallback, while still running both."""
+    calls = {"union": [], "float": []}
+    solve_union = mqi_module._solve_union
+    float_round = mqi_module._float_round
 
-    def test_non_integer_weights_take_the_fallback(self):
+    def spy_union(network, *rest):
+        calls["union"].append(network)
+        return solve_union(network, *rest)
+
+    def spy_float(graph, side):
+        calls["float"].append(side)
+        return float_round(graph, side)
+
+    monkeypatch.setattr(mqi_module, "_solve_union", spy_union)
+    monkeypatch.setattr(mqi_module, "_float_round", spy_float)
+    return calls
+
+
+def _one_block(graph, side):
+    """One wave over a single side: ``(phi, improved)``."""
+    phis, improved = mqi_module._wave(graph, [side])
+    return phis[0], improved[0]
+
+
+def _wide_ring():
+    """``ring_of_cliques(6, 5)`` with every edge weighted 5e6."""
+    base = ring_of_cliques(6, 5)
+    edges = [(u, v) for u, v, _w in base.edges()]
+    return from_edges(base.num_nodes, edges, [5e6] * len(edges))
+
+
+_WIDE_SIDE = np.array([0, 1, 4, 5, 6, 9, 11, 14, 17, 18, 21, 23, 25])
+
+
+class TestCompiledMQIRound:
+    """The compiled wave (one integer union network, scipy Dinic) against
+    the :class:`FlowNetwork` round, which stays as the per-block
+    fallback."""
+
+    def test_non_integer_weights_take_the_fallback(self, solver_calls):
         g = _reweighted_lollipop(
             lambda u, v: 1.5 if (u + v) % 3 == 0 else 1.0
         )
         side = np.arange(10, 36)
-        assert mqi_module._integer_network(g, side) is None
-        improved = mqi_module._one_round(g, side)
-        assert np.array_equal(improved, mqi_module._float_round(g, side))
+        expected = mqi_module._float_round(g, side)
+        solver_calls["float"].clear()
+        phi, improved = _one_block(g, side)
+        assert solver_calls["union"] == []
+        assert len(solver_calls["float"]) == 1
+        assert phi == conductance(g, side)
+        assert np.array_equal(improved, expected)
         assert np.array_equal(improved, np.arange(12, 36))
 
-    def test_capacity_beyond_int32_takes_the_fallback(self):
+    def test_capacity_beyond_int32_takes_the_fallback(self, solver_calls):
         g = _reweighted_lollipop(lambda u, v: 10**6 * (1 + (u + v) % 3))
         side = np.arange(10, 36)
         # Every weight and degree fits in int32; only V·w does not, and
         # scipy would wrap that capacity silently.
         assert g.degrees.max() <= INT32_MAX
-        assert mqi_module._integer_network(g, side) is None
-        improved = mqi_module._one_round(g, side)
-        assert np.array_equal(improved, mqi_module._float_round(g, side))
+        expected = mqi_module._float_round(g, side)
+        solver_calls["float"].clear()
+        phi, improved = _one_block(g, side)
+        assert solver_calls["union"] == []
+        assert len(solver_calls["float"]) == 1
+        assert phi == conductance(g, side)
+        assert np.array_equal(improved, expected)
         assert np.array_equal(improved, np.arange(12, 36))
 
-    def test_total_flow_beyond_int32_stays_compiled(self):
-        base = ring_of_cliques(6, 5)
-        edges = [(u, v) for u, v, _w in base.edges()]
-        g = from_edges(base.num_nodes, edges, [5e6] * len(edges))
-        side = np.array([0, 1, 4, 5, 6, 9, 11, 14, 17, 18, 21, 23, 25])
-        network, _saturated = mqi_module._integer_network(g, side)
+    def test_total_flow_beyond_int32_stays_compiled(self, solver_calls):
+        g = _wide_ring()
+        side = _WIDE_SIDE
+        expected = mqi_module._float_round(g, side)
+        solver_calls["float"].clear()
+        _phi, improved = _one_block(g, side)
+        assert solver_calls["float"] == []
+        (network,) = solver_calls["union"]
         assert network.data.max() <= INT32_MAX
         solved = maximum_flow(
             network, side.size, side.size + 1, method="dinic"
         )
         assert solved.flow_value > INT32_MAX
-        improved = mqi_module._one_round(g, side)
         assert improved is not None
-        assert np.array_equal(improved, mqi_module._float_round(g, side))
+        assert np.array_equal(improved, expected)
 
-    def test_zero_cut_side_is_already_optimal(self):
+    def test_zero_cut_side_is_already_optimal(self, solver_calls):
         two_triangles = from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         )
         side = np.array([0, 1, 2])
-        assert mqi_module._integer_network(two_triangles, side) is None
-        assert mqi_module._one_round(two_triangles, side) is None
+        phi, improved = _one_block(two_triangles, side)
+        assert solver_calls == {"union": [], "float": []}
+        assert phi == 0.0
+        assert improved is None
+        assert mqi_module._float_round(two_triangles, side) is None
+
+    def test_mixed_wave_gives_each_block_its_own_result(self, solver_calls):
+        integer = lollipop_graph(12, 24)
+        fractional = _reweighted_lollipop(
+            lambda u, v: 1.5 if (u + v) % 3 == 0 else 1.0
+        )
+        triangles = from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        )
+        g = union_disjoint(union_disjoint(integer, fractional), triangles)
+        shift = integer.num_nodes
+        sides = [
+            np.arange(10, 36),
+            shift + np.arange(10, 36),
+            2 * shift + np.array([0, 1, 2]),
+        ]
+        phis, improved = mqi_module._wave(g, sides)
+        # One compiled solve holds only the integer block; the fractional
+        # block alone takes the fallback; the zero-cut block takes neither.
+        (network,) = solver_calls["union"]
+        assert network.shape == (sides[0].size + 2,) * 2
+        assert len(solver_calls["float"]) == 1
+        assert np.array_equal(solver_calls["float"][0], sides[1])
+        for side, phi, better in zip(sides, phis, improved):
+            alone_phi, alone = _one_block(g, side)
+            assert phi == alone_phi == conductance(g, side)
+            assert (better is None) == (alone is None)
+            if better is not None:
+                assert np.array_equal(better, alone)
+        assert np.array_equal(improved[0], np.arange(12, 36))
+        assert np.array_equal(improved[1], shift + np.arange(12, 36))
+        assert improved[2] is None
+        waves = mqi_module._mqi_waves(g, sides, max_rounds=100)
+        for side, result in zip(sides, waves):
+            alone = mqi(g, side)
+            assert np.array_equal(result.nodes, alone.nodes)
+            assert result.history == alone.history
+            assert result.conductance == alone.conductance
+            assert result.initial_conductance == alone.initial_conductance
+            assert result.converged and alone.converged
+
+    def test_source_capacity_beyond_int32_across_blocks(self, solver_calls):
+        ring = _wide_ring()
+        g = union_disjoint(ring, ring)
+        sides = [_WIDE_SIDE, ring.num_nodes + _WIDE_SIDE]
+        _phis, improved = mqi_module._wave(g, sides)
+        assert solver_calls["float"] == []
+        (network,) = solver_calls["union"]
+        source = network.shape[0] - 2
+        out = network.data[network.indptr[source]:network.indptr[source + 1]]
+        assert out.astype(np.int64).sum() > INT32_MAX
+        for side, better in zip(sides, improved):
+            _phi, alone = _one_block(g, side)
+            assert alone is not None
+            assert np.array_equal(better, alone)
+        assert np.array_equal(improved[1] - ring.num_nodes, improved[0])
+
+
+    def test_wave_groups_bound_each_union(self, solver_calls, whiskered,
+                                          monkeypatch):
+        rng = np.random.default_rng(5)
+        sides = [
+            mqi_module._checked_side(whiskered, rng.choice(
+                whiskered.num_nodes, size=size, replace=False,
+            ))
+            for size in rng.integers(3, 30, size=12)
+        ]
+        whole = mqi_module._mqi_waves(whiskered, sides, max_rounds=100)
+        whole_solves = len(solver_calls["union"])
+        monkeypatch.setattr(mqi_module, "_WAVE_ARCS", 64)
+        solver_calls["union"].clear()
+        grouped = mqi_module._mqi_waves(whiskered, sides, max_rounds=100)
+        assert len(solver_calls["union"]) > whole_solves
+        # A group holds at most 64 gathered arcs, or a single side.
+        limit = max(64, max(
+            int(np.diff(whiskered.indptr)[side].sum()) for side in sides
+        ))
+        for network in solver_calls["union"]:
+            source = network.shape[0] - 2
+            fed = network.indptr[source + 1] - network.indptr[source]
+            assert network.nnz - source - fed <= limit
+        for alone, wave in zip(whole, grouped):
+            assert np.array_equal(alone.nodes, wave.nodes)
+            assert alone.history == wave.history
+            assert alone.initial_conductance == wave.initial_conductance
 
 
 class TestFlowImprove:

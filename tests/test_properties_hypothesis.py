@@ -399,15 +399,26 @@ class TestFlowInvariants:
 
         mqi_module = importlib.import_module("repro.partition.mqi")
         rng = np.random.default_rng(salt)
-        k = int(rng.integers(1, graph.num_nodes))
-        side = np.sort(rng.choice(graph.num_nodes, size=k, replace=False))
-        assert mqi_module._integer_network(graph, side) is not None
-        compiled = mqi_module._one_round(graph, side)
-        oracle = mqi_module._float_round(graph, side)
-        if compiled is None or oracle is None:
-            assert compiled is None and oracle is None
-        else:
-            assert np.array_equal(compiled, oracle)
+        sides = []
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(1, graph.num_nodes))
+            sides.append(
+                np.sort(rng.choice(graph.num_nodes, size=k, replace=False))
+            )
+        # Every side goes into one compiled union network.
+        _phis, fallback, union = mqi_module._build_wave(
+            graph, sides, solve=True
+        )
+        assert fallback == [None] * len(sides)
+        _network, blocks, _starts, _saturated = union
+        assert blocks.tolist() == list(range(len(sides)))
+        _phis, improved = mqi_module._wave(graph, sides)
+        for side, compiled in zip(sides, improved):
+            oracle = mqi_module._float_round(graph, side)
+            if compiled is None or oracle is None:
+                assert compiled is None and oracle is None
+            else:
+                assert np.array_equal(compiled, oracle)
 
 
 class TestRefinerInvariants:

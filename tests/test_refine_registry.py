@@ -14,11 +14,14 @@ runner, and the CLI parser untouched.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cli.manifest import load_manifest
@@ -26,6 +29,7 @@ from repro.cli.specs import parse_refiner_chain
 from repro.datasets import load_graph
 from repro.dynamics import DiffusionGrid, PPR
 from repro.exceptions import InvalidParameterError, PartitionError
+from repro.graph.build import from_edges
 from repro.ncp.profile import (
     ClusterCandidate,
     cluster_ensemble_ncp,
@@ -482,6 +486,151 @@ class TestMQIConvergence:
         assert result.rounds >= 0
 
 
+@st.composite
+def mixed_weight_graphs(draw):
+    """Two to four connected communities chained by single edges.
+
+    Each community draws all its weights as integers or all as floats,
+    so one MQI wave holds compiled integer blocks next to blocks that
+    take the :class:`FlowNetwork` fallback.
+    """
+    edges = {}
+    n = 0
+    for part in range(draw(st.integers(2, 4))):
+        size = draw(st.integers(3, 9))
+        if draw(st.booleans()):
+            weight = st.integers(1, 5).map(float)
+        else:
+            weight = st.floats(0.25, 4.0, allow_nan=False,
+                               allow_infinity=False)
+        for v in range(1, size):
+            u = draw(st.integers(0, v - 1))
+            edges[(n + u, n + v)] = draw(weight)
+        for _ in range(draw(st.integers(0, size))):
+            u, v = sorted(draw(st.lists(
+                st.integers(n, n + size - 1), min_size=2, max_size=2,
+                unique=True,
+            )))
+            edges.setdefault((u, v), draw(weight))
+        if part:
+            edges[(draw(st.integers(0, n - 1)), n)] = draw(weight)
+        n += size
+    pairs = sorted(edges)
+    return from_edges(n, pairs, [edges[p] for p in pairs])
+
+
+def _bits(refined):
+    """``(nodes, step)`` pairs with every float as its exact hex form."""
+    return [
+        (
+            nodes.tobytes(),
+            tuple(
+                value.hex() if isinstance(value, float) else value
+                for value in dataclasses.astuple(step)
+            ),
+        )
+        for nodes, step in refined
+    ]
+
+
+WAVE_SPECS = (
+    MQI(), MQI(max_rounds=1),
+    FlowImprove(dilation_radius=1), FlowImprove(dilation_radius=1,
+                                                max_rounds=1),
+)
+
+
+class TestMQIWaves:
+    """``refine_many`` solves every set's MQI rounds in waves; each set's
+    result must be bitwise what ``refine`` gives it alone."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_refine_many_equals_refine_loop(self, data):
+        graph = data.draw(mixed_weight_graphs())
+        n = graph.num_nodes
+        node_sets = [
+            np.unique(np.asarray(members, dtype=np.int64))
+            for members in data.draw(st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1,
+                         max_size=n - 1, unique=True),
+                min_size=1, max_size=8,
+            ))
+        ]
+        pres = [
+            conductance(graph, nodes) if keep else None
+            for nodes, keep in zip(node_sets, data.draw(st.lists(
+                st.booleans(), min_size=len(node_sets),
+                max_size=len(node_sets),
+            )))
+        ]
+        for spec in WAVE_SPECS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                many = spec.refine_many(graph, node_sets, pres)
+                loop = [
+                    spec.refine(graph, nodes, pre_conductance=pre)
+                    for nodes, pre in zip(node_sets, pres)
+                ]
+            assert _bits(many) == _bits(loop)
+
+    def test_waves_mix_round_counts_and_unconverged_sets(self, whiskered):
+        graph = whiskered
+        rng = np.random.default_rng(0)
+        node_sets = [
+            np.unique(rng.choice(graph.num_nodes, size=size, replace=False))
+            for size in rng.integers(3, 40, size=24)
+        ]
+        pres = [conductance(graph, nodes) for nodes in node_sets]
+        for spec in WAVE_SPECS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                many = spec.refine_many(graph, node_sets, pres)
+                loop = [
+                    spec.refine(graph, nodes, pre_conductance=pre)
+                    for nodes, pre in zip(node_sets, pres)
+                ]
+            assert _bits(many) == _bits(loop)
+        full = MQI().refine_many(graph, node_sets, pres)
+        assert {step.rounds for _nodes, step in full} >= {0, 1, 2, 3}
+        with pytest.warns(RuntimeWarning, match="exhausted max_rounds"):
+            capped = MQI(max_rounds=1).refine_many(graph, node_sets, pres)
+        assert any(not step.converged for _nodes, step in capped)
+        assert any(step.converged for _nodes, step in capped)
+
+    # Recorded with one MQI call per candidate, before MQI ran in waves;
+    # the waves must reproduce it byte for byte.
+    PIN_SEEDS = (1081, 96, 21, 651, 392, 343, 52, 810)
+    PIN_SHA256 = (
+        "e8cc7d91a2848b52f4f50a9e18f3dcd4d9cb7c48d970f983740a87380b896628"
+    )
+
+    def test_atp_mqi_ensemble_bytes_are_pinned(self):
+        import hashlib
+
+        from repro.ncp.profile import grid_candidates_for_seed_nodes
+
+        graph = load_graph("atp", seed=0)
+        seeds = np.random.default_rng(0).choice(
+            graph.num_nodes, size=8, replace=False
+        )
+        assert tuple(seeds.tolist()) == self.PIN_SEEDS
+        grid = DiffusionGrid(PPR(alpha=(0.05,)), epsilons=(1e-4,))
+        raw = grid_candidates_for_seed_nodes(
+            graph, seeds.tolist(), grid.dynamics,
+            epsilons=grid.resolved_epsilons(),
+            max_cluster_size=grid.resolve_max_cluster_size(graph),
+        )
+        refined = refine_candidates(graph, raw, ("mqi",))
+        digest = hashlib.sha256()
+        for candidate in refined:
+            digest.update(candidate.nodes.tobytes())
+            digest.update(float(candidate.conductance).hex().encode())
+            digest.update(repr(candidate.refinement).encode())
+        assert digest.hexdigest() == self.PIN_SHA256
+        assert sum(candidate.refined for candidate in refined) == 49
+
+
 class TestDilateVectorized:
     @pytest.mark.parametrize("radius", [0, 1, 2, 5])
     def test_parity_with_scalar_oracle(self, whiskered, radius):
@@ -601,6 +750,43 @@ class TestExtensionPoint:
             unregister_refiner("shave")
         with pytest.raises(UnknownRefinerError):
             get_refiner("shave")
+
+
+    @pytest.mark.parametrize("base", [MQI, FlowImprove])
+    def test_overridden_refine_runs_once_per_candidate(self, whiskered,
+                                                       base):
+        calls = []
+
+        @dataclass(frozen=True)
+        class Counted(base):
+            """Wave-capable refiner whose subclass redefines ``refine``."""
+
+            name: ClassVar[str] = "counted"
+
+            def refine(self, graph, nodes, pre_conductance=None):
+                calls.append(np.array(nodes))
+                return super().refine(
+                    graph, nodes, pre_conductance=pre_conductance
+                )
+
+        register_refiner(RefinerKind(
+            name="Counted", key="counted", description="counts refine",
+            spec_type=Counted,
+        ))
+        try:
+            raw = cluster_ensemble_ncp(whiskered, DiffusionGrid(
+                PPR(alpha=(0.1,)), epsilons=(1e-3,), num_seeds=5, seed=3,
+            ))
+            refined = refine_candidates(whiskered, raw, ("counted",))
+        finally:
+            unregister_refiner("counted")
+        assert len(calls) == len(raw)
+        for nodes, candidate in zip(calls, raw):
+            assert np.array_equal(nodes, np.unique(candidate.nodes))
+        waves = refine_candidates(whiskered, raw, (base(),))
+        for mine, theirs in zip(refined, waves):
+            assert np.array_equal(mine.nodes, theirs.nodes)
+            assert mine.conductance == theirs.conductance
 
 
 class TestCandidateDataclass:
