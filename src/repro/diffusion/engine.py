@@ -1,4 +1,4 @@
-"""Frontier-batched, vectorized diffusion engine for ACL push.
+"""Frontier-batched, strongly local diffusion engine for ACL push.
 
 Section 3.3 of the paper argues that push-style local diffusion does work
 proportional to the *output*, not the graph: "the running time depends on
@@ -25,58 +25,67 @@ This module is the vectorized counterpart. Two ideas:
   identical to the scalar algorithm's.
 
 * **Column batching** (many diffusions): independent diffusions — distinct
-  seeds, teleport values α, and thresholds ε — are columns of
-  ``(n, B)`` approximation/residual matrices. One frontier sweep then
-  pushes every active (node, column) pair with a single ``bincount``
-  scatter over the distinct arc targets, amortizing the CSR gather
-  across the whole batch.
+  seeds, teleport values α, and thresholds ε — are columns of one
+  approximation/residual state. One frontier sweep then pushes every
+  active (node, column) pair with a single ``bincount`` scatter over the
+  distinct arc targets, amortizing the CSR gather across the whole batch.
 
 Work accounting matches the scalar algorithm: ``num_pushes`` counts
 (node, column) push events, ``work`` charges ``1 + deg(u)`` per push, and
 ``pushed_volume`` records ``Σ_pushes d_u`` — the quantity the classic
 ``O(1/(ε α))`` bound controls via ``ε α Σ_pushes d_u ≤ ||s||_1``.
 
-Outside the wide path no sweep or stage does ``O(n)`` work. A sweep changes the residual only on the
-rows it pushes and on their arc targets, so the next sweep tests only
-those candidate rows; it expands only the pushed (node, column) pairs
-along their arcs; and it scatters into the distinct targets. A sweep
-thus costs its pushed volume plus ``candidates × B``, the output-sized
-work of Section 3.3. The heat-kernel stages are held the same way, as
-(support rows, values). Only a frontier holding a quarter of the arcs
-switches a sweep or stage to one sparse matmul over the whole adjacency,
-the cheaper schedule once the support saturates the graph.
+Outside the wide path no sweep or stage does ``O(n)`` work, and none holds
+``O(n)`` state. Seeds are node ids (a vector seed is read once and kept
+on its nonzeros). The state lives on compact row slots, one per node the batch
+has reached, in arrival order: a sparse-set map from node id to slot is
+allocated uninitialized and never filled, and the per-slot arrays double
+when full. A sweep changes the residual only on the rows it pushes and on
+their arc targets, so the next sweep tests only those candidate rows; it
+expands only the pushed (node, column) pairs along their arcs; and it
+scatters into the distinct targets. A sweep thus costs its pushed volume
+plus ``candidates × B``, the output-sized work of Section 3.3. The
+heat-kernel stages are held the same way, as (support rows, values), and
+its accumulated output and touched sets live on the slots of the rows any
+stage kept. So a call allocates ``O(n)`` bytes only for two uninitialized
+index maps, whatever ``n`` is.
 
-The wide PPR sweep does its dense ``(n, B)`` arithmetic on the live
-columns only.  Once at most half of the working columns have an entry
-with ``r_u ≥ ε d_u``, the finished ones are written to the outputs and
-dropped from every per-column array.  A column with no such entry never
-pushes again, since only its own pushes change its residual, and every
-op of a sweep (the sparse matmul included) is per column, so retiring
-columns changes no bit of any output.  The sweep's temporaries are
+Only a frontier holding a quarter of the arcs switches a sweep or stage to
+one sparse matmul over the whole adjacency, the cheaper schedule once the
+support saturates the graph. The PPR state then moves to dense ``(n, B)``
+arrays for the rest of the call, and the wide sweep does its arithmetic on
+the live columns only. Once at most half of the working columns have an
+entry with ``r_u ≥ ε d_u``, the finished ones are written to the outputs
+and dropped from every per-column array. A column with no such entry
+never pushes again, since only its own pushes change its residual, and
+every op of a sweep (the sparse matmul included) is per column, so
+retiring columns changes no bit of any output. The sweep's temporaries are
 written with ``out=`` into buffers allocated on the first wide sweep.
 
-The outputs are dense ``(n, B)`` matrices, so memory is ``O(n B)``: a
-wide sweep adds three float buffers and one bool buffer of that size,
-and after a retirement the working copies of the live columns, at most
-half the outputs.  Shard the columns for very large ``n × B``.  Each
-result also names its ``support``: the ascending rows where any column
-can be nonzero (the rows ever pushed, or the rows a heat-kernel stage
-ever kept), found once per batch.  The NCP pipeline reads every column on that support only, as
-a ``(rows, values)`` pair (``support_columns`` of the specs in
-:mod:`repro.dynamics`), so its per-column sweep never touches the other
-``n - |support|`` rows.
+Results hold each column on the rows the batch reached: ``sparse_column``
+gives column ``b`` as the ``(rows, values)`` pair of its nonzero entries,
+which is how the NCP pipeline reads it (``support_columns`` of the specs
+in :mod:`repro.dynamics`), so its per-column sweep never touches the other
+rows. The dense ``(n, B)`` fields are built on first access.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro._validation import check_int, check_positive, check_probability, check_vector
+from repro._validation import (
+    check_int,
+    check_node,
+    check_positive,
+    check_probability,
+    check_vector,
+)
 from repro.diffusion._csr import gather_csr_arcs
 from repro.diffusion.push import PushResult
-from repro.diffusion.seeds import indicator_seed
 from repro.exceptions import InvalidParameterError
 from repro.graph.matrices import adjacency_matrix
 
@@ -90,8 +99,45 @@ __all__ = [
 ]
 
 
+def _on_all_rows(num_nodes, rows, values):
+    """``values`` held on the ascending ``rows``, as a dense array.
+
+    Returns ``values`` itself when ``rows`` covers every node.
+    """
+    if rows.size == num_nodes:
+        return values
+    dense = np.zeros((num_nodes, *values.shape[1:]), dtype=values.dtype)
+    dense[rows] = values
+    return dense
+
+
+class _RowColumns:
+    """What both batch results share: columns held on ascending ``rows``.
+
+    Subclasses have ``rows``, ``row_approximation`` and ``num_columns``.
+    """
+
+    def _check_column(self, b):
+        b = int(b)
+        if not 0 <= b < self.num_columns:
+            raise InvalidParameterError(
+                f"column must lie in [0, {self.num_columns}); got {b}"
+            )
+        return b
+
+    def sparse_column(self, b):
+        """Column ``b``'s approximation as ``(rows, values)``.
+
+        ``rows`` are the ascending nodes where it is nonzero and
+        ``values`` its entries there; no length-``n`` array is built.
+        """
+        column = self.row_approximation[:, self._check_column(b)]
+        nonzero = np.flatnonzero(column)
+        return self.rows[nonzero], column[nonzero]
+
+
 @dataclass
-class BatchPushResult:
+class BatchPushResult(_RowColumns):
     """Output of the batched frontier push engine.
 
     Columns enumerate the grid ``seeds × alphas × epsilons`` in C order
@@ -100,14 +146,23 @@ class BatchPushResult:
 
     Attributes
     ----------
-    approximation:
-        ``(n, B)`` matrix; column ``b`` is the vector ``p`` of diffusion
-        ``b`` (entrywise underestimate of the exact PPR).
-    residual:
-        ``(n, B)`` matrix of final residuals (``r_u < ε_b d_u``).
+    rows:
+        Ascending node ids the state was held on: every row some column
+        charged, or every row after a wide sweep.  Both state matrices
+        are zero on all other rows.
+    row_approximation:
+        ``(rows.size, B)`` matrix; column ``b`` is the vector ``p`` of
+        diffusion ``b`` (entrywise underestimate of the exact PPR) on
+        ``rows``.
+    row_residual:
+        ``(rows.size, B)`` matrix of final residuals (``r_u < ε_b d_u``)
+        on ``rows``.
+    num_nodes:
+        Number of nodes ``n`` of the graph.
     support:
         Ascending rows pushed in any column, every row after a wide
-        sweep; ``approximation`` is zero on all other rows.
+        sweep; ``approximation`` is zero on all other rows.  A subset of
+        ``rows``, which also holds the rows that only received residual.
     seed_indices:
         ``(B,)`` index into the ``seeds`` argument for each column.
     alphas:
@@ -124,10 +179,15 @@ class BatchPushResult:
     num_sweeps:
         Number of synchronized frontier sweeps until all columns
         converged.
+
+    ``approximation`` and ``residual`` are the dense ``(n, B)`` matrices,
+    built from the row state on first access.
     """
 
-    approximation: np.ndarray
-    residual: np.ndarray
+    rows: np.ndarray
+    row_approximation: np.ndarray
+    row_residual: np.ndarray
+    num_nodes: int
     support: np.ndarray
     seed_indices: np.ndarray
     alphas: np.ndarray
@@ -142,49 +202,178 @@ class BatchPushResult:
         """Number of batched diffusions ``B``."""
         return int(self.alphas.size)
 
+    @cached_property
+    def approximation(self):
+        """``(n, B)`` approximation matrix."""
+        return _on_all_rows(self.num_nodes, self.rows, self.row_approximation)
+
+    @cached_property
+    def residual(self):
+        """``(n, B)`` final residual matrix."""
+        return _on_all_rows(self.num_nodes, self.rows, self.row_residual)
+
     def column(self, b):
         """Extract column ``b`` as a scalar-compatible :class:`PushResult`."""
-        b = int(b)
-        if not 0 <= b < self.num_columns:
-            raise InvalidParameterError(
-                f"column must lie in [0, {self.num_columns}); got {b}"
-            )
-        p = self.approximation[:, b]
-        r = self.residual[:, b]
+        b = self._check_column(b)
+        p = self.row_approximation[:, b]
+        r = self.row_residual[:, b]
         return PushResult(
-            approximation=p.copy(),
-            residual=r.copy(),
+            approximation=_on_all_rows(self.num_nodes, self.rows, p).copy(),
+            residual=_on_all_rows(self.num_nodes, self.rows, r).copy(),
             num_pushes=int(self.num_pushes[b]),
             work=int(self.work[b]),
-            touched=np.flatnonzero((p > 0) | (r > 0)),
+            touched=self.rows[(p > 0) | (r > 0)],
             epsilon=float(self.epsilons[b]),
             alpha=float(self.alphas[b]),
         )
 
 
-def _as_seed_matrix(graph, seeds):
-    """Stack seed specs (node ids or vectors) into an ``(n, S)`` matrix."""
+def _seed_block(graph, seeds):
+    """Seed specs as one block over the rows any of them charges.
+
+    Returns ``(rows, block, mass)``: the ascending rows where some seed is
+    nonzero, the ``(rows.size, S)`` seed values there, and each seed's
+    ℓ1 mass.  A node id is an indicator seed and reads nothing else of
+    the graph; a vector is read whole once.  The masses are added as
+    numpy sums the columns of the stacked ``(n, S)`` seed matrix:
+    pairwise over the whole vector for a single seed, row by row (so the
+    zeros drop out) for several.
+    """
     n = graph.num_nodes
-    columns = []
+    entries = []
     for i, spec in enumerate(seeds):
         if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
-            columns.append(indicator_seed(graph, [int(spec)]))
+            node = check_node(spec, n, "seed node")
+            entries.append((np.array([node]), np.ones(1), None))
             continue
         vector = check_vector(spec, n, f"seeds[{i}]")
         if np.any(vector < 0):
             raise InvalidParameterError(
                 f"seeds[{i}] must be a nonnegative seed vector"
             )
-        columns.append(vector)
-    if not columns:
+        rows = np.flatnonzero(vector)
+        entries.append((rows, vector[rows], vector))
+    if not entries:
         raise InvalidParameterError("seeds must be nonempty")
-    return np.column_stack(columns)
+    rows = np.unique(np.concatenate([entry[0] for entry in entries]))
+    block = np.zeros((rows.size, len(entries)))
+    mass = np.zeros(len(entries))
+    for i, (seed_rows, values, vector) in enumerate(entries):
+        block[np.searchsorted(rows, seed_rows), i] = values
+        if len(entries) == 1 and vector is not None:
+            mass[i] = vector.sum()
+        elif values.size:
+            mass[i] = np.cumsum(values)[-1]
+    return rows, block, mass
+
+
+class _RowSlots:
+    """Compact row slots for the nodes a batch has reached.
+
+    Node ``nodes[i]`` owns row ``i`` of every array in ``state``; slots
+    are handed out in arrival order.  ``slot_of`` is a sparse-set map:
+    ``slot_of[u]`` counts only when it is below ``size`` and points back
+    at ``u``, so it is allocated uninitialized and never filled.  The
+    state arrays double when full; new rows start at zero.
+    """
+
+    def __init__(self, num_nodes, row_shapes, capacity=64):
+        self.slot_of = np.empty(num_nodes, dtype=np.int64)
+        self.nodes = np.empty(capacity, dtype=np.int64)
+        self.size = 0
+        self.state = [
+            np.zeros((capacity, *shape), dtype=dtype)
+            for shape, dtype in row_shapes
+        ]
+
+    def slots(self, nodes):
+        """The slots of the distinct ``nodes``, adding those not held."""
+        slots = self.slot_of[nodes]
+        held = (slots >= 0) & (slots < self.size)
+        held[held] = self.nodes[slots[held]] == nodes[held]
+        if not held.all():
+            new = nodes[~held]
+            fresh = np.arange(self.size, self.size + new.size)
+            self._reserve(self.size + new.size)
+            self.nodes[fresh] = new
+            self.slot_of[new] = fresh
+            slots[~held] = fresh
+            self.size += new.size
+        return slots
+
+    def _reserve(self, size):
+        capacity = self.nodes.size
+        if size <= capacity:
+            return
+        capacity = max(2 * capacity, size)
+        nodes = np.empty(capacity, dtype=np.int64)
+        nodes[:self.size] = self.nodes[:self.size]
+        self.nodes = nodes
+        for i, values in enumerate(self.state):
+            grown = np.zeros((capacity, *values.shape[1:]), dtype=values.dtype)
+            grown[:self.size] = values[:self.size]
+            self.state[i] = grown
+
+    def sorted_state(self):
+        """The slot order that sorts the held nodes, the nodes in that
+        order, and every state array in that order."""
+        order = np.argsort(self.nodes[:self.size])
+        return order, self.nodes[order], [values[order] for values in self.state]
 
 
 # OpenBLAS contracts a product of at most this many multiply-adds with a
 # small-matrix kernel whose rounding depends on the operand's row count;
 # larger products round each row the same wherever it sits.
 _BLAS_SMALL_PRODUCT = 1_000_000
+
+# numpy sums at most this many contiguous floats in one block of eight
+# interleaved partial sums (its ``PW_BLOCKSIZE``), halving larger runs.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(positions, values, n):
+    """``v.sum()`` of the length-``n`` vector ``v`` holding ``values`` at
+    the ascending ``positions`` and 0.0 elsewhere, bit for bit.
+
+    numpy sums a contiguous vector pairwise: runs of fewer than 8 floats
+    left to right, runs of at most ``_PAIRWISE_BLOCK`` in eight
+    interleaved partial sums combined as a tree (the tail past the last
+    multiple of 8 added after), and longer runs as two halves cut at a
+    multiple of 8.  A run without entries sums to +0.0 and leaves any sum
+    it joins unchanged, so only runs holding entries are visited and the
+    cost follows ``positions.size``, not ``n``.
+    """
+    positions = positions.tolist()
+    values = values.tolist()
+
+    def run_sum(start, size, lo, hi):
+        # ``positions[lo:hi]`` are the entries inside [start, start + size).
+        if lo == hi:
+            return 0.0
+        if size < 8:
+            total = 0.0
+            for value in values[lo:hi]:
+                total += value
+            return total
+        if size <= _PAIRWISE_BLOCK:
+            lanes = [0.0] * 8
+            tail = start + size - size % 8
+            i = lo
+            while i < hi and positions[i] < tail:
+                lanes[(positions[i] - start) % 8] += values[i]
+                i += 1
+            total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                     + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+            for value in values[i:hi]:
+                total += value
+            return total
+        half = size // 2
+        half -= half % 8
+        mid = bisect_left(positions, start + half, lo, hi)
+        return (run_sum(start, half, lo, mid)
+                + run_sum(start + half, size - half, mid, hi))
+
+    return run_sum(0, n, 0, len(positions))
 
 
 def _distinct(values, slot_of):
@@ -296,10 +485,10 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
         [check_probability(e, "epsilon") for e in np.atleast_1d(epsilons)]
     )
     degrees = graph.degrees
-    if np.any(degrees <= 0):
+    if degrees.size and degrees.min() <= 0:
         raise InvalidParameterError("push requires positive degrees")
-    seed_matrix = _as_seed_matrix(graph, seeds)
-    num_seeds = seed_matrix.shape[1]
+    seed_rows, seed_block, seed_mass = _seed_block(graph, seeds)
+    num_seeds = seed_block.shape[1]
 
     # Column grid: seed slowest, epsilon fastest (C order).
     seed_idx = np.repeat(np.arange(num_seeds), alphas.size * epsilons.size)
@@ -307,7 +496,7 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     eps_col = np.tile(epsilons, num_seeds * alphas.size)
     num_columns = seed_idx.size
 
-    seed_mass = seed_matrix.sum(axis=0)[seed_idx]
+    seed_mass = seed_mass[seed_idx]
     if max_pushes is None:
         # Same degree-aware count cap as the scalar reference: the
         # O(1/(eps a)) bound controls pushed volume, so the push count
@@ -320,34 +509,34 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
         push_caps = np.full(num_columns, float(max_pushes))
 
     n = graph.num_nodes
-    deg_counts = np.diff(graph.indptr)
+    indptr = graph.indptr
     retained = 0.5 * (1.0 - alpha_col)
     slot_of = np.empty(n, dtype=np.int64)
-    # Built on the first wide sweep only: a run that stays narrow never
-    # pays for the O(n B) threshold matrix and sweep buffers or for the
-    # O(m) sparse matrix.
-    thresholds = adjacency = None
-    # Rows pushed so far, in any column; ``None`` once a wide sweep has
-    # made every row part of the output's support.
-    ever_pushed = np.zeros(n, dtype=bool)
+    # The state (approximation, residual, pushed-row flags) on the rows
+    # reached so far; ``None`` once the first wide sweep has moved the
+    # state to dense ``(n, B)`` arrays, which also builds the O(n B)
+    # threshold matrix and sweep buffers and the O(m) sparse matrix.
+    reached = _RowSlots(n, (
+        ((num_columns,), float), ((num_columns,), float), ((), bool),
+    ), capacity=max(64, 2 * seed_rows.size))
+    adjacency = None
     num_sweeps = 0
 
     # A sweep changes the residual only on the rows it pushes and on
     # their arc targets, so the next frontier lies among those rows.
     # ``candidates is None`` means every row is scanned (after a wide
     # sweep, whose candidate set would be most of the graph anyway).
-    candidates = np.flatnonzero(seed_matrix.any(axis=1))
-    outputs = (
-        np.zeros((n, num_columns)),
-        seed_matrix[:, seed_idx].copy(),
-        np.zeros(num_columns, dtype=np.int64),
-        np.zeros(num_columns, dtype=np.int64),
-        np.zeros(num_columns),
-    )
+    # ``candidate_slots`` holds the candidates' rows of the state.
+    candidates = seed_rows
+    candidate_slots = reached.slots(seed_rows)
+    approximation, residual, ever_pushed = reached.state
+    residual[candidate_slots] = seed_block[:, seed_idx]
+    num_pushes = np.zeros(num_columns, dtype=np.int64)
+    work = np.zeros(num_columns, dtype=np.int64)
+    pushed_volume = np.zeros(num_columns)
     # The sweeps update the live columns only, and ``columns`` maps each
     # to its output column; until a wide sweep retires the finished
     # columns, the working state is the outputs themselves.
-    approximation, residual, num_pushes, work, pushed_volume = outputs
     columns = np.arange(num_columns)
     grid_alphas, grid_epsilons = alpha_col, eps_col
 
@@ -356,30 +545,37 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             active = np.greater_equal(
                 residual, thresholds, out=_view(active_buffer, residual.shape)
             )
-            rows = np.flatnonzero(active.any(axis=1))
+            rows = slots = np.flatnonzero(active.any(axis=1))
             mask = None
         else:
             active = None
             candidate_mask = (
-                residual[candidates] >= degrees[candidates, None] * eps_col
+                residual[candidate_slots] >= degrees[candidates, None] * eps_col
             )
             hit = candidate_mask.any(axis=1)
-            rows = candidates[hit]
+            rows, slots = candidates[hit], candidate_slots[hit]
             mask = candidate_mask[hit]
         if rows.size == 0:
             break
         num_sweeps += 1
-        frontier_arcs = int(deg_counts[rows].sum())
+        row_arcs = indptr[rows + 1] - indptr[rows]
 
-        if 4 * frontier_arcs >= graph.indices.size:
+        if 4 * int(row_arcs.sum()) >= graph.indices.size:
             # Wide sweep: the frontier covers most arcs, so one sparse
             # matmul over the whole adjacency beats gathering CSR slices.
             if adjacency is None:
+                _, held, state = reached.sorted_state()
+                approximation, residual = (
+                    _on_all_rows(n, held, values) for values in state[:2]
+                )
+                reached = None
+                outputs = (approximation, residual, num_pushes, work,
+                           pushed_volume)
                 adjacency = adjacency_matrix(graph)
                 thresholds = degrees[:, None] * eps_col
                 # Per-row weights of the push counters: one push and
                 # ``1 + deg(u)`` work.
-                push_weights = np.stack((np.ones(n), 1.0 + deg_counts))
+                push_weights = np.stack((np.ones(n), 1.0 + np.diff(indptr)))
                 # The sweep temporaries, written with ``out=`` on every
                 # wide sweep; retiring columns only shortens their views.
                 sweep_buffers = np.empty((3, residual.size))
@@ -428,7 +624,7 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             np.add(spread, update, out=update)
             np.subtract(update, pushed, out=update)
             residual += update
-            candidates = ever_pushed = None
+            candidates = None
         else:
             # Narrow sweep: gather only the frontier's CSR slices and
             # scatter-add through one bincount over the distinct arc
@@ -436,19 +632,25 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             # its neighbourhood, never by n.
             if mask is None:
                 mask = active[rows]
-            pushed = np.where(mask, residual[rows], 0.0)
+            pushed = np.where(mask, residual[slots], 0.0)
             num_pushes += mask.sum(axis=0)
-            work += (1 + deg_counts[rows]) @ mask
+            work += (1 + row_arcs) @ mask
             pushed_volume += degrees[rows] @ mask
-            approximation[rows] += alpha_col * pushed
-            residual[rows] -= pushed
+            approximation[slots] += alpha_col * pushed
+            residual[slots] -= pushed
             share = (1.0 - alpha_col) * pushed / (2.0 * degrees[rows, None])
             targets, spread = _spread(graph, rows, share, mask, slot_of)
-            residual[targets] += spread
-            residual[rows] += retained * pushed
             candidates = _sorted_union(rows, targets)
-            if ever_pushed is not None:
-                ever_pushed[rows] = True
+            if reached is None:
+                target_slots = targets
+                candidate_slots = candidates
+            else:
+                target_slots = reached.slots(targets)
+                approximation, residual, ever_pushed = reached.state
+                ever_pushed[slots] = True
+                candidate_slots = reached.slot_of[candidates]
+            residual[target_slots] += spread
+            residual[slots] += retained * pushed
 
         if np.any(num_pushes > push_caps):
             worst = int(np.argmax(num_pushes - push_caps))
@@ -457,20 +659,26 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
                 f"column {columns[worst]}; epsilon too small?"
             )
 
-    if columns.size < num_columns:
-        _store(
-            outputs,
-            (approximation, residual, num_pushes, work, pushed_volume),
-            columns, slice(None),
+    if reached is None:
+        if columns.size < num_columns:
+            _store(
+                outputs,
+                (approximation, residual, num_pushes, work, pushed_volume),
+                columns, slice(None),
+            )
+        approximation, residual, num_pushes, work, pushed_volume = outputs
+        state_rows = support = np.arange(n)
+    else:
+        _, state_rows, (approximation, residual, ever_pushed) = (
+            reached.sorted_state()
         )
-    approximation, residual, num_pushes, work, pushed_volume = outputs
+        support = state_rows[ever_pushed]
     return BatchPushResult(
-        approximation=approximation,
-        residual=residual,
-        support=(
-            np.arange(n) if ever_pushed is None
-            else np.flatnonzero(ever_pushed)
-        ),
+        rows=state_rows,
+        row_approximation=approximation,
+        row_residual=residual,
+        num_nodes=n,
+        support=support,
         seed_indices=seed_idx,
         alphas=grid_alphas,
         epsilons=grid_epsilons,
@@ -482,7 +690,7 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
 
 
 @dataclass
-class BatchHeatKernelResult:
+class BatchHeatKernelResult(_RowColumns):
     """Output of the batched truncated-Taylor heat-kernel engine.
 
     Columns enumerate the grid ``seeds × ts × epsilons`` in C order
@@ -491,13 +699,19 @@ class BatchHeatKernelResult:
 
     Attributes
     ----------
-    approximation:
-        ``(n, B)`` matrix; column ``b`` approximates
-        ``exp(-t_b (I − M)) s_b`` with the same per-stage ε·d rounding as
-        the scalar :func:`repro.diffusion.hk_push.heat_kernel_push`.
-    support:
-        Ascending rows some stage kept in any column; ``approximation``
-        is zero on all other rows.
+    rows:
+        Ascending rows some stage kept in any column (the batch's
+        support); both row matrices are zero on all other rows.
+    row_approximation:
+        ``(rows.size, B)`` matrix; column ``b`` approximates
+        ``exp(-t_b (I − M)) s_b`` on ``rows`` with the same per-stage ε·d
+        rounding as the scalar
+        :func:`repro.diffusion.hk_push.heat_kernel_push`.
+    row_touched:
+        ``(rows.size, B)`` bool matrix of the rows each column ever
+        assigned nonzero charge.
+    num_nodes:
+        Number of nodes ``n`` of the graph.
     seed_indices:
         ``(B,)`` index into the ``seeds`` argument for each column.
     ts:
@@ -514,14 +728,18 @@ class BatchHeatKernelResult:
     work:
         ``(B,)`` edge traversals charged per column — identical to the
         scalar accounting ``Σ_stages Σ_{u ∈ support} (1 + deg(u))``.
-    touched_mask:
-        ``(n, B)`` bool matrix of nodes ever assigned nonzero charge.
     num_stages:
         Synchronized Taylor stages executed (the max of ``num_terms``).
+
+    ``approximation`` and ``touched_mask`` are the dense ``(n, B)``
+    matrices, built from the row state on first access; ``support`` is
+    ``rows``.
     """
 
-    approximation: np.ndarray
-    support: np.ndarray
+    rows: np.ndarray
+    row_approximation: np.ndarray
+    row_touched: np.ndarray
+    num_nodes: int
     seed_indices: np.ndarray
     ts: np.ndarray
     epsilons: np.ndarray
@@ -529,7 +747,6 @@ class BatchHeatKernelResult:
     dropped_mass: np.ndarray
     tail_bound: np.ndarray
     work: np.ndarray
-    touched_mask: np.ndarray
     num_stages: int
 
     @property
@@ -537,22 +754,35 @@ class BatchHeatKernelResult:
         """Number of batched diffusions ``B``."""
         return int(self.ts.size)
 
+    @property
+    def support(self):
+        """Ascending rows some stage kept in any column."""
+        return self.rows
+
+    @cached_property
+    def approximation(self):
+        """``(n, B)`` approximation matrix."""
+        return _on_all_rows(self.num_nodes, self.rows, self.row_approximation)
+
+    @cached_property
+    def touched_mask(self):
+        """``(n, B)`` bool matrix of nodes ever assigned nonzero charge."""
+        return _on_all_rows(self.num_nodes, self.rows, self.row_touched)
+
     def column(self, b):
         """Extract column ``b`` as a scalar-compatible result object."""
         from repro.diffusion.hk_push import HeatKernelPushResult
 
-        b = int(b)
-        if not 0 <= b < self.num_columns:
-            raise InvalidParameterError(
-                f"column must lie in [0, {self.num_columns}); got {b}"
-            )
+        b = self._check_column(b)
         return HeatKernelPushResult(
-            approximation=self.approximation[:, b].copy(),
+            approximation=_on_all_rows(
+                self.num_nodes, self.rows, self.row_approximation[:, b]
+            ).copy(),
             t=float(self.ts[b]),
             num_terms=int(self.num_terms[b]),
             dropped_mass=float(self.dropped_mass[b]),
             tail_bound=float(self.tail_bound[b]),
-            touched=np.flatnonzero(self.touched_mask[:, b]),
+            touched=self.rows[self.row_touched[:, b]],
             work=int(self.work[b]),
         )
 
@@ -616,10 +846,10 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
         [check_probability(e, "epsilon") for e in np.atleast_1d(epsilons)]
     )
     degrees = graph.degrees
-    if np.any(degrees <= 0):
+    if degrees.size and degrees.min() <= 0:
         raise InvalidParameterError("heat-kernel push needs positive degrees")
-    seed_matrix = _as_seed_matrix(graph, seeds)
-    num_seeds = seed_matrix.shape[1]
+    seed_rows, seed_block, seed_mass = _seed_block(graph, seeds)
+    num_seeds = seed_block.shape[1]
     num_ts = ts.size
     num_eps = epsilons.size
 
@@ -644,7 +874,7 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     max_terms = int(terms_t.max())
 
     n = graph.num_nodes
-    deg_counts = np.diff(graph.indptr)
+    indptr = graph.indptr
     adjacency = None
 
     # The rounded stage recursion is t-free, so it runs over the unique
@@ -654,8 +884,12 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
 
     num_unique = u_eps.size
     work_u = np.zeros(num_unique, dtype=np.int64)
-    touched_u = np.zeros((n, num_unique), dtype=bool)
     slot_of = np.empty(n, dtype=np.int64)
+    # The touched mask and the accumulated output, on the rows some stage
+    # kept (the only rows that can carry output).
+    reached = _RowSlots(n, (
+        ((num_unique,), bool), ((num_unique, num_ts), float),
+    ), capacity=max(64, 4 * seed_rows.size))
 
     # Taylor weight schedule: W[k, ti] = e^{-t} t^k / k! while the t still
     # accumulates, 0 beyond its truncation order — per-t truncation is a
@@ -672,17 +906,19 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
     # union of the block's rows, instead of T strided adds per stage.
     block_size = min(16, max_terms + 1)
     block = []
-    accumulated = np.zeros((n, num_unique, num_ts))
 
     def flush():
         if block:
             ks, supports, values = zip(*block)
+            union = np.unique(np.concatenate(supports))
             # Multiply-adds the contraction spends per history row.
             row_cost = len(block) * num_unique * num_ts
             if (n * row_cost <= _BLAS_SMALL_PRODUCT
                     or sum(rows.size for rows in supports) >= n):
                 # Small graph or wide block: one history row per node.
-                union, num_used, num_rows = slice(None), n, n
+                # The product is +0.0 on the rows off the union, so only
+                # the union's rows are added to the accumulated output.
+                num_rows, used = n, union
                 positions = [
                     rows if len(kept) < n else slice(None)
                     for rows, kept in zip(supports, values)
@@ -691,19 +927,18 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
                 # Padding rows keep the product out of the small-matrix
                 # kernel, so each row rounds as in the one-row-per-node
                 # layout of a large graph.
-                union = np.unique(np.concatenate(supports))
                 positions = [np.searchsorted(union, rows) for rows in supports]
                 values = [
                     compact(rows, kept) for rows, kept in zip(supports, values)
                 ]
-                num_used = union.size
-                num_rows = max(num_used, _BLAS_SMALL_PRODUCT // row_cost + 1)
+                used = slice(None, union.size)
+                num_rows = max(union.size, _BLAS_SMALL_PRODUCT // row_cost + 1)
             history = np.zeros((len(block), num_rows, num_unique))
             for slot, (where, kept) in enumerate(zip(positions, values)):
                 history[slot, where] = kept
-            accumulated[union] += np.tensordot(
+            reached.state[1][reached.slot_of[union]] += np.tensordot(
                 history, weight_schedule[list(ks)], axes=([0], [0])
-            )[:num_used]
+            )[used]
             block.clear()
 
     def round_stage(k, vector, rows=None):
@@ -724,13 +959,15 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
             keep = vector >= wide_thresholds
             support = np.flatnonzero(keep.any(axis=1))
             values = np.multiply(vector, keep, out=vector)
-            touched_u[...] |= keep
+            kept = keep[support]
         else:
             keep = vector >= degrees[rows, None] * u_eps
             hit = keep.any(axis=1)
             support, keep = rows[hit], keep[hit]
             values = vector[hit] * keep
-            touched_u[support] |= keep
+            kept = keep
+        slots = reached.slots(support)
+        reached.state[0][slots] |= kept
         block.append((k, support, values))
         if len(block) == block_size:
             flush()
@@ -748,29 +985,31 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
         full[rows] = values
         return full
 
-    seed_mass_u = seed_matrix.sum(axis=0)[u_of_seed]
-    seed_rows = np.flatnonzero(seed_matrix.any(axis=1))
+    seed_mass_u = seed_mass[u_of_seed]
     wide_thresholds = None
     rows, stage, keep = round_stage(
-        0, seed_matrix[seed_rows][:, u_of_seed], seed_rows
+        0, seed_block[:, u_of_seed], seed_rows
     )
 
     # Per-t metadata outputs, viewed as (seed, t, epsilon) so each t's
-    # slice aligns with the (seed, epsilon) recursion matrix.
+    # slice aligns with the (seed, epsilon) recursion matrix.  Each t's
+    # touched mask is the one held when its order is exhausted; the
+    # masks only grow and slots are appended, so it is a prefix of the
+    # final slots.
     dropped = np.zeros(num_columns)
     dropped_view = dropped.reshape(num_seeds, num_ts, num_eps)
     work = np.zeros(num_columns, dtype=np.int64)
     work_view = work.reshape(num_seeds, num_ts, num_eps)
-    touched = np.zeros((n, num_columns), dtype=bool)
-    touched_view = touched.reshape(n, num_seeds, num_ts, num_eps)
+    touched_at = []
 
     for k in range(1, max_terms + 1):
         # The support of the current stage is exactly the rows its
         # rounding kept, so every array below is sized by that support
         # and its neighbourhood, not by n — unless the support is wide.
         if rows.size:
-            work_u += (1 + deg_counts[rows]) @ compact(rows, keep)
-            if 4 * int(deg_counts[rows].sum()) >= graph.indices.size:
+            row_arcs = indptr[rows + 1] - indptr[rows]
+            work_u += (1 + row_arcs) @ compact(rows, keep)
+            if 4 * int(row_arcs.sum()) >= graph.indices.size:
                 # Wide stage: the support covers most arcs, so one sparse
                 # matmul over the whole adjacency is cheapest.
                 if adjacency is None:
@@ -795,38 +1034,40 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
             # (in exact arithmetic), so the mass dropped by rounding up to
             # this stage is the seed mass minus the current stage mass.
             # numpy sums a single column pairwise, where the zeros off
-            # the support would regroup the terms, so that case sums the
-            # dense column; wider stages are summed row by row either way.
-            stage_mass = (
-                stage.sum(axis=0) if num_unique > 1
-                else dense(rows, stage).sum(axis=0)
-            )
+            # the support would regroup the terms, so that case follows
+            # the pairwise order of the dense column; wider stages are
+            # summed row by row either way.
+            if num_unique > 1 or len(stage) == n:
+                stage_mass = stage.sum(axis=0)
+            else:
+                stage_mass = _pairwise_sum(rows, stage[:, 0], n)
             dropped_view[:, ti, :] = (
                 seed_mass_u - stage_mass
             ).reshape(num_seeds, num_eps)
             work_view[:, ti, :] = work_u.reshape(num_seeds, num_eps)
-            reached = np.flatnonzero(touched_u.any(axis=1))
-            touched_view[reached, :, ti, :] = touched_u[reached].reshape(
-                -1, num_seeds, num_eps
-            )
+            touched_at.append((ti, reached.state[0][:reached.size].copy()))
     flush()
 
     # (row, seed·eps, t) -> the C-ordered (row, seed, t, eps) output grid.
-    # Only rows some stage kept can carry output.
-    reached = np.flatnonzero(touched_u.any(axis=1))
-    approximation = np.zeros((n, num_columns))
-    approximation[reached] = (
-        accumulated[reached].reshape(-1, num_seeds, num_eps, num_ts)
+    order, support, (_, accumulated) = reached.sorted_state()
+    approximation = (
+        accumulated.reshape(-1, num_seeds, num_eps, num_ts)
         .transpose(0, 1, 3, 2).reshape(-1, num_columns)
     )
+    touched = np.zeros((reached.size, num_seeds, num_ts, num_eps), dtype=bool)
+    for ti, mask in touched_at:
+        touched[:len(mask), :, ti, :] = mask.reshape(-1, num_seeds, num_eps)
+    touched = touched[order].reshape(-1, num_columns)
 
     tail_by_t = [
         poisson_tail(float(t), int(m)) for t, m in zip(ts, terms_t)
     ]
     tail = np.tile(np.repeat(tail_by_t, num_eps), num_seeds)
     return BatchHeatKernelResult(
-        approximation=approximation,
-        support=reached,
+        rows=support,
+        row_approximation=approximation,
+        row_touched=touched,
+        num_nodes=n,
         seed_indices=seed_idx,
         ts=t_col,
         epsilons=eps_col,
@@ -834,7 +1075,6 @@ def batch_hk_push(graph, seeds, *, ts=(5.0,), epsilons=(1e-4,),
         dropped_mass=dropped,
         tail_bound=tail,
         work=work,
-        touched_mask=touched,
         num_stages=max_terms,
     )
 

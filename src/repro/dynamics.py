@@ -86,9 +86,14 @@ __all__ = [
     "unregister_dynamics",
 ]
 
-# Cap on the number of dense (node, column) entries per engine batch; seed
-# chunks are sized so the batched residual/approximation matrices stay
-# within a few dozen megabytes regardless of the seed count.
+# Which seeds share a ``batch_ppr_push`` call: ``_BATCH_ENTRY_BUDGET //
+# (n * grid_size)`` of them.  The engine's state is sized by the output, so
+# this no longer caps memory; it must stay because it fixes the bytes.  A
+# PPR call switches to its wide sweep when the union frontier of all its
+# columns covers a quarter of the arcs, and the wide and narrow sweeps
+# round a column's residual differently, so regrouping the seeds moves
+# ulps in the PPR columns (and so the chunk cache).  The heat kernel has
+# no such dependence, so it runs a whole chunk's seeds in one call.
 _BATCH_ENTRY_BUDGET = 2_000_000
 
 
@@ -97,24 +102,19 @@ def _seed_vector(graph, seed_node):
     return degree_weighted_indicator_seed(graph, [int(seed_node)])
 
 
-def _batched_columns(graph, seed_nodes, grid_size, run_batch):
-    """Yield every column of ``run_batch`` over budget-sized seed chunks.
+def _batched_columns(seed_nodes, seeds_per_call, run_batch):
+    """Yield every column of ``run_batch`` over seed groups of a fixed size.
 
-    ``run_batch(vectors)`` runs one batched engine call; columns come out
-    in its (seed, axis, epsilon) order, seed slowest, each as the
-    ``(rows, values)`` pair over the batch's ``support``.
+    ``run_batch(nodes)`` runs one batched engine call on seed node ids;
+    columns come out in its (seed, axis, epsilon) order, seed slowest,
+    each as the ``(rows, values)`` pair of its nonzero entries.
     """
-    seed_nodes = list(seed_nodes)
-    chunk = max(
-        1, _BATCH_ENTRY_BUDGET // max(graph.num_nodes * max(grid_size, 1), 1)
-    )
-    for start in range(0, len(seed_nodes), chunk):
-        batch = run_batch([
-            _seed_vector(graph, s) for s in seed_nodes[start:start + chunk]
-        ])
-        rows = batch.support
+    seed_nodes = [int(s) for s in seed_nodes]
+    seeds_per_call = max(seeds_per_call, 1)
+    for start in range(0, len(seed_nodes), seeds_per_call):
+        batch = run_batch(seed_nodes[start:start + seeds_per_call])
         for b in range(batch.num_columns):
-            yield rows, batch.approximation[rows, b]
+            yield batch.sparse_column(b)
 
 
 def _dense(n, rows, values):
@@ -233,15 +233,19 @@ class PPR(_SpecBase):
         """Iterate one diffusion column per (seed, alpha, epsilon) point.
 
         Columns enumerate seed (slowest) x alpha x epsilon (fastest),
-        batched per seed chunk through
-        :func:`~repro.diffusion.engine.batch_ppr_push`; each is the
-        ``(rows, values)`` pair over the rows its batch ever pushed.
+        batched per seed group through
+        :func:`~repro.diffusion.engine.batch_ppr_push` (the groups are
+        sized by ``_BATCH_ENTRY_BUDGET``); each is the ``(rows, values)``
+        pair of its nonzero entries.
         """
         epsilons = tuple(epsilons)
+        seeds_per_call = _BATCH_ENTRY_BUDGET // max(
+            graph.num_nodes * self.grid_size(epsilons), 1
+        )
         return _batched_columns(
-            graph, seed_nodes, self.grid_size(epsilons),
-            lambda vectors: batch_ppr_push(
-                graph, vectors, alphas=self.alpha, epsilons=epsilons
+            seed_nodes, seeds_per_call,
+            lambda nodes: batch_ppr_push(
+                graph, nodes, alphas=self.alpha, epsilons=epsilons
             ),
         )
 
@@ -287,16 +291,16 @@ class HeatKernel(_SpecBase):
     def support_columns(self, graph, seed_nodes, *, epsilons):
         """Iterate one diffusion column per (seed, t, epsilon) grid point.
 
-        Batched per seed chunk through
-        :func:`~repro.diffusion.engine.batch_hk_push`; each is the
-        ``(rows, values)`` pair over the rows any stage of its batch
-        kept.
+        All of ``seed_nodes`` run in one
+        :func:`~repro.diffusion.engine.batch_hk_push` call; each column is
+        the ``(rows, values)`` pair of its nonzero entries.
         """
         epsilons = tuple(epsilons)
+        seed_nodes = list(seed_nodes)
         return _batched_columns(
-            graph, seed_nodes, self.grid_size(epsilons),
-            lambda vectors: batch_hk_push(
-                graph, vectors, ts=self.t, epsilons=epsilons
+            seed_nodes, len(seed_nodes),
+            lambda nodes: batch_hk_push(
+                graph, nodes, ts=self.t, epsilons=epsilons
             ),
         )
 

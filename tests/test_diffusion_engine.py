@@ -15,6 +15,8 @@ import timeit
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dynamics import DiffusionGrid, HeatKernel, LazyWalk, PPR
 from repro.diffusion.engine import (
@@ -37,7 +39,8 @@ from repro.diffusion.seeds import (
     indicator_seed,
 )
 from repro.exceptions import InvalidParameterError
-from repro.graph.build import from_edges
+from repro.graph.build import from_edges, union_disjoint
+from repro.graph.generators import cycle_graph
 from repro.graph.matrices import adjacency_matrix
 from repro.partition.sweep import sweep_cut
 
@@ -366,6 +369,43 @@ class TestHeatKernelPushHardening:
         )
 
 
+class TestDenseSumsWithoutDenseVectors:
+    """The kernels add up seeds and stages as numpy sums the dense
+    vectors they no longer build, so the masses keep every bit."""
+
+    def test_sparse_pairwise_sum_is_numpy_sum(self):
+        from repro.diffusion.engine import _pairwise_sum
+
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 8, 9, 127, 128, 129, 300, 4_099, 70_001):
+            for _ in range(12):
+                k = int(rng.integers(0, min(n, 200) + 1))
+                positions = np.sort(rng.choice(n, size=k, replace=False))
+                values = rng.random(k) * 10.0 ** rng.uniform(-9, 3, k)
+                dense = np.zeros(n)
+                dense[positions] = values
+                got = _pairwise_sum(positions, values, n)
+                assert np.float64(got).tobytes() == dense.sum().tobytes()
+
+    @pytest.mark.parametrize("num_seeds", [1, 3])
+    def test_vector_seed_masses_are_the_stacked_column_sums(self, num_seeds):
+        from repro.diffusion.engine import _seed_block
+
+        rng = np.random.default_rng(num_seeds)
+        graph = random_graph(rng, 400, 300)
+        vectors = []
+        for _ in range(num_seeds):
+            vector = np.zeros(graph.num_nodes)
+            picks = rng.choice(graph.num_nodes, size=40, replace=False)
+            vector[picks] = rng.random(40) * 10.0 ** rng.uniform(-6, 2, 40)
+            vectors.append(vector)
+        rows, block, mass = _seed_block(graph, vectors)
+        stacked = np.column_stack(vectors)
+        assert mass.tobytes() == stacked.sum(axis=0).tobytes()
+        assert np.array_equal(stacked[rows], block)
+        assert np.array_equal(rows, np.flatnonzero(stacked.any(axis=1)))
+
+
 class TestBatchHeatKernel:
     TS = (0.5, 3.0, 10.0)
     EPS = (1e-3, 1e-4)
@@ -571,6 +611,146 @@ class TestCompactKernelPath:
                         scalar.dropped_mass, abs=1e-15
                     )
                     b += 1
+
+
+class TestCompactPathBytes:
+    """The compact (narrow) kernel path's output bytes, pinned.
+
+    SHA-256 over ``TestCompactKernelPath``'s grids on the R-MAT case:
+    every column's positive ``(rows, values)`` plus its ``num_pushes``
+    and ``work`` (PPR) or its ``work`` and ``num_terms`` (heat kernel).
+    The pins were recorded before the kernels kept their state on compact
+    row slots, so any change of layout that moves a bit fails here.
+    """
+
+    PPR_SHA256 = (
+        "e80e5e1227eece630ae5d99f2dbba39e23bc77585c219da2f5c5a22a5fae668c"
+    )
+    HK_SHA256 = (
+        "25db0d32783cac01a585132a4651e065a6cacb5d576b515db5107e5f3af956fa"
+    )
+
+    @staticmethod
+    def column_digest(batch, counters):
+        import hashlib
+
+        digest = hashlib.sha256()
+        for b in range(batch.num_columns):
+            column = batch.approximation[:, b]
+            rows = np.flatnonzero(column > 0)
+            digest.update(rows.astype(np.int64).tobytes())
+            digest.update(column[rows].tobytes())
+            for name in counters:
+                digest.update(np.int64(getattr(batch, name)[b]).tobytes())
+        return digest.hexdigest()
+
+    def test_ppr_bytes_are_pinned(self, sparse_support_case,
+                                  compact_path_only):
+        graph, seeds = sparse_support_case
+        batch = batch_ppr_push(
+            graph, seeds, alphas=TestCompactKernelPath.ALPHAS,
+            epsilons=TestCompactKernelPath.EPS,
+        )
+        assert self.column_digest(
+            batch, ("num_pushes", "work")
+        ) == self.PPR_SHA256
+
+    def test_hk_bytes_are_pinned(self, sparse_support_case,
+                                 compact_path_only):
+        graph, seeds = sparse_support_case
+        batch = batch_hk_push(
+            graph, seeds, ts=(3.0, 10.0), epsilons=TestCompactKernelPath.EPS
+        )
+        assert self.column_digest(
+            batch, ("work", "num_terms")
+        ) == self.HK_SHA256
+
+
+@st.composite
+def graphs_and_seeds(draw):
+    """A random connected graph and 4-8 seed nodes (repeats allowed)."""
+    n = draw(st.integers(3, 20))
+    weight = st.floats(0.25, 4.0, allow_nan=False, allow_infinity=False)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight)
+             for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        edges.setdefault((u, v), draw(weight))
+    pairs = sorted(edges)
+    graph = from_edges(n, pairs, [edges[p] for p in pairs])
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=8))
+    return graph, seeds
+
+
+def planned_columns(kernel, graph, seeds, per_call, counters):
+    """Run ``seeds`` in calls of ``per_call`` seeds; every column's
+    nonzero ``(rows, values)`` bytes with its counters and touched rows."""
+    columns = []
+    for start in range(0, len(seeds), per_call):
+        batch = kernel(graph, seeds[start:start + per_call])
+        for b in range(batch.num_columns):
+            rows, values = batch.sparse_column(b)
+            columns.append((
+                rows.tobytes(), values.tobytes(),
+                tuple(int(getattr(batch, name)[b]) for name in counters),
+                batch.column(b).touched.tobytes(),
+            ))
+    return columns
+
+
+class TestBatchInvariance:
+    """A column's bytes do not depend on the seeds that share its call.
+
+    Each column is run alone, in the 3-seed calls of the PPR plan on a
+    large graph, and with the whole chunk in one call, from node-id and
+    from vector seeds: values, counters and touched rows must be equal.
+    This holds for every heat-kernel column and for PPR columns whose
+    calls stay on the narrow sweep (the wide sweep rounds differently, so
+    the plan of a saturating PPR grid is fixed by the batch budget).
+    """
+
+    @staticmethod
+    def assert_plan_invariant(kernel, graph, seeds, counters):
+        vectors = [degree_weighted_indicator_seed(graph, [s]) for s in seeds]
+        reference = planned_columns(kernel, graph, seeds, 1, counters)
+        for chosen in (seeds, vectors):
+            for per_call in (1, 3, len(seeds)):
+                assert planned_columns(
+                    kernel, graph, chosen, per_call, counters
+                ) == reference
+
+    @given(case=graphs_and_seeds())
+    def test_narrow_ppr_columns(self, case):
+        import repro.diffusion.engine as engine
+
+        graph, seeds = case
+        # A disjoint cycle with more than 1.5x the graph's arcs keeps
+        # every frontier under a quarter of all arcs: narrow sweeps only.
+        graph = union_disjoint(graph, cycle_graph(2 * graph.indices.size))
+
+        def kernel(graph, chosen):
+            return batch_ppr_push(graph, chosen, alphas=(0.05, 0.3),
+                                  epsilons=(1e-2, 1e-4))
+
+        def no_wide_path(graph):
+            raise AssertionError("a wide sweep ran")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "adjacency_matrix", no_wide_path)
+            self.assert_plan_invariant(kernel, graph, seeds,
+                                       ("num_pushes", "work"))
+
+    @given(case=graphs_and_seeds())
+    def test_hk_columns(self, case):
+        graph, seeds = case
+
+        def kernel(graph, chosen):
+            return batch_hk_push(graph, chosen, ts=(1.0, 5.0),
+                                 epsilons=(1e-2, 1e-4))
+
+        self.assert_plan_invariant(kernel, graph, seeds,
+                                   ("work", "num_terms"))
 
 
 @pytest.fixture
