@@ -22,8 +22,8 @@ Subpackages
     The unified refiner registry: ``MQI`` / ``FlowImprove`` / ``MOV``
     specs, ``Pipeline`` workloads, ``RefinerKind`` entries, alias table.
 ``repro.execution``
-    The executor registry: ``ExecutorKind`` entries behind the canonical
-    ``serial`` / ``process`` / ``chaos`` names, retry + straggler
+    The fixed ``EXECUTORS`` tuple of ``ExecutorKind`` records
+    (``serial`` / ``process`` / ``chaos``), retry + straggler
     re-dispatch driver, deterministic fault injection, resume support.
 ``repro.graph``
     CSR graph substrate, matrices, generators, I/O.
@@ -48,9 +48,9 @@ Subpackages
 Quickstart
 ----------
 >>> from repro.datasets import load_graph
->>> from repro.api import verify_paper_theorem
+>>> from repro.regularization import verify_all
 >>> graph = load_graph("planted")
->>> reports = verify_paper_theorem(graph)   # Section 3.1, numerically
+>>> reports = verify_all(graph)   # Section 3.1, numerically
 >>> all(r.diffusion_vs_closed_form < 1e-8 for r in reports)
 True
 """
@@ -61,7 +61,7 @@ from repro import linalg, ncp, partition, refine, regularization
 from repro import api
 from repro.api import *  # noqa: F401,F403 -- the facade, re-exported whole
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 
 def __getattr__(name):

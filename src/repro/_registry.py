@@ -1,17 +1,15 @@
-"""One registry implementation behind every extension point.
+"""One registry implementation behind both extension points.
 
-Dynamics, refiners and executors are each a :class:`Registry` of
-frozen records: a canonical key per record, a table of normalized
-alternative spellings, a ``spec_type`` whose instances and type resolve
-to the record, and an unknown-name error that is both an
+Dynamics and refiners are each a :class:`Registry` of frozen records: a
+canonical key per record, a table of normalized alternative spellings
+(the record's ``key``, its ``aliases`` and its display ``name``), a
+``spec_type`` whose instances and type resolve to the record, and an
+unknown-name error that is both an
 :class:`~repro.exceptions.InvalidParameterError` (hence ``ValueError``)
 and a ``KeyError`` with a did-you-mean suggestion
-(:func:`unknown_name_error`, which the fixed lint rule set shares).
-
-The three differ only in which record fields are accepted as spellings
-(every record's ``key`` and ``aliases``; dynamics and refiners also their
-display ``name``).  Spec types match exactly: a subclass is its own
-entry and must be registered itself.
+(:func:`unknown_name_error`, which the fixed executor and lint rule sets
+share).  Spec types match exactly: a subclass is its own entry and must
+be registered itself.
 
 Each owning module keeps its public names as bound methods, e.g.
 ``register_refiner = REFINERS.register``.
@@ -61,27 +59,22 @@ class Registry:
     error_type:
         The unknown-name error class (an ``InvalidParameterError`` and
         ``KeyError`` subclass).
-    spellings:
-        Record fields, beyond ``key`` and ``aliases``, whose values are
-        accepted as names (``("name",)``).
     """
 
-    def __init__(self, noun, kind_type, error_type, *, spellings=()):
+    def __init__(self, noun, kind_type, error_type):
         self.noun = noun
         self.kind_type = kind_type
         self.error_type = error_type
-        self._spellings = tuple(spellings)
         self._entries = {}      # canonical key -> record
         self._aliases = {}      # normalized spelling -> canonical key
         self._spec_types = {}   # spec type -> canonical key
 
     def _names(self, kind):
-        fields = [kind.key, *kind.aliases]
-        fields += [getattr(kind, name) for name in self._spellings]
-        return {normalize(name) for name in fields}
+        names = (kind.key, *kind.aliases, kind.name)
+        return {normalize(name) for name in names}
 
     def register(self, kind, *, overwrite=False):
-        """Register a record under its key, aliases and extra spellings.
+        """Register a record under its key, aliases and display name.
 
         Raises :class:`~repro.exceptions.InvalidParameterError` when the
         key, a spelling or the spec type is already taken (pass

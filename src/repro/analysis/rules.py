@@ -5,9 +5,9 @@ roughly thirty lines, paired with its id, code and aliases in one
 :class:`LintRule` record of the fixed :data:`RULES` tuple.  The rules
 encode the conventions the past PRs established by hand:
 
-* **R001 no-stringly-dispatch** — branch through the registries
-  (:mod:`repro.dynamics`, :mod:`repro.refine`, :mod:`repro.execution`),
-  never on registry vocabulary string literals or by reaching into a
+* **R001 no-stringly-dispatch** — resolve names through
+  :mod:`repro.dynamics`, :mod:`repro.refine` and :mod:`repro.execution`,
+  never branch on their vocabulary as string literals or reach into a
   registry's private dicts (``_entries``, ``_aliases``, ``_spec_types``).
 * **R002 cache-version-discipline** — modules that persist memo entries
   or compose cache keys must reference a ``_CACHE_VERSION`` constant, so
@@ -20,8 +20,8 @@ encode the conventions the past PRs established by hand:
   where the dual-inheritance ``repro`` exception types are required.
 * **R007 executor-discipline** — process pools are an execution-layer
   concern: ``ProcessPoolExecutor`` is constructed only inside
-  :mod:`repro.execution`; everything else goes through the executor
-  registry (``run_ncp_ensemble(executor=...)``) so retry, straggler
+  :mod:`repro.execution`; everything else selects the process executor
+  by name (``run_ncp_ensemble(executor="process")``) so retry, straggler
   re-dispatch, and resume apply uniformly.
 
 R005 and R006 were retired in 2.0 together with the code they checked;
@@ -120,27 +120,27 @@ _REGISTRY_MODULES = (
 
 
 def registry_vocabulary():
-    """Every canonical name and alias across the three runtime registries.
+    """Every canonical name and alias of the dynamics, refiners and executors.
 
     Read from :func:`repro.dynamics.registered_dynamics`,
-    :func:`repro.refine.registered_refiners`, and
-    :func:`repro.execution.registered_executors` (imported lazily) on
-    every call, so the no-stringly-dispatch rule tracks the registries,
+    :func:`repro.refine.registered_refiners` and the fixed
+    :data:`repro.execution.EXECUTORS` tuple (imported lazily) on every
+    call, so the no-stringly-dispatch rule tracks the two registries,
     later registrations and removals included, instead of carrying its
     own drifting word list.
     """
     from repro.dynamics import registered_dynamics
-    from repro.execution import registered_executors
+    from repro.execution import EXECUTORS
     from repro.refine import registered_refiners
 
+    entries = [
+        *registered_dynamics().values(), *registered_refiners().values(),
+        *EXECUTORS,
+    ]
     vocabulary = set()
-    for registry in (
-        registered_dynamics(), registered_refiners(),
-        registered_executors(),
-    ):
-        for key, entry in registry.items():
-            vocabulary.add(key)
-            vocabulary.update(getattr(entry, "aliases", ()))
+    for entry in entries:
+        vocabulary.add(entry.key)
+        vocabulary.update(entry.aliases)
     return frozenset(vocabulary)
 
 
@@ -414,8 +414,8 @@ class ExecutorDisciplineVisitor(RuleVisitor):
             self.add(node, (
                 "direct ProcessPoolExecutor construction: pools live in "
                 "the execution layer so retry, straggler re-dispatch, "
-                "and resume apply; go through the executor registry "
-                "(run_ncp_ensemble(executor=...) or "
+                "and resume apply; select the process executor by name "
+                "(run_ncp_ensemble(executor=\"process\") or "
                 "repro.execution.build_executor)"
             ))
 
@@ -426,9 +426,9 @@ RULES = (
         key="no-stringly-dispatch",
         code="R001",
         description=(
-            "branch through the dynamics/refiner/executor registries, "
-            "never on registry-vocabulary string literals or private "
-            "registry dicts"
+            "resolve dynamics/refiner/executor names through their get_* "
+            "lookups, never branch on their vocabulary as string literals "
+            "or read private registry dicts"
         ),
         aliases=("stringly", "stringly-dispatch"),
         visitor=StringlyDispatchVisitor,
@@ -471,8 +471,8 @@ RULES = (
         code="R007",
         description=(
             "ProcessPoolExecutor is constructed only inside "
-            "repro.execution; all other code selects strategies through "
-            "the executor registry"
+            "repro.execution; all other code selects one of its fixed "
+            "executors by name or spec"
         ),
         aliases=("executors",),
         visitor=ExecutorDisciplineVisitor,

@@ -16,10 +16,9 @@ registered one — through one vocabulary:
   (:func:`get_refiner`, :func:`register_refiner`,
   :func:`apply_refiners`): composable cluster improvement for any NCP
   or local-clustering entry point.
-* **Executors** — :class:`ExecutorKind` and its registry
-  (:func:`get_executor`, :func:`register_executor`,
-  :func:`registered_executors`): the ``serial`` / ``process`` /
-  ``chaos`` execution strategies behind every ``executor=`` keyword,
+* **Executors** — :class:`ExecutorKind` and :func:`get_executor`: the
+  fixed ``serial`` / ``process`` / ``chaos`` execution strategies
+  (:data:`repro.execution.EXECUTORS`) behind every ``executor=`` keyword,
   plus :class:`RetryPolicy` for the retry / straggler-re-dispatch
   driver and :class:`Chaos` / :class:`FaultPlan` for deterministic
   fault injection.
@@ -34,8 +33,6 @@ registered one — through one vocabulary:
 * **Strongly local kernels** — :func:`batch_ppr_push` /
   :class:`BatchPushResult` (many ACL pushes at once) and
   :func:`ppr_push_frontier` (one push, frontier-batched).
-* **Verification** — :func:`verify_paper_theorem` (Section 3.1,
-  numerically).
 * **Errors** — :class:`ReproError` and its subclasses.
 
 The same vocabulary is scriptable without Python: ``python -m repro``
@@ -59,7 +56,6 @@ Quickstart::
 from __future__ import annotations
 
 from repro.core.experiments import run_multidynamics_ncp
-from repro.core.framework import verify_paper_theorem
 from repro.datasets.suite import (
     UnknownGraphError,
     load_any_graph,
@@ -133,9 +129,6 @@ from repro.execution import (
     RetryPolicy,
     UnknownExecutorError,
     get_executor,
-    register_executor,
-    registered_executors,
-    unregister_executor,
 )
 from repro.ncp.runner import NCPRunResult, run_ncp_ensemble
 from repro.partition.local import LocalClusterResult, local_cluster
@@ -199,16 +192,12 @@ __all__ = [
     "ppr_push_frontier",
     "refine_candidates",
     "register_dynamics",
-    "register_executor",
     "register_refiner",
     "registered_dynamics",
-    "registered_executors",
     "registered_refiners",
     "run_multidynamics_ncp",
     "run_ncp_ensemble",
     "suite_names",
     "unregister_dynamics",
-    "unregister_executor",
     "unregister_refiner",
-    "verify_paper_theorem",
 ]

@@ -18,7 +18,7 @@ The manifest doubles as the resume record: it is written with
 ``"status": "complete"`` at the end, so ``repro ncp --resume <dir>``
 after a crash rebuilds the exact workload from ``arguments``, probes the
 chunk memo (``--cache-dir``), and executes only the missing chunks.
-``--executor`` selects the execution strategy by registry name
+``--executor`` selects the execution strategy by name
 (``serial`` / ``process`` / ``chaos:seed=3,kills=2``, see
 :mod:`repro.execution`); the candidate bytes are identical under every
 strategy.

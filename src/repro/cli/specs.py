@@ -232,12 +232,13 @@ def parse_dynamics_spec(text):
 def parse_executor_spec(text):
     """Parse a ``--executor`` value into a frozen executor spec.
 
-    One spec in the shared ``--dynamics`` grammar, resolved through the
-    executor registry (:mod:`repro.execution`): ``"serial"`` /
-    ``"process"`` select those strategies with their defaults, and
+    One spec in the shared ``--dynamics`` grammar, resolved through
+    :func:`repro.execution.get_executor`: ``"serial"`` / ``"process"``
+    select those strategies with their defaults, and
     ``"chaos:seed=3,kills=2,abort_after=4"`` parameterizes the fault
-    injector — valid keys are exactly the registered spec dataclass's
-    fields.  Unknown names fail with the registry's did-you-mean error.
+    injector — valid keys are exactly the spec dataclass's fields.
+    Unknown names fail with the did-you-mean
+    :class:`~repro.execution.UnknownExecutorError`.
     """
     groups = _group_spec_tokens(text, option="--executor", kind="executor")
     if len(groups) != 1:
@@ -248,11 +249,6 @@ def parse_executor_spec(text):
     name, pairs, raw_tokens = groups[0]
     raw = ",".join(raw_tokens)
     kind = get_executor(name)  # UnknownExecutorError lists names + aliases
-    if kind.spec_type is None:
-        raise InvalidParameterError(
-            f"--executor {raw!r}: executor {kind.key!r} declares no spec "
-            "type, so it cannot be addressed from the command line"
-        )
     params = dict(_parse_pairs(kind, pairs, label=f"--executor {raw!r}"))
     return kind.spec_type(**params)
 

@@ -13,7 +13,6 @@ from repro.core.framework import (
     canonical_dynamics,
     get_dynamics,
     registered_dynamics,
-    verify_paper_theorem,
 )
 from repro.core.reporting import (
     format_comparison_verdict,
@@ -38,5 +37,4 @@ __all__ = [
     "jsonable",
     "registered_dynamics",
     "run_multidynamics_ncp",
-    "verify_paper_theorem",
 ]

@@ -41,18 +41,4 @@ __all__ = [
     "canonical_dynamics",
     "get_dynamics",
     "registered_dynamics",
-    "verify_paper_theorem",
 ]
-
-def verify_paper_theorem(graph, *, atol=1e-8):
-    """Verify the Section 3.1 theorem for all three dynamics on ``graph``.
-
-    Returns the three equivalence reports; raises if any diffusion differs
-    from its regularized-SDP optimum by more than ``atol``.
-    """
-    from repro.regularization.equivalence import assert_equivalence
-
-    return [
-        assert_equivalence(dynamics.verify(graph), atol=atol)
-        for dynamics in canonical_dynamics()
-    ]

@@ -10,24 +10,19 @@ from repro.datasets.scale import (
     SCALE_SUITE,
     ScaleGraphSpec,
     lfr_graph,
-    load_scale_graph,
     rmat_graph,
-    scale_describe,
-    scale_suite_names,
 )
 from repro.datasets.suite import (
     UnknownGraphError,
     describe,
     load_any_graph,
     load_graph,
-    load_suite,
     suite_names,
 )
 from repro.datasets.synthetic_dblp import (
     AtPDataset,
     attach_whisker_chains,
     synthetic_atp_dblp,
-    synthetic_coauthorship,
 )
 
 __all__ = [
@@ -40,12 +35,7 @@ __all__ = [
     "lfr_graph",
     "load_any_graph",
     "load_graph",
-    "load_scale_graph",
-    "load_suite",
     "rmat_graph",
-    "scale_describe",
-    "scale_suite_names",
     "suite_names",
     "synthetic_atp_dblp",
-    "synthetic_coauthorship",
 ]

@@ -36,10 +36,7 @@ __all__ = [
     "SCALE_SUITE",
     "ScaleGraphSpec",
     "lfr_graph",
-    "load_scale_graph",
     "rmat_graph",
-    "scale_describe",
-    "scale_suite_names",
 ]
 
 
@@ -327,29 +324,3 @@ SCALE_SUITE = {
                   "LFR-style 200k nodes: high-mixing community recovery"),
     )
 }
-
-
-def scale_suite_names():
-    """Names of all scale-tier graphs."""
-    return sorted(SCALE_SUITE)
-
-
-def load_scale_graph(name, seed=0):
-    """Build a scale-tier graph by name (compacted, deterministic)."""
-    try:
-        spec = SCALE_SUITE[name]
-    except KeyError:
-        from repro.datasets.suite import _unknown_graph
-
-        raise _unknown_graph(name) from None
-    return spec.build(seed)
-
-
-def scale_describe(name):
-    """Human-readable role of a scale-tier graph."""
-    try:
-        return SCALE_SUITE[name].role
-    except KeyError:
-        from repro.datasets.suite import _unknown_graph
-
-        raise _unknown_graph(name) from None

@@ -105,9 +105,9 @@ _SUITE = {
 def suite_names():
     """Names of the reference-tier suite graphs.
 
-    Scale-tier names (:func:`repro.datasets.scale.scale_suite_names`) are
-    deliberately *not* included: everything here is cheap enough to build
-    eagerly (listings, ``load_suite``), which million-edge graphs are not.
+    Scale-tier names (the keys of :data:`repro.datasets.scale.SCALE_SUITE`)
+    are deliberately *not* included: everything here is cheap enough to
+    build eagerly (listings), which million-edge graphs are not.
     :func:`load_graph`, :func:`describe`, and :func:`load_any_graph` all
     accept names from either tier.
     """
@@ -221,9 +221,3 @@ def load_any_graph(source, *, seed=0):
             f"name; those are {suite_names()})"
         )
     raise _unknown_graph(name, extra=" or pass a path to an edge-list file")
-
-
-def load_suite(seed=0, *, names=None):
-    """Build several suite graphs; returns ``{name: graph}``."""
-    chosen = suite_names() if names is None else list(names)
-    return {name: load_graph(name, seed=seed) for name in chosen}

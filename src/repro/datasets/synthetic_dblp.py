@@ -13,8 +13,7 @@ on (see DESIGN.md §2 for the substitution argument):
 * single-author papers and one-paper authors forming low-degree whiskers.
 
 :func:`synthetic_atp_dblp` returns the largest connected component of the
-bipartite graph; :func:`synthetic_coauthorship` returns the one-mode
-projection onto authors.
+bipartite graph.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from repro._validation import check_int
 from repro.exceptions import InvalidParameterError
-from repro.graph.bipartite import community_bipartite_graph, project_left
+from repro.graph.bipartite import community_bipartite_graph
 
 
 class UnknownScaleError(InvalidParameterError, KeyError):
@@ -181,22 +180,3 @@ def synthetic_atp_dblp(scale="small", seed=0, *, whisker_chains=0,
         author_communities=author_communities,
         paper_communities=paper_communities,
     )
-
-
-def synthetic_coauthorship(scale="small", seed=0, **overrides):
-    """Co-authorship projection of the AtP stand-in (largest component).
-
-    Returns ``(graph, original_author_ids)``.
-    """
-    if scale not in _SCALES:
-        raise _unknown_scale(scale)
-    num_authors, num_papers, num_communities = _SCALES[scale]
-    num_authors = overrides.pop("num_authors", num_authors)
-    num_papers = overrides.pop("num_papers", num_papers)
-    num_communities = overrides.pop("num_communities", num_communities)
-    graph, _, _ = community_bipartite_graph(
-        num_authors, num_papers, num_communities, seed=seed, **overrides
-    )
-    projected = project_left(graph, num_authors)
-    component, original_ids = projected.largest_component()
-    return component, original_ids

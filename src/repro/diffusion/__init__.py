@@ -30,7 +30,6 @@ from repro.diffusion.pagerank import (
     lazy_pagerank_exact,
     pagerank_exact,
     pagerank_operator,
-    pagerank_power,
     pagerank_resolvent_dense,
 )
 from repro.diffusion.push import (
@@ -72,7 +71,6 @@ __all__ = [
     "lazy_walk_vector",
     "pagerank_exact",
     "pagerank_operator",
-    "pagerank_power",
     "pagerank_resolvent_dense",
     "poisson_tail",
     "ppr_push_frontier",

@@ -5,12 +5,10 @@ paper): "the charge evolves by either moving to a neighbor of the current
 node or teleporting to a random node", with teleportation parameter
 ``γ ∈ (0, 1)`` and ``M = A D^{-1}`` the natural random-walk matrix.
 
-Three computational routes, in increasing "approximateness":
+Two computational routes, in increasing "approximateness":
 
 * :func:`pagerank_exact` — solve the linear system through its SPD
   symmetrization (CG);
-* :func:`pagerank_power` — the Power Method / Richardson iteration that the
-  paper credits with Web-scale PageRank [7], with optional early stopping;
 * the push algorithm lives in :mod:`repro.diffusion.push` (strongly local).
 
 A lazy variant (walk matrix ``W_α = (I + M)/2``) is also provided because the
@@ -24,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro._validation import check_int, check_probability, check_vector
+from repro._validation import check_probability, check_vector
 from repro.exceptions import InvalidParameterError
 from repro.graph.matrices import normalized_laplacian, random_walk_matrix
 from repro.linalg.solvers import conjugate_gradient
@@ -60,47 +58,6 @@ def pagerank_exact(graph, gamma, seed_vector, *, tol=1e-12):
     rhs = gamma * (seed / root)
     result = conjugate_gradient(sym, rhs, tol=tol, max_iterations=100_000)
     return root * result.solution
-
-
-def pagerank_power(graph, gamma, seed_vector, *, num_iterations=None,
-                   tol=1e-10, max_iterations=100_000):
-    """PageRank by the power iteration ``x ← γ s + (1−γ) M x``.
-
-    Parameters
-    ----------
-    num_iterations:
-        When given, run exactly this many iterations — *early stopping*; the
-        result is then the γ-weighted truncated Neumann series
-        ``γ Σ_{k<=K} (1−γ)^k M^k s``, an approximation whose bias is the
-        implicit regularization studied in E10.
-    tol, max_iterations:
-        Convergence control when ``num_iterations`` is omitted.
-
-    Returns
-    -------
-    vector:
-        The (approximate) PageRank vector.
-    iterations:
-        Iterations performed.
-    """
-    gamma = check_probability(gamma, "gamma")
-    seed = check_vector(seed_vector, graph.num_nodes, "seed_vector")
-    walk = random_walk_matrix(graph)
-    x = gamma * seed
-    if num_iterations is not None:
-        num_iterations = check_int(num_iterations, "num_iterations", minimum=0)
-        for _ in range(num_iterations):
-            x = gamma * seed + (1.0 - gamma) * (walk @ x)
-        return x, num_iterations
-    iterations = 0
-    for iterations in range(1, check_int(max_iterations, "max_iterations",
-                                         minimum=1) + 1):
-        new_x = gamma * seed + (1.0 - gamma) * (walk @ x)
-        if float(np.abs(new_x - x).sum()) <= tol:
-            x = new_x
-            break
-        x = new_x
-    return x, iterations
 
 
 def lazy_pagerank_exact(graph, alpha, seed_vector, *, tol=1e-12):

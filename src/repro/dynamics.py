@@ -35,12 +35,10 @@ the benchmarks are needed (see ``tests/test_dynamics_registry.py`` for a
 worked example).
 
 The registry is a :class:`~repro._registry.Registry`, the one
-implementation shared with :class:`~repro.refine.RefinerKind` (refiners)
-and :class:`~repro.execution.ExecutorKind` (ensemble execution
-strategies).
-A :class:`DiffusionGrid` workload says *what* to diffuse; the executor
-registry decides *how* its chunks run, and the candidate bytes never
-depend on that choice.
+implementation shared with :class:`~repro.refine.RefinerKind` (refiners).
+A :class:`DiffusionGrid` workload says *what* to diffuse; one of the
+fixed :data:`~repro.execution.EXECUTORS` decides *how* its chunks run,
+and the candidate bytes never depend on that choice.
 """
 
 from __future__ import annotations
@@ -574,9 +572,7 @@ def as_diffusion_grid(grid):
 # --------------------------------------------------------------------------
 # The registry.
 
-DYNAMICS = Registry(
-    "dynamics", DynamicsKind, UnknownDynamicsError, spellings=("name",)
-)
+DYNAMICS = Registry("dynamics", DynamicsKind, UnknownDynamicsError)
 register_dynamics = DYNAMICS.register
 unregister_dynamics = DYNAMICS.unregister
 resolve_dynamics_name = DYNAMICS.resolve

@@ -2,12 +2,12 @@
 
 The execution layer extracted from the NCP runner (ROADMAP item 4): the
 *what* of a run — the deterministic, fingerprint-keyed chunk plan —
-stays in :mod:`repro.ncp.runner`, while the *how* lives here behind the
-fifth registry:
+stays in :mod:`repro.ncp.runner`, while the *how* lives here:
 
-* **Registry** — :class:`ExecutorKind` entries under the canonical
-  ``serial`` / ``process`` / ``chaos`` names (alias table, did-you-mean
-  :class:`UnknownExecutorError`), each binding a frozen spec type to a
+* **Executors** — the fixed :data:`EXECUTORS` tuple of three
+  :class:`ExecutorKind` records, ``serial`` / ``process`` / ``chaos``,
+  looked up by :func:`get_executor` (aliases, did-you-mean
+  :class:`UnknownExecutorError`); each binds a frozen spec type to a
   factory for the live :class:`ChunkExecutor` strategy.
 * **Driver** — :func:`execute_chunks`: per-chunk retry with bounded
   backoff (:class:`RetryPolicy`), straggler re-dispatch with
@@ -31,7 +31,6 @@ from repro.execution.driver import (
     ExecutionOutcome,
     RetryPolicy,
     execute_chunks,
-    pending_chunks,
 )
 from repro.execution.errors import (
     ChunkExecutionError,
@@ -40,28 +39,24 @@ from repro.execution.errors import (
     RunAbortedError,
 )
 from repro.execution.executors import (
+    EXECUTORS,
     Chaos,
     ChaosExecutor,
     ChunkExecutor,
+    ExecutorKind,
     ProcessExecutor,
     ProcessPool,
     Serial,
     SerialExecutor,
-)
-from repro.execution.faults import FAULT_KINDS, Fault, FaultPlan
-from repro.execution.registry import (
-    ExecutorKind,
     UnknownExecutorError,
     as_executor_spec,
     build_executor,
     get_executor,
-    register_executor,
-    registered_executors,
-    resolve_executor_name,
-    unregister_executor,
 )
+from repro.execution.faults import FAULT_KINDS, Fault, FaultPlan
 
 __all__ = [
+    "EXECUTORS",
     "FAULT_KINDS",
     "Chaos",
     "ChaosExecutor",
@@ -84,64 +79,5 @@ __all__ = [
     "build_executor",
     "execute_chunks",
     "get_executor",
-    "pending_chunks",
-    "register_executor",
-    "registered_executors",
-    "resolve_executor_name",
-    "unregister_executor",
 ]
 
-
-def _make_serial(spec, *, graph, evaluate, num_workers=0):
-    """Factory for the registered ``serial`` entry."""
-    return SerialExecutor(graph, evaluate)
-
-
-def _make_process(spec, *, graph, evaluate, num_workers=0):
-    """Factory for the registered ``process`` entry."""
-    return ProcessExecutor(graph, evaluate,
-                           num_workers=max(1, int(num_workers)))
-
-
-def _make_chaos(spec, *, graph, evaluate, num_workers=0):
-    """Factory for the registered ``chaos`` entry."""
-    return ChaosExecutor(graph, evaluate, spec=spec)
-
-
-def _register_builtin_executors():
-    register_executor(ExecutorKind(
-        key="serial",
-        description=(
-            "in-process, one chunk at a time: the reference strategy "
-            "every other executor must match byte for byte"
-        ),
-        aliases=("sync", "inline"),
-        spec_type=Serial,
-        factory=_make_serial,
-    ))
-    register_executor(ExecutorKind(
-        key="process",
-        description=(
-            "shared-memory process pool: the CSR arrays cross the "
-            "process boundary once, workers are recreated after a pool "
-            "death, and stragglers are re-dispatched first-result-wins"
-        ),
-        aliases=("pool", "multiprocessing"),
-        spec_type=ProcessPool,
-        factory=_make_process,
-    ))
-    register_executor(ExecutorKind(
-        key="chaos",
-        description=(
-            "deterministic fault injector over the serial strategy: "
-            "seed-derived kill/delay/corrupt faults plus whole-run "
-            "aborts, for testing the robustness layer by construction"
-        ),
-        aliases=("faults", "fault_injection"),
-        spec_type=Chaos,
-        factory=_make_chaos,
-        replayable=False,
-    ))
-
-
-_register_builtin_executors()

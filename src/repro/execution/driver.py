@@ -46,7 +46,6 @@ __all__ = [
     "ExecutionOutcome",
     "RetryPolicy",
     "execute_chunks",
-    "pending_chunks",
 ]
 
 
@@ -126,27 +125,6 @@ class ExecutionOutcome:
     attempts: dict = field(default_factory=dict)
     retries: int = 0
     redispatches: int = 0
-
-
-def pending_chunks(chunks, completed):
-    """The chunks still to run, given a set of completed chunk indices.
-
-    The resume invariant, as code: ``pending ∪ completed = full plan``
-    and ``pending ∩ completed = ∅``, preserving plan order.  Indices in
-    ``completed`` that do not occur in ``chunks`` raise
-    :class:`~repro.exceptions.InvalidParameterError` (a completed set
-    from a foreign plan must never silently shrink this one).
-    """
-    chunks = list(chunks)
-    done = {int(index) for index in completed}
-    known = {chunk.index for chunk in chunks}
-    unknown = sorted(done - known)
-    if unknown:
-        raise InvalidParameterError(
-            f"completed chunk indices {unknown} are not part of the plan "
-            f"(plan indices: {sorted(known)})"
-        )
-    return [chunk for chunk in chunks if chunk.index not in done]
 
 
 def _format_failure(failure):

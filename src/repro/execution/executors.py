@@ -1,4 +1,4 @@
-"""The pluggable chunk executors: serial, process pool, and chaos.
+"""The chunk executors: serial, process pool, and chaos.
 
 One :class:`ChunkExecutor` is a *strategy* for evaluating
 :class:`~repro.ncp.runner.GridChunk` shards: the driver
@@ -19,9 +19,14 @@ into a :class:`concurrent.futures.Future`.
   so every robustness guarantee has a test that exercises it by
   construction.
 
+:data:`EXECUTORS` is the fixed set of the three: one
+:class:`ExecutorKind` record per strategy, looked up by key, alias, spec
+or spec type through :func:`get_executor`.  A new strategy is a code
+change here, a new record in the tuple.
+
 This module is the one place in the tree allowed to construct a
 ``ProcessPoolExecutor`` directly (lint rule R007 flags it anywhere
-else): all other code goes through the registry.
+else): all other code selects a strategy by name or spec.
 """
 
 from __future__ import annotations
@@ -34,19 +39,26 @@ from typing import ClassVar
 
 import numpy as np
 
+from repro._registry import normalize, unknown_name_error
 from repro._validation import check_int, check_positive
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.execution.errors import InjectedFaultError, RunAbortedError
 from repro.execution.faults import Fault, FaultPlan
 
 __all__ = [
+    "EXECUTORS",
     "Chaos",
     "ChaosExecutor",
     "ChunkExecutor",
+    "ExecutorKind",
     "ProcessExecutor",
     "ProcessPool",
     "Serial",
     "SerialExecutor",
+    "UnknownExecutorError",
+    "as_executor_spec",
+    "build_executor",
+    "get_executor",
 ]
 
 
@@ -133,7 +145,7 @@ def _worker_call(evaluate, chunk):
 
 
 # ---------------------------------------------------------------------------
-# Frozen executor specs (the registry's spec types).
+# Frozen executor specs (the spec types of the EXECUTORS records).
 
 
 @dataclass(frozen=True)
@@ -480,3 +492,153 @@ class ChaosExecutor(SerialExecutor):
                 f"chunks (abort_after={abort_after})",
                 completed_chunks=completed,
             )
+
+
+# ---------------------------------------------------------------------------
+# The fixed executor set.
+
+
+class UnknownExecutorError(InvalidParameterError, KeyError):
+    """Raised for an executor name that is not in :data:`EXECUTORS`.
+
+    Inherits both :class:`~repro.exceptions.InvalidParameterError` (hence
+    ``ValueError``) and ``KeyError``, matching the registry errors
+    (:class:`~repro.dynamics.UnknownDynamicsError`,
+    :class:`~repro.refine.UnknownRefinerError`), so callers validating
+    either way keep working.
+    """
+
+    __str__ = Exception.__str__
+
+
+@dataclass(frozen=True)
+class ExecutorKind:
+    """One execution strategy: spec type + factory behind a canonical name.
+
+    Attributes
+    ----------
+    key:
+        Canonical name (``"serial"``, ``"process"``, ``"chaos"``).
+    description:
+        One-line summary shown in ``--help`` and the architecture docs.
+    aliases:
+        Accepted alternative names.
+    spec_type:
+        Frozen dataclass of the strategy's parameters; ``spec_type()``
+        is the default spec, ``token()`` its canonical CLI string and
+        ``params()`` its JSON-able manifest record.
+    factory:
+        ``(spec, *, graph, evaluate, num_workers)`` ->
+        :class:`ChunkExecutor` building the live strategy for one run.
+    replayable:
+        Whether a manifest ``replay_argv`` may pin this executor.  The
+        chaos executor is *not* replayable: fault injection is an
+        execution fact (it never changes a completed run's bytes, and an
+        ``abort_after`` fault would crash the replay), so replays fall
+        back to the default strategy.
+    """
+
+    key: str
+    description: str
+    aliases: tuple = ()
+    spec_type: object = field(default=None, repr=False)
+    factory: object = field(default=None, repr=False)
+    replayable: bool = True
+
+
+EXECUTORS = (
+    ExecutorKind(
+        key="serial",
+        description=(
+            "in-process, one chunk at a time: the reference strategy "
+            "every other executor must match byte for byte"
+        ),
+        aliases=("sync", "inline"),
+        spec_type=Serial,
+        factory=lambda spec, *, graph, evaluate, num_workers:
+            SerialExecutor(graph, evaluate),
+    ),
+    ExecutorKind(
+        key="process",
+        description=(
+            "shared-memory process pool: the CSR arrays cross the "
+            "process boundary once, workers are recreated after a pool "
+            "death, and stragglers are re-dispatched first-result-wins"
+        ),
+        aliases=("pool", "multiprocessing"),
+        spec_type=ProcessPool,
+        factory=lambda spec, *, graph, evaluate, num_workers:
+            ProcessExecutor(
+                graph, evaluate, num_workers=max(1, int(num_workers))
+            ),
+    ),
+    ExecutorKind(
+        key="chaos",
+        description=(
+            "deterministic fault injector over the serial strategy: "
+            "seed-derived kill/delay/corrupt faults plus whole-run "
+            "aborts, for testing the robustness layer by construction"
+        ),
+        aliases=("faults", "fault_injection"),
+        spec_type=Chaos,
+        factory=lambda spec, *, graph, evaluate, num_workers:
+            ChaosExecutor(graph, evaluate, spec=spec),
+        replayable=False,
+    ),
+)
+
+# Normalized key/alias -> canonical key, and the lookup tables behind it.
+_SPELLINGS = {
+    normalize(name): kind.key
+    for kind in EXECUTORS for name in (kind.key, *kind.aliases)
+}
+_BY_KEY = {kind.key: kind for kind in EXECUTORS}
+_BY_SPEC_TYPE = {kind.spec_type: kind for kind in EXECUTORS}
+
+
+def get_executor(executor):
+    """The :class:`ExecutorKind` for a name, alias, record, spec or spec type.
+
+    Names match case- and separator-insensitively; a spec or spec type
+    matches by exact type.  Anything else raises
+    :class:`UnknownExecutorError` with a did-you-mean suggestion.
+    """
+    if isinstance(executor, str):
+        kind = _BY_KEY.get(_SPELLINGS.get(normalize(executor)))
+    elif isinstance(executor, ExecutorKind):
+        kind = _BY_KEY.get(executor.key)
+    elif isinstance(executor, type):
+        kind = _BY_SPEC_TYPE.get(executor)
+    else:
+        kind = _BY_SPEC_TYPE.get(type(executor))
+    if kind is None:
+        raise unknown_name_error(
+            UnknownExecutorError, "executor", executor, _SPELLINGS
+        )
+    return kind
+
+
+def as_executor_spec(executor):
+    """Coerce a name, alias, kind, or spec instance into a frozen spec.
+
+    A name/alias or an :class:`ExecutorKind` yields the kind's default
+    spec (``spec_type()``); a spec instance passes through unchanged.
+    """
+    kind = get_executor(executor)
+    if type(executor) is kind.spec_type:
+        return executor
+    return kind.spec_type()
+
+
+def build_executor(executor, *, graph, evaluate, num_workers=0):
+    """Resolve ``executor`` and build the live strategy for one run.
+
+    ``evaluate`` is the ``(graph, chunk) -> candidates`` callable (a
+    module-level function, so process-pool strategies can pickle it by
+    reference); ``num_workers`` is clamped to >= 1 by the process pool
+    and ignored by the serial strategies.
+    """
+    spec = as_executor_spec(executor)
+    return get_executor(spec).factory(
+        spec, graph=graph, evaluate=evaluate, num_workers=num_workers
+    )

@@ -4,7 +4,6 @@ from repro.graph.build import (
     connected_component_labels,
     empty_graph,
     from_edges,
-    from_scipy_sparse,
     induced_subgraph_fast,
     largest_component_fast,
     union_disjoint,
@@ -32,7 +31,6 @@ __all__ = [
     "connected_component_labels",
     "empty_graph",
     "from_edges",
-    "from_scipy_sparse",
     "induced_subgraph_fast",
     "largest_component_fast",
     "peek_binary_header",

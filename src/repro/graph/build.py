@@ -154,26 +154,6 @@ def _csr_from_sorted_keys(num_nodes, key, weights):
     return Graph(indptr, indices, arc_weights, validate=False)
 
 
-def from_scipy_sparse(matrix, *, tol=0.0):
-    """Build a graph from a scipy sparse symmetric adjacency matrix."""
-    from scipy import sparse
-
-    if not sparse.issparse(matrix):
-        raise GraphError("from_scipy_sparse expects a scipy sparse matrix")
-    coo = matrix.tocoo()
-    if coo.shape[0] != coo.shape[1]:
-        raise GraphError(f"adjacency matrix must be square; got {coo.shape}")
-    mask = (coo.row < coo.col) & (np.abs(coo.data) > tol)
-    edges = np.stack([coo.row[mask], coo.col[mask]], axis=1)
-    weights = coo.data[mask].astype(float)
-    lower = (coo.row > coo.col) & (np.abs(coo.data) > tol)
-    if int(lower.sum()) != edges.shape[0]:
-        raise GraphError("sparse adjacency matrix must be symmetric")
-    if np.any(np.abs(coo.data[coo.row == coo.col]) > tol):
-        raise GraphError("adjacency matrix must have a zero diagonal")
-    return from_edges(coo.shape[0], edges, weights, combine="sum")
-
-
 def empty_graph(num_nodes):
     """A graph with ``num_nodes`` isolated nodes and no edges."""
     return from_edges(num_nodes, [])

@@ -16,7 +16,6 @@ with unit weights unless stated otherwise.
 from __future__ import annotations
 
 from repro._validation import check_int, check_positive
-from repro.exceptions import InvalidParameterError
 from repro.graph.build import from_edges
 
 
@@ -144,12 +143,3 @@ def ring_of_cliques(num_cliques, clique_size):
         nxt = ((q + 1) % c) * k
         edges.append((base + k - 1, nxt))
     return from_edges(c * k, edges)
-
-
-def weighted_path_graph(weights):
-    """Path whose ``i``-th edge has the given positive weight."""
-    weights = list(weights)
-    if not weights:
-        raise InvalidParameterError("weighted_path_graph needs >= 1 edge weight")
-    edges = [(i, i + 1) for i in range(len(weights))]
-    return from_edges(len(weights) + 1, edges, weights)

@@ -69,20 +69,6 @@ def diameter(graph, *, sources=None):
     return best
 
 
-def triangle_count(graph):
-    """Total number of triangles (unweighted)."""
-    total = 0
-    for u in range(graph.num_nodes):
-        nbrs = graph.neighbors(u)
-        higher = nbrs[nbrs > u]
-        for v in higher:
-            v_nbrs = graph.neighbors(int(v))
-            total += int(np.intersect1d(
-                higher[higher > v], v_nbrs[v_nbrs > v], assume_unique=True
-            ).size)
-    return total
-
-
 def relabel(graph, permutation):
     """Apply a node permutation: new id of node ``i`` is ``permutation[i]``."""
     from repro.exceptions import GraphError

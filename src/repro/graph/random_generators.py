@@ -7,8 +7,6 @@ These generators provide the randomized side of the experiment suite:
   (Section 3.2);
 * :func:`planted_partition_graph` / :func:`stochastic_block_model` — graphs
   with ground-truth communities at a known conductance scale;
-* :func:`preferential_attachment_graph`, :func:`powerlaw_cluster_graph`,
-  :func:`forest_fire_graph` — heavy-tailed "social network"-like graphs;
 * :func:`whiskered_expander` — an expander core with stringy whiskers
   attached, the cartoon of the paper's description of large social networks
   ("expander-like when viewed at large size scales", with "structures
@@ -86,87 +84,6 @@ def random_regular_graph(n, degree, seed=None, *, max_tries=200):
     )
 
 
-def preferential_attachment_graph(n, m, seed=None):
-    """Barabási–Albert preferential attachment with ``m`` edges per new node."""
-    n = check_int(n, "n", minimum=2)
-    m = check_int(m, "m", minimum=1, maximum=n - 1)
-    rng = as_rng(seed)
-    edges = set()
-    # Seed: a star on m + 1 nodes so early targets have nonzero degree.
-    targets_pool = []
-    for i in range(1, m + 1):
-        edges.add((0, i))
-        targets_pool.extend([0, i])
-    for new in range(m + 1, n):
-        chosen = set()
-        while len(chosen) < m:
-            pick = targets_pool[int(rng.integers(len(targets_pool)))]
-            chosen.add(pick)
-        for t in chosen:
-            edges.add(tuple(sorted((new, t))))
-            targets_pool.extend([new, t])
-    return from_edges(n, sorted(edges))
-
-
-def powerlaw_cluster_graph(n, m, triangle_p, seed=None):
-    """Holme–Kim model: preferential attachment plus triad closure.
-
-    After each preferential step, with probability ``triangle_p`` the next
-    edge closes a triangle with a neighbor of the previous target, producing
-    the locally dense, heavy-tailed structure of social graphs.
-    """
-    n = check_int(n, "n", minimum=2)
-    m = check_int(m, "m", minimum=1, maximum=n - 1)
-    triangle_p = check_probability(
-        triangle_p, "triangle_p", inclusive_low=True, inclusive_high=True
-    )
-    rng = as_rng(seed)
-    edges = set()
-    adjacency = [set() for _ in range(n)]
-
-    def add(u, v):
-        if u == v:
-            return False
-        key = tuple(sorted((u, v)))
-        if key in edges:
-            return False
-        edges.add(key)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        targets_pool.extend([u, v])
-        return True
-
-    targets_pool = []
-    for i in range(1, m + 1):
-        edges.add((0, i))
-        adjacency[0].add(i)
-        adjacency[i].add(0)
-        targets_pool.extend([0, i])
-    for new in range(m + 1, n):
-        added = 0
-        last_target = None
-        guard = 0
-        while added < m and guard < 100 * m:
-            guard += 1
-            if (
-                last_target is not None
-                and adjacency[last_target]
-                and rng.random() < triangle_p
-            ):
-                neighbor = list(adjacency[last_target])[
-                    int(rng.integers(len(adjacency[last_target])))
-                ]
-                if add(new, neighbor):
-                    added += 1
-                    last_target = neighbor
-                    continue
-            pick = targets_pool[int(rng.integers(len(targets_pool)))]
-            if add(new, pick):
-                added += 1
-                last_target = pick
-    return from_edges(n, sorted(edges))
-
-
 def planted_partition_graph(num_blocks, block_size, p_in, p_out, seed=None):
     """Planted-partition model: ``num_blocks`` blocks of equal size.
 
@@ -233,45 +150,6 @@ def stochastic_block_model(block_sizes, probabilities, seed=None):
         np.concatenate(all_edges) if all_edges else np.empty((0, 2), dtype=np.int64)
     )
     return from_edges(n, edges)
-
-
-def forest_fire_graph(n, forward_p, seed=None):
-    """Forest-fire model (Leskovec et al.), undirected variant.
-
-    Each new node picks a random ambassador and "burns" through its
-    neighborhood: it links to the ambassador, then recursively to a
-    geometrically distributed number of the ambassador's neighbors. Produces
-    heavy-tailed degrees, densification, and community structure — the class
-    of networks Figure 1 is about.
-    """
-    n = check_int(n, "n", minimum=2)
-    forward_p = check_probability(forward_p, "forward_p")
-    rng = as_rng(seed)
-    adjacency = [set() for _ in range(n)]
-    adjacency[0].add(1)
-    adjacency[1].add(0)
-    edges = {(0, 1)}
-    for new in range(2, n):
-        ambassador = int(rng.integers(new))
-        visited = {ambassador}
-        frontier = [ambassador]
-        while frontier:
-            u = frontier.pop()
-            edges.add(tuple(sorted((new, u))))
-            candidates = [v for v in adjacency[u] if v not in visited]
-            if not candidates:
-                continue
-            # Geometric(1 - forward_p) number of neighbors to burn.
-            burn = min(int(rng.geometric(1.0 - forward_p)) - 1, len(candidates))
-            if burn > 0:
-                picks = rng.choice(len(candidates), size=burn, replace=False)
-                for idx in picks:
-                    visited.add(candidates[idx])
-                    frontier.append(candidates[idx])
-        for u in visited:
-            adjacency[new].add(u)
-            adjacency[u].add(new)
-    return from_edges(n, sorted(edges))
 
 
 def whiskered_expander(

@@ -26,17 +26,12 @@ from repro.linalg.power import (
 from repro.linalg.sketch import (
     SketchedLeastSquaresResult,
     gaussian_sketch,
-    randomized_svd,
     sketched_least_squares,
     sparse_sign_sketch,
 )
 from repro.linalg.solvers import (
     SolveResult,
-    chebyshev,
     conjugate_gradient,
-    gauss_seidel,
-    jacobi,
-    richardson,
 )
 
 __all__ = [
@@ -44,7 +39,6 @@ __all__ = [
     "PowerMethodResult",
     "SketchedLeastSquaresResult",
     "SolveResult",
-    "chebyshev",
     "conjugate_gradient",
     "expm_action_lanczos",
     "expm_action_taylor",
@@ -52,16 +46,12 @@ __all__ = [
     "fiedler_pair",
     "fiedler_value",
     "fiedler_vector",
-    "gauss_seidel",
     "gaussian_sketch",
     "heat_kernel_dense",
-    "jacobi",
     "lanczos",
     "lanczos_extreme_eigenpairs",
     "power_method",
     "power_method_trajectory",
-    "randomized_svd",
-    "richardson",
     "sketched_least_squares",
     "sparse_sign_sketch",
     "taylor_terms_for_tolerance",

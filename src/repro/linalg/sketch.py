@@ -11,8 +11,7 @@ measure the implicit-regularization effect of sketch-and-solve least squares:
 * :func:`sparse_sign_sketch` — CountSketch-style sparse embedding;
 * :func:`srdt_sketch` — subsampled randomized discrete cosine transform
   (an SRHT variant that works for any ``n``);
-* :func:`sketched_least_squares` — sketch-and-solve;
-* :func:`randomized_svd` — range finder + power iterations.
+* :func:`sketched_least_squares` — sketch-and-solve.
 """
 
 from __future__ import annotations
@@ -164,23 +163,3 @@ def randomized_range_finder(matrix, rank, *, oversampling=10, power_iterations=2
         Z, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Z)
     return Q
-
-
-def randomized_svd(matrix, rank, *, oversampling=10, power_iterations=2,
-                   seed=None):
-    """Rank-``rank`` randomized SVD: returns ``(U, s, Vt)``.
-
-    The truncation to ``rank`` terms is itself one of the paper's examples
-    of regularization-by-approximation ("working with a truncated singular
-    value decomposition ... can lead to better precision and recall",
-    Section 2.3).
-    """
-    A = np.asarray(matrix, dtype=float)
-    Q = randomized_range_finder(
-        A, rank, oversampling=oversampling,
-        power_iterations=power_iterations, seed=seed,
-    )
-    B = Q.T @ A
-    U_small, s, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ U_small
-    return U[:, :rank], s[:rank], Vt[:rank]

@@ -1,14 +1,12 @@
-"""Iterative linear-system solvers for symmetric positive (semi)definite systems.
+"""Conjugate gradient for symmetric positive (semi)definite systems.
 
 The PageRank dynamics of Section 3.1 is the resolvent system
-``(I - (1-γ) M) x = γ s``; these solvers are how that resolvent is applied
-without ever forming an inverse. Each solver returns a :class:`SolveResult`
-with the residual history, because *truncating the iteration early* is one of
-the implicit-regularization knobs the paper studies.
+``(I - (1-γ) M) x = γ s``; the solver is how that resolvent is applied
+without ever forming an inverse. It returns a :class:`SolveResult` with the
+residual history, because *truncating the iteration early* is one of the
+implicit-regularization knobs the paper studies.
 
-All solvers accept either a scipy sparse matrix / dense array or a matvec
-callable (Jacobi and Gauss–Seidel need explicit matrix entries and therefore
-require a matrix).
+The operator is a scipy sparse matrix, a dense array, or a matvec callable.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro._validation import check_int, check_positive, check_vector
-from repro.exceptions import ConvergenceError, InvalidParameterError
+from repro.exceptions import ConvergenceError
 from repro.linalg.power import _as_matvec
 
 
@@ -115,159 +112,4 @@ def conjugate_gradient(
     return _finalize(
         matvec, b, x, iterations, history, tol, raise_on_failure,
         "conjugate gradient",
-    )
-
-
-def richardson(
-    operator, b, *, step_size, x0=None, tol=1e-10, max_iterations=10_000,
-    raise_on_failure=True,
-):
-    """Richardson iteration ``x ← x + ω (b - A x)``.
-
-    With ``A = I - (1-γ) M`` and ``ω = 1`` this is exactly the PageRank
-    power iteration of Section 3.1, so its truncation is the canonical
-    "early stopping as implicit regularization" example.
-    """
-    matvec = _as_matvec(operator)
-    b = np.asarray(b, dtype=float)
-    step_size = check_positive(step_size, "step_size")
-    tol = check_positive(tol, "tol")
-    max_iterations = check_int(max_iterations, "max_iterations", minimum=1)
-    x = np.zeros_like(b) if x0 is None else check_vector(x0, b.size, "x0").copy()
-    b_norm = max(float(np.linalg.norm(b)), 1e-300)
-    history = []
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        r = b - matvec(x)
-        norm = float(np.linalg.norm(r))
-        history.append(norm)
-        if norm <= tol * b_norm:
-            break
-        x = x + step_size * r
-    return _finalize(
-        matvec, b, x, iterations, history, tol, raise_on_failure, "richardson"
-    )
-
-
-def _require_matrix(operator, name):
-    if callable(operator) and not hasattr(operator, "shape"):
-        raise InvalidParameterError(f"{name} requires an explicit matrix")
-    if sparse.issparse(operator):
-        return operator.tocsr()
-    return np.asarray(operator, dtype=float)
-
-
-def jacobi(
-    matrix, b, *, x0=None, tol=1e-10, max_iterations=10_000,
-    raise_on_failure=True,
-):
-    """Jacobi iteration ``x ← D^{-1} (b - (A - D) x)``."""
-    A = _require_matrix(matrix, "jacobi")
-    b = np.asarray(b, dtype=float)
-    diag = A.diagonal() if sparse.issparse(A) else np.diag(A).copy()
-    if np.any(diag == 0):
-        raise InvalidParameterError("jacobi requires a nonzero diagonal")
-    tol = check_positive(tol, "tol")
-    max_iterations = check_int(max_iterations, "max_iterations", minimum=1)
-    x = np.zeros_like(b) if x0 is None else check_vector(x0, b.size, "x0").copy()
-    matvec = _as_matvec(A)
-    b_norm = max(float(np.linalg.norm(b)), 1e-300)
-    history = []
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        r = b - matvec(x)
-        norm = float(np.linalg.norm(r))
-        history.append(norm)
-        if norm <= tol * b_norm:
-            break
-        x = x + r / diag
-    return _finalize(
-        matvec, b, x, iterations, history, tol, raise_on_failure, "jacobi"
-    )
-
-
-def gauss_seidel(
-    matrix, b, *, x0=None, tol=1e-10, max_iterations=10_000,
-    raise_on_failure=True,
-):
-    """Gauss–Seidel iteration with in-place forward sweeps."""
-    A = _require_matrix(matrix, "gauss_seidel")
-    if not sparse.issparse(A):
-        A = sparse.csr_matrix(A)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    diag = A.diagonal()
-    if np.any(diag == 0):
-        raise InvalidParameterError("gauss_seidel requires a nonzero diagonal")
-    tol = check_positive(tol, "tol")
-    max_iterations = check_int(max_iterations, "max_iterations", minimum=1)
-    x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
-    indptr, indices, data = A.indptr, A.indices, A.data
-    matvec = _as_matvec(A)
-    b_norm = max(float(np.linalg.norm(b)), 1e-300)
-    history = []
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        for i in range(n):
-            row = slice(indptr[i], indptr[i + 1])
-            acc = float(data[row] @ x[indices[row]]) - diag[i] * x[i]
-            x[i] = (b[i] - acc) / diag[i]
-        norm = float(np.linalg.norm(b - matvec(x)))
-        history.append(norm)
-        if norm <= tol * b_norm:
-            break
-    return _finalize(
-        matvec, b, x, iterations, history, tol, raise_on_failure, "gauss_seidel"
-    )
-
-
-def chebyshev(
-    operator, b, *, eigenvalue_bounds, x0=None, tol=1e-10,
-    max_iterations=10_000, raise_on_failure=True,
-):
-    """Chebyshev semi-iteration for SPD systems with known spectral bounds.
-
-    Parameters
-    ----------
-    eigenvalue_bounds:
-        Pair ``(λ_min, λ_max)`` with ``0 < λ_min <= λ_max`` enclosing the
-        spectrum of the operator.
-    """
-    matvec = _as_matvec(operator)
-    b = np.asarray(b, dtype=float)
-    lam_min, lam_max = eigenvalue_bounds
-    lam_min = check_positive(lam_min, "λ_min")
-    lam_max = check_positive(lam_max, "λ_max")
-    if lam_min > lam_max:
-        raise InvalidParameterError("eigenvalue_bounds must satisfy λ_min <= λ_max")
-    tol = check_positive(tol, "tol")
-    max_iterations = check_int(max_iterations, "max_iterations", minimum=1)
-    theta = (lam_max + lam_min) / 2.0
-    delta = (lam_max - lam_min) / 2.0
-    x = np.zeros_like(b) if x0 is None else check_vector(x0, b.size, "x0").copy()
-    r = b - matvec(x)
-    b_norm = max(float(np.linalg.norm(b)), 1e-300)
-    history = []
-    p = np.zeros_like(b)
-    alpha = 0.0
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if iterations == 1:
-            p = r.copy()
-            alpha = 1.0 / theta
-        else:
-            if iterations == 2:
-                beta = 0.5 * (delta * alpha) ** 2
-            else:
-                beta = (delta * alpha / 2.0) ** 2
-            alpha = 1.0 / (theta - beta / alpha)
-            p = r + beta * p
-        x = x + alpha * p
-        r = b - matvec(x)
-        norm = float(np.linalg.norm(r))
-        history.append(norm)
-        if norm <= tol * b_norm:
-            break
-    return _finalize(
-        matvec, b, x, iterations, history, tol, raise_on_failure, "chebyshev"
     )

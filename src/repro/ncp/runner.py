@@ -21,7 +21,7 @@ production levers:
 
 *How* the non-cached chunks actually run is delegated to the
 :mod:`repro.execution` layer: ``run_ncp_ensemble(executor=...)``
-resolves any registered :class:`~repro.execution.ExecutorKind` (the
+picks one of the three :data:`~repro.execution.EXECUTORS` (the
 ``serial`` reference loop, the shared-memory ``process`` pool — whose
 workers map the CSR arrays from one
 :mod:`multiprocessing.shared_memory` segment, so the pickle channel
@@ -561,9 +561,9 @@ def run_ncp_ensemble(
         reuses stale results.  Each entry is written the moment its
         chunk completes, so an interrupted run resumes from the cache.
     executor:
-        Execution strategy for the non-cached chunks: any
-        :mod:`repro.execution` registry name/alias (``"serial"``,
-        ``"process"``, ``"chaos"``, ...), spec instance, or
+        Execution strategy for the non-cached chunks: a name or alias
+        of one of the :data:`~repro.execution.EXECUTORS` (``"serial"``,
+        ``"process"``, ``"chaos"``, ...), a spec instance, or an
         :class:`~repro.execution.ExecutorKind`.  ``None`` derives the
         default from ``num_workers`` (``"process"`` when >= 1, else
         ``"serial"``).  Every strategy produces byte-identical
@@ -632,7 +632,7 @@ def run_ncp_ensemble(
         # Merge order is by chunk.index regardless of strategy, retries,
         # or straggler re-dispatch, so the ensemble is byte-identical
         # for any executor and any worker count.
-        chunk_executor, _, _ = build_executor(
+        chunk_executor = build_executor(
             executor_spec, graph=graph, evaluate=_evaluate_chunk,
             num_workers=num_workers,
         )

@@ -8,17 +8,14 @@ from repro.partition.flow_improve import (
 )
 from repro.partition.local import (
     LocalClusterResult,
-    best_local_cluster,
     local_cluster,
 )
 from repro.partition.maxflow import FlowNetwork, MaxFlowResult
 from repro.partition.metrics import (
-    balance,
     cheeger_lower_bound,
     cheeger_upper_bound,
     conductance,
     cut_and_volumes,
-    expansion,
     graph_conductance_exact,
     internal_conductance,
 )
@@ -34,7 +31,6 @@ from repro.partition.multilevel import (
 )
 from repro.partition.spectral import (
     SpectralCutResult,
-    cheeger_certificate,
     spectral_bisection_median,
     spectral_cut,
 )
@@ -50,16 +46,12 @@ __all__ = [
     "MaxFlowResult",
     "SpectralCutResult",
     "SweepCutResult",
-    "balance",
-    "best_local_cluster",
-    "cheeger_certificate",
     "cheeger_lower_bound",
     "cheeger_upper_bound",
     "conductance",
     "contract",
     "cut_and_volumes",
     "dilate",
-    "expansion",
     "flow_improve",
     "fm_refine",
     "graph_conductance_exact",

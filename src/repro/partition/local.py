@@ -15,8 +15,7 @@ The classic methods are single-point specs: ``PPR(alpha)`` is ACL push on
 personalized PageRank [1], the method the paper identifies behind the
 "LocalSpectral" curve of Figure 1; ``LazyWalk(steps)`` is Spielman–Teng's
 truncated random walk [39], sweeping every step of the trajectory; and
-``HeatKernel(t)`` is heat-kernel push [15].  :func:`best_local_cluster`
-runs several of them from one seed set.
+``HeatKernel(t)`` is heat-kernel push [15].
 
 Each driver returns a :class:`LocalClusterResult` carrying both the
 cluster and the work accounting used by experiment E8.
@@ -29,15 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._validation import check_int, check_positive, check_probability
+from repro._validation import check_probability
 from repro.diffusion.seeds import degree_weighted_indicator_seed
-from repro.dynamics import (
-    HeatKernel,
-    LazyWalk,
-    PPR,
-    UnknownDynamicsError,
-    get_dynamics,
-)
+from repro.dynamics import get_dynamics
 from repro.exceptions import InvalidParameterError, PartitionError
 from repro.partition.sweep import sweep_cut
 
@@ -207,70 +200,4 @@ def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
             )
         else:
             best = dataclasses.replace(best, refinement=trace.steps)
-    return best
-
-
-def _acl_cluster(graph, seed_nodes, *, alpha=0.1, epsilon=1e-4,
-                 max_volume=None, min_size=1):
-    alpha = check_probability(alpha, "alpha")
-    return local_cluster(
-        graph, seed_nodes, PPR(alpha=alpha), epsilon=epsilon,
-        max_volume=max_volume, min_size=min_size,
-    )
-
-
-def _nibble_cluster(graph, seed_nodes, *, num_steps=None, epsilon=1e-4,
-                    max_volume=None, min_size=1):
-    if num_steps is None:
-        spec = get_dynamics("walk").local_spec(graph)
-    else:
-        num_steps = check_int(num_steps, "num_steps", minimum=1)
-        spec = LazyWalk(steps=num_steps)
-    return local_cluster(
-        graph, seed_nodes, spec, epsilon=epsilon, max_volume=max_volume,
-        min_size=min_size,
-    )
-
-
-def _hk_cluster(graph, seed_nodes, *, t=5.0, epsilon=1e-4, max_volume=None,
-                min_size=1):
-    t = check_positive(t, "t")
-    return local_cluster(
-        graph, seed_nodes, HeatKernel(t=t), epsilon=epsilon,
-        max_volume=max_volume, min_size=min_size,
-    )
-
-
-def best_local_cluster(graph, seed_nodes, *, methods=("acl", "nibble", "hk"),
-                       **kwargs):
-    """Run several local methods from the same seed; keep the best φ.
-
-    ``methods`` entries are the classic driver names (``"acl"``,
-    ``"nibble"``, ``"hk"``, with their historical per-method keyword
-    overrides in ``kwargs``, e.g. ``acl={"alpha": 0.05}``), any other
-    registry name or alias, or single-point specs; non-classic entries
-    take :func:`local_cluster` keyword overrides instead.
-    """
-    legacy_drivers = {
-        "acl": _acl_cluster, "nibble": _nibble_cluster, "hk": _hk_cluster,
-    }
-    best = None
-    for name in methods:
-        overrides = kwargs.get(name, {}) if isinstance(name, str) else {}
-        if isinstance(name, str) and name in legacy_drivers:
-            driver, args = legacy_drivers[name], (graph, seed_nodes)
-        else:
-            try:
-                spec = _as_point_spec(graph, name)
-            except UnknownDynamicsError:
-                raise PartitionError(f"unknown local method {name!r}")
-            driver, args = local_cluster, (graph, seed_nodes, spec)
-        try:
-            candidate = driver(*args, **overrides)
-        except PartitionError:
-            continue
-        if best is None or candidate.conductance < best.conductance:
-            best = candidate
-    if best is None:
-        raise PartitionError("no local method produced a cluster")
     return best

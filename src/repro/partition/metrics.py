@@ -1,13 +1,12 @@
-"""Cut-quality metrics: conductance, expansion, and friends.
+"""Cut-quality metrics: conductance and friends.
 
 Equation (6) of the paper defines the conductance of a node set ``S``:
 
     φ(S) = |E(S, S̄)| / min(vol(S), vol(S̄)),
 
 the objective whose intractable minimization (Problem (7)) both the spectral
-and flow-based pipelines approximate. Footnote 19 defines the companion
-*expansion*; both are implemented here along with the sweep-profile helpers
-shared by every partitioner.
+and flow-based pipelines approximate. It is implemented here along with the
+sweep-profile helpers shared by every partitioner.
 """
 
 from __future__ import annotations
@@ -43,25 +42,12 @@ def conductance(graph, nodes):
     return cut / denominator
 
 
-def expansion(graph, nodes):
-    """Expansion ``α(S) = cut(S) / min(|S|, |S̄|)`` (footnote 19)."""
-    mask = _validated_mask(graph, nodes)
-    cut = graph.cut_weight(mask)
-    inside = int(mask.sum())
-    return cut / min(inside, graph.num_nodes - inside)
-
-
 def cut_and_volumes(graph, nodes):
     """Return ``(cut weight, vol(S), vol(S̄))`` in one pass."""
     mask = _validated_mask(graph, nodes)
     cut = graph.cut_weight(mask)
     vol_s = float(graph.degrees[mask].sum())
     return cut, vol_s, graph.total_volume - vol_s
-
-def balance(graph, nodes):
-    """Volume balance ``min(vol(S), vol(S̄)) / vol(V)`` in ``(0, 0.5]``."""
-    _, vol_s, vol_rest = cut_and_volumes(graph, nodes)
-    return min(vol_s, vol_rest) / graph.total_volume
 
 
 def graph_conductance_exact(graph):

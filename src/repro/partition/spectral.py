@@ -5,10 +5,9 @@ approximately), embed the nodes on the line spanned by the Fiedler
 direction, and take the best sweep cut. The result is "quadratically good"
 — Cheeger's inequality guarantees
 
-    λ2 / 2  <=  φ(G)  <=  φ(sweep)  <=  sqrt(2 λ2),
+    λ2 / 2  <=  φ(G)  <=  φ(sweep)  <=  sqrt(2 λ2)
 
-and :func:`cheeger_certificate` checks both sides on every run (the
-quadratic slack is *real* on long stringy graphs; experiment E7).
+(the quadratic slack is *real* on long stringy graphs; experiment E7).
 """
 
 from __future__ import annotations
@@ -51,13 +50,6 @@ class SpectralCutResult:
     embedding: np.ndarray
     sweep: SweepCutResult
 
-    def satisfies_cheeger(self, *, slack=1e-8):
-        """Whether λ2/2 − slack <= φ(sweep) <= sqrt(2 λ2) + slack."""
-        return (
-            self.conductance >= self.cheeger_lower - slack
-            and self.conductance <= self.cheeger_upper + slack
-        )
-
 
 def spectral_cut(graph, *, method="lanczos", seed=None, max_size=None):
     """Spectral bisection by Fiedler sweep.
@@ -96,22 +88,6 @@ def spectral_cut(graph, *, method="lanczos", seed=None, max_size=None):
         embedding=embedding,
         sweep=best,
     )
-
-
-def cheeger_certificate(graph, *, method="exact", seed=None):
-    """Return ``(λ2/2, φ(sweep), sqrt(2 λ2))`` and verify the sandwich.
-
-    Raises :class:`PartitionError` if the certificate fails — which would
-    indicate an implementation bug, since the inequality is a theorem.
-    """
-    result = spectral_cut(graph, method=method, seed=seed)
-    if not result.satisfies_cheeger(slack=1e-6):
-        raise PartitionError(
-            f"Cheeger certificate violated: λ2/2={result.cheeger_lower:.6g}, "
-            f"φ={result.conductance:.6g}, "
-            f"sqrt(2λ2)={result.cheeger_upper:.6g}"
-        )
-    return result.cheeger_lower, result.conductance, result.cheeger_upper
 
 
 def spectral_bisection_median(graph, *, laplacian="combinatorial",

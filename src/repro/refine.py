@@ -616,9 +616,7 @@ def refine_candidates(graph, candidates, refiners):
 # --------------------------------------------------------------------------
 # The registry.
 
-REFINERS = Registry(
-    "refiner", RefinerKind, UnknownRefinerError, spellings=("name",)
-)
+REFINERS = Registry("refiner", RefinerKind, UnknownRefinerError)
 register_refiner = REFINERS.register
 unregister_refiner = REFINERS.unregister
 resolve_refiner_name = REFINERS.resolve

@@ -6,9 +6,9 @@ from repro.execution import build_executor, execute_chunks
 
 
 def fan_out(graph, evaluate, chunks):
-    # Pools are selected through the executor registry, so retry,
-    # straggler re-dispatch, and resume apply uniformly.
-    executor, _, _ = build_executor(
+    # Pools are selected by executor name, so retry, straggler
+    # re-dispatch, and resume apply uniformly.
+    executor = build_executor(
         "process", graph=graph, evaluate=evaluate, num_workers=4
     )
     return execute_chunks(executor, chunks)

@@ -1,6 +1,6 @@
 """Known-bad fixture for the no-stringly-dispatch rule (R001)."""
 
-from repro.execution.registry import EXECUTORS
+from repro.refine import REFINERS
 
 
 def pick_strategy(executor, dynamics):
@@ -8,4 +8,4 @@ def pick_strategy(executor, dynamics):
         return "pool"
     if dynamics in ("ppr", "hk"):   # stringly dynamics membership
         return "diffusion"
-    return EXECUTORS._entries["serial"]  # private registry dict access
+    return REFINERS._entries["mqi"]  # private registry dict access

@@ -17,7 +17,6 @@ from repro.diffusion.pagerank import (
     lazy_equivalent_gamma,
     lazy_pagerank_exact,
     pagerank_exact,
-    pagerank_power,
     pagerank_resolvent_dense,
 )
 from repro.diffusion.seeds import (
@@ -66,27 +65,6 @@ class TestPageRank:
         x = pagerank_exact(whiskered, 0.15, s)
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(x >= -1e-12)
-
-    def test_power_converges_to_exact(self, ring):
-        s = indicator_seed(ring, [2])
-        exact = pagerank_exact(ring, 0.25, s)
-        approx, iterations = pagerank_power(ring, 0.25, s, tol=1e-13)
-        assert np.allclose(approx, exact, atol=1e-9)
-        assert iterations > 1
-
-    def test_power_early_stopping_is_truncated_neumann(self, ring):
-        from repro.graph.matrices import random_walk_matrix
-
-        gamma = 0.3
-        s = indicator_seed(ring, [1])
-        M = random_walk_matrix(ring).toarray()
-        k = 4
-        expected = gamma * sum(
-            (1 - gamma) ** j * np.linalg.matrix_power(M, j) @ s
-            for j in range(k + 1)
-        )
-        got, _ = pagerank_power(ring, gamma, s, num_iterations=k)
-        assert np.allclose(got, expected, atol=1e-12)
 
     def test_resolvent_dense_row_sums(self, barbell):
         R = pagerank_resolvent_dense(barbell, 0.2)

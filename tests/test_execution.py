@@ -1,13 +1,13 @@
-"""Tests for :mod:`repro.execution`: registry, driver, executors, resume.
+"""Tests for :mod:`repro.execution`: executor lookup, driver, resume.
 
 The execution layer's contract is that *how* chunks run never changes
-*what* they produce: every registered executor — serial, the shared-
+*what* they produce: every executor — serial, the shared-
 memory process pool, and the deterministic chaos fault injector — must
 yield byte-identical candidate ensembles, through retries, straggler
 re-dispatch, pool recreation after real worker deaths, corrupted memo
-entries, and crash-then-resume.  Property tests (hypothesis) pin the
-resume-plan partition invariant and fault-plan independence; the worker
-death tests kill real pool processes with ``os._exit``.
+entries, and crash-then-resume.  A property test (hypothesis) pins
+fault-plan independence; the worker death tests kill real pool processes
+with ``os._exit``.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 from repro.dynamics import DiffusionGrid, PPR
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.execution import (
+    EXECUTORS,
     Chaos,
     ChaosExecutor,
     ChunkExecutionError,
     ExecutionOutcome,
-    ExecutorKind,
     Fault,
     FaultPlan,
     InjectedFaultError,
@@ -43,11 +43,6 @@ from repro.execution import (
     build_executor,
     execute_chunks,
     get_executor,
-    pending_chunks,
-    register_executor,
-    registered_executors,
-    resolve_executor_name,
-    unregister_executor,
 )
 from repro.graph.generators import cycle_graph
 from repro.ncp.runner import run_ncp_ensemble
@@ -132,30 +127,42 @@ FAST_RETRY = RetryPolicy(
 
 
 # ---------------------------------------------------------------------------
-# Registry semantics.
+# Executor lookup.
+
+
+def _key(executor):
+    return get_executor(executor).key
 
 
 class TestExecutorRegistry:
     def test_builtin_executors_present(self):
-        assert set(registered_executors()) >= {"serial", "process", "chaos"}
+        assert [kind.key for kind in EXECUTORS] == \
+            ["serial", "process", "chaos"]
+        for kind in EXECUTORS:
+            assert get_executor(kind.key) is kind
 
     def test_aliases_resolve(self):
-        assert resolve_executor_name("sync") == "serial"
-        assert resolve_executor_name("inline") == "serial"
-        assert resolve_executor_name("pool") == "process"
-        assert resolve_executor_name("multiprocessing") == "process"
-        assert resolve_executor_name("faults") == "chaos"
-        assert resolve_executor_name("fault_injection") == "chaos"
+        assert _key("sync") == "serial"
+        assert _key("inline") == "serial"
+        assert _key("pool") == "process"
+        assert _key("multiprocessing") == "process"
+        assert _key("faults") == "chaos"
+        assert _key("fault_injection") == "chaos"
 
     def test_resolution_normalizes_case_and_separators(self):
-        assert resolve_executor_name(" Serial ") == "serial"
-        assert resolve_executor_name("FAULT-INJECTION") == "chaos"
+        assert _key(" Serial ") == "serial"
+        assert _key("FAULT-INJECTION") == "chaos"
+        for kind in EXECUTORS:
+            for name in (kind.key, *kind.aliases):
+                for spelling in (name.upper(), name.replace("_", "-")):
+                    assert get_executor(spelling) is kind, spelling
 
     def test_spec_instances_and_kinds_resolve(self):
-        assert resolve_executor_name(Serial()) == "serial"
-        assert resolve_executor_name(ProcessPool()) == "process"
-        assert resolve_executor_name(Chaos(seed=5)) == "chaos"
-        assert resolve_executor_name(get_executor("serial")) == "serial"
+        assert _key(Serial()) == "serial"
+        assert _key(ProcessPool()) == "process"
+        assert _key(Chaos(seed=5)) == "chaos"
+        assert _key(Chaos) == "chaos"
+        assert _key(get_executor("serial")) == "serial"
 
     def test_unknown_executor_error_type_and_suggestion(self):
         with pytest.raises(UnknownExecutorError) as excinfo:
@@ -169,7 +176,7 @@ class TestExecutorRegistry:
 
     def test_unresolvable_object_raises(self):
         with pytest.raises(InvalidParameterError):
-            resolve_executor_name(object())
+            get_executor(object())
 
     def test_as_executor_spec_defaults_and_passthrough(self):
         assert as_executor_spec("serial") == Serial()
@@ -177,57 +184,10 @@ class TestExecutorRegistry:
         spec = Chaos(seed=9, kills=1)
         assert as_executor_spec(spec) is spec
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            register_executor(get_executor("serial"))
-        with pytest.raises(InvalidParameterError):
-            register_executor(ExecutorKind(
-                key="fresh", description="alias collision",
-                aliases=("sync",), spec_type=Serial,
-            ))
-
-    def test_register_needs_an_executor_kind(self):
-        with pytest.raises(InvalidParameterError):
-            register_executor("serial")
-
     def test_replayable_flags(self):
         assert get_executor("serial").replayable
         assert get_executor("process").replayable
         assert not get_executor("chaos").replayable
-
-    def test_third_party_executor_end_to_end(self):
-        @dataclass(frozen=True)
-        class Echo:
-            def token(self):
-                return "echo"
-
-            def params(self):
-                return {"flavor": "test"}
-
-        class EchoExecutor(SerialExecutor):
-            pass
-
-        register_executor(ExecutorKind(
-            key="echo", description="third-party example",
-            aliases=("echoes",), spec_type=Echo,
-            factory=lambda spec, *, graph, evaluate, num_workers=0:
-                EchoExecutor(graph, evaluate),
-        ))
-        try:
-            graph = cycle_graph(24)
-            grid = small_grid()
-            reference = run_ncp_ensemble(graph, grid, seeds_per_chunk=2)
-            echoed = run_ncp_ensemble(
-                graph, grid, seeds_per_chunk=2, executor="echoes",
-            )
-            assert candidate_signature(echoed.candidates) == \
-                candidate_signature(reference.candidates)
-            assert echoed.executor == "echo"
-            assert echoed.executor_params == {"flavor": "test"}
-        finally:
-            unregister_executor("echo")
-        with pytest.raises(UnknownExecutorError):
-            get_executor("echo")
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +284,6 @@ class TestDriver:
                 SerialExecutor(None, fake_evaluate),
                 [FakeChunk(1), FakeChunk(1)],
             )
-
-    def test_pending_chunks_rejects_foreign_indices(self):
-        chunks = [FakeChunk(i) for i in range(3)]
-        with pytest.raises(InvalidParameterError):
-            pending_chunks(chunks, {5})
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +450,11 @@ class TestProcessExecutor:
 
     def test_build_executor_clamps_worker_count(self):
         graph = cycle_graph(8)
-        instance, spec, kind = build_executor(
+        instance = build_executor(
             "process", graph=graph, evaluate=fake_evaluate, num_workers=0,
         )
         assert isinstance(instance, ProcessExecutor)
-        assert spec == ProcessPool()
-        assert kind.key == "process"
+        assert instance.max_inflight == 2
 
 
 # ---------------------------------------------------------------------------
@@ -543,19 +497,6 @@ class TestCrashThenResume:
 
 
 class TestExecutionProperties:
-    @given(total=st.integers(0, 30), completed=st.sets(st.integers(0, 29)))
-    @settings(max_examples=60, deadline=None)
-    def test_resume_plan_partitions_the_full_plan(self, total, completed):
-        chunks = [FakeChunk(i) for i in range(total)]
-        completed = {index for index in completed if index < total}
-        pending = pending_chunks(chunks, completed)
-        pending_indices = [chunk.index for chunk in pending]
-        # pending ∪ completed = full plan, pending ∩ completed = ∅,
-        # and plan order is preserved.
-        assert set(pending_indices) | completed == set(range(total))
-        assert set(pending_indices) & completed == set()
-        assert pending_indices == sorted(pending_indices)
-
     @given(
         seed=st.integers(0, 1000),
         kills=st.integers(0, 4),

@@ -11,7 +11,6 @@ from repro.exceptions import EmptyGraphError, GraphError
 from repro.graph.build import (
     empty_graph,
     from_edges,
-    from_scipy_sparse,
     union_disjoint,
 )
 from repro.graph.graph import Graph
@@ -221,12 +220,6 @@ class TestConversions:
         dense = weighted_triangle.to_dense()
         assert np.allclose(dense, dense.T)
         assert dense[0, 1] == 1.0 and dense[1, 2] == 2.0 and dense[0, 2] == 3.0
-
-    def test_from_scipy_sparse_roundtrip(self, ring):
-        from repro.graph.matrices import adjacency_matrix
-
-        rebuilt = from_scipy_sparse(adjacency_matrix(ring))
-        assert rebuilt == ring
 
 
 class TestUnionDisjoint:

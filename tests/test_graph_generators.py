@@ -69,17 +69,11 @@ class TestDeterministicFamilies:
         # One clique is separated by exactly 2 bridge edges.
         assert g.cut_weight(range(5)) == 2.0
 
-    def test_weighted_path(self):
-        g = gen.weighted_path_graph([1.0, 2.0, 0.5])
-        assert g.edge_weight(1, 2) == 2.0
-
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             gen.cycle_graph(2)
         with pytest.raises(InvalidParameterError):
             gen.roach_graph(0, 3)
-        with pytest.raises(InvalidParameterError):
-            gen.weighted_path_graph([])
 
 
 class TestRandomFamilies:
@@ -96,19 +90,6 @@ class TestRandomFamilies:
         with pytest.raises(InvalidParameterError):
             rgen.random_regular_graph(4, 4, seed=0)
 
-    def test_preferential_attachment_counts(self):
-        g = rgen.preferential_attachment_graph(60, 3, seed=4)
-        assert g.num_nodes == 60
-        assert g.is_connected()
-        # Heavy tail: max degree far above m.
-        assert g.degrees.max() >= 3 * 3
-
-    def test_powerlaw_cluster_has_triangles(self):
-        from repro.graph.ops import triangle_count
-
-        g = rgen.powerlaw_cluster_graph(80, 3, 0.8, seed=5)
-        assert triangle_count(g) > 0
-
     def test_planted_partition_blocks_are_dense(self):
         g = rgen.planted_partition_graph(3, 20, 0.6, 0.01, seed=6)
         inside = g.induced_subgraph(range(20))[0].num_edges
@@ -122,11 +103,6 @@ class TestRandomFamilies:
     def test_sbm_probability_validation(self):
         with pytest.raises(InvalidParameterError):
             rgen.stochastic_block_model([5, 5], np.array([[0.5, 1.5], [1.5, 0.5]]))
-
-    def test_forest_fire_connected(self):
-        g = rgen.forest_fire_graph(100, 0.3, seed=8)
-        assert g.is_connected()
-        assert g.num_nodes == 100
 
     def test_whiskered_expander_structure(self):
         g = rgen.whiskered_expander(30, 4, 5, 4, seed=9)
@@ -148,8 +124,8 @@ class TestRandomFamilies:
 class TestGeneratorSeeding:
     @pytest.mark.parametrize("builder", [
         lambda s: rgen.random_regular_graph(30, 4, seed=s),
-        lambda s: rgen.preferential_attachment_graph(30, 2, seed=s),
-        lambda s: rgen.forest_fire_graph(30, 0.3, seed=s),
+        lambda s: rgen.whiskered_expander(20, 4, 3, 3, seed=s),
+        lambda s: rgen.noisy_graph(gen.cycle_graph(20), 0.2, seed=s),
         lambda s: rgen.planted_partition_graph(3, 10, 0.5, 0.05, seed=s),
     ])
     def test_deterministic_given_seed(self, builder):

@@ -60,11 +60,6 @@ class TestOps:
         assert ops.eccentricity(g, 0) == 4
         assert ops.eccentricity(g, 2) == 2
 
-    def test_triangle_count_matches_networkx(self, planted):
-        ours = ops.triangle_count(planted)
-        theirs = sum(nx.triangles(to_networkx(planted)).values()) // 3
-        assert ours == theirs
-
     def test_relabel_preserves_structure(self, small_path):
         perm = np.array([5, 4, 3, 2, 1, 0])
         g = ops.relabel(small_path, perm)

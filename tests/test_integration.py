@@ -40,13 +40,13 @@ class TestEndToEndPipelines:
     def test_theorem_then_partition_pipeline(self, ring):
         # Verify the SDP theorem, then use the same graph's Fiedler vector
         # for a certified cut — the two halves of the paper's story.
-        from repro.core import verify_paper_theorem
-        from repro.partition import cheeger_certificate
+        from repro.core import canonical_dynamics
+        from repro.partition import spectral_cut
 
-        reports = verify_paper_theorem(ring)
+        reports = [dynamics.verify(ring) for dynamics in canonical_dynamics()]
         assert all(r.diffusion_vs_closed_form < 1e-8 for r in reports)
-        low, phi, high = cheeger_certificate(ring)
-        assert low <= phi <= high
+        cut = spectral_cut(ring, method="exact")
+        assert cut.cheeger_lower <= cut.conductance <= cut.cheeger_upper
 
     def test_local_to_global_consistency(self, whiskered):
         # A local cluster's conductance is an upper bound for the global

@@ -9,7 +9,6 @@ from repro.exceptions import InvalidParameterError
 from repro.linalg.sketch import (
     gaussian_sketch,
     randomized_range_finder,
-    randomized_svd,
     sketched_least_squares,
     sparse_sign_sketch,
     srdt_sketch_apply,
@@ -113,24 +112,6 @@ class TestSketchedLeastSquares:
 
 
 class TestRandomizedSVD:
-    def test_recovers_low_rank_exactly(self, rng):
-        U, _ = np.linalg.qr(rng.standard_normal((80, 5)))
-        V, _ = np.linalg.qr(rng.standard_normal((40, 5)))
-        s = np.array([10.0, 8.0, 5.0, 2.0, 1.0])
-        A = (U * s) @ V.T
-        Uh, sh, Vth = randomized_svd(A, 5, seed=0)
-        assert np.allclose(sh, s, atol=1e-8)
-        assert np.allclose((Uh * sh) @ Vth, A, atol=1e-8)
-
-    def test_truncation_error_near_optimal(self, rng):
-        A = rng.standard_normal((100, 60))
-        _, s_full, _ = np.linalg.svd(A)
-        rank = 10
-        Uh, sh, Vth = randomized_svd(A, rank, power_iterations=3, seed=1)
-        approx = (Uh * sh) @ Vth
-        optimal = s_full[rank]  # best rank-k spectral error
-        achieved = np.linalg.norm(A - approx, 2)
-        assert achieved <= 1.5 * optimal + 1e-9
 
     def test_range_finder_orthonormal(self, rng):
         A = rng.standard_normal((50, 30))

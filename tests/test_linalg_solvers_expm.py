@@ -28,13 +28,7 @@ from repro.linalg.fiedler import (
     fiedler_value,
     fiedler_vector,
 )
-from repro.linalg.solvers import (
-    chebyshev,
-    conjugate_gradient,
-    gauss_seidel,
-    jacobi,
-    richardson,
-)
+from repro.linalg.solvers import conjugate_gradient
 
 
 @pytest.fixture
@@ -63,43 +57,6 @@ class TestSolvers:
         result = conjugate_gradient(L, b, tol=1e-10)
         assert np.linalg.norm(L @ result.solution - b) < 1e-7
 
-    def test_jacobi_matches_direct(self, spd_system):
-        A, b, exact = spd_system
-        result = jacobi(A, b, tol=1e-11, max_iterations=50_000)
-        assert np.allclose(result.solution, exact, atol=1e-6)
-
-    def test_gauss_seidel_matches_direct(self, spd_system):
-        A, b, exact = spd_system
-        result = gauss_seidel(A, b, tol=1e-11, max_iterations=50_000)
-        assert np.allclose(result.solution, exact, atol=1e-6)
-
-    def test_gauss_seidel_faster_than_jacobi(self, spd_system):
-        A, b, _ = spd_system
-        gs = gauss_seidel(A, b, tol=1e-10, max_iterations=50_000)
-        ja = jacobi(A, b, tol=1e-10, max_iterations=50_000)
-        assert gs.iterations <= ja.iterations
-
-    def test_richardson_matches_direct(self, spd_system):
-        A, b, exact = spd_system
-        result = richardson(
-            A, b, step_size=0.7, tol=1e-11, max_iterations=50_000
-        )
-        assert np.allclose(result.solution, exact, atol=1e-6)
-
-    def test_chebyshev_matches_direct(self, spd_system):
-        A, b, exact = spd_system
-        result = chebyshev(
-            A, b, eigenvalue_bounds=(0.4, 2.4), tol=1e-11,
-            max_iterations=50_000,
-        )
-        assert np.allclose(result.solution, exact, atol=1e-6)
-
-    def test_chebyshev_beats_richardson(self, spd_system):
-        A, b, _ = spd_system
-        cheb = chebyshev(A, b, eigenvalue_bounds=(0.4, 2.4), tol=1e-10)
-        rich = richardson(A, b, step_size=0.7, tol=1e-10)
-        assert cheb.iterations < rich.iterations
-
     def test_residual_history_decreasing_cg(self, spd_system):
         A, b, _ = spd_system
         result = conjugate_gradient(A, b, tol=1e-12)
@@ -109,12 +66,7 @@ class TestSolvers:
     def test_nonconvergence_raises(self, spd_system):
         A, b, _ = spd_system
         with pytest.raises(ConvergenceError):
-            jacobi(A, b, tol=1e-14, max_iterations=2)
-
-    def test_jacobi_needs_nonzero_diagonal(self, rng):
-        A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InvalidParameterError):
-            jacobi(A, np.ones(2))
+            conjugate_gradient(A, b, tol=1e-14, max_iterations=2)
 
 
 class TestExpmAction:

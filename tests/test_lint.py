@@ -33,11 +33,8 @@ from repro.analysis import (
 from repro.analysis.rules import registry_vocabulary
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
-from repro.execution import (
-    get_executor,
-    register_executor,
-    unregister_executor,
-)
+from repro.execution import EXECUTORS
+from repro.refine import get_refiner, register_refiner, unregister_refiner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
@@ -168,21 +165,27 @@ class TestFixtureHarness:
 
     def test_vocabulary_tracks_later_registrations(self):
         registry_vocabulary()  # a first read must not freeze the names
-        source = 'if executor == "lint_probe_alias":\n    pass\n'
+        source = 'if refiner == "lint_probe_alias":\n    pass\n'
         rules = (_rule("no-stringly-dispatch"),)
         path = "src/repro/ncp/runner.py"
         probe_spec = dataclasses.make_dataclass(
             "LintProbeSpec", (), frozen=True
         )
-        register_executor(dataclasses.replace(
-            get_executor("serial"), key="lint_probe",
+        register_refiner(dataclasses.replace(
+            get_refiner("mqi"), key="lint_probe", name="lint probe",
             aliases=("lint_probe_alias",), spec_type=probe_spec,
         ))
         try:
             assert lint_source(source, path=path, rules=rules)
         finally:
-            unregister_executor("lint_probe")
+            unregister_refiner("lint_probe")
         assert lint_source(source, path=path, rules=rules) == []
+
+    def test_vocabulary_holds_every_executor_name(self):
+        vocabulary = registry_vocabulary()
+        for kind in EXECUTORS:
+            assert kind.key in vocabulary
+            assert set(kind.aliases) <= vocabulary, kind.key
 
     def test_syntax_error_becomes_a_finding(self):
         findings = lint_source("def broken(:\n", path="x.py")

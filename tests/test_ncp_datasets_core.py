@@ -6,21 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.experiments import Stopwatch
-from repro.core.framework import (
-    canonical_dynamics,
-    get_dynamics,
-    verify_paper_theorem,
-)
+from repro.core.framework import canonical_dynamics, get_dynamics
 from repro.core.reporting import (
     format_comparison_verdict,
     format_table,
     format_value,
 )
-from repro.datasets.suite import describe, load_graph, load_suite, suite_names
-from repro.datasets.synthetic_dblp import (
-    synthetic_atp_dblp,
-    synthetic_coauthorship,
-)
+from repro.datasets.suite import describe, load_graph, suite_names
+from repro.datasets.synthetic_dblp import synthetic_atp_dblp
 from repro.exceptions import PartitionError
 from repro.ncp.niceness import cluster_niceness
 from repro.dynamics import DiffusionGrid, PPR
@@ -128,10 +121,6 @@ class TestDatasets:
         g = load_graph("barbell")
         assert g.is_connected()
 
-    def test_load_suite_subset(self):
-        graphs = load_suite(names=["barbell", "grid"])
-        assert set(graphs) == {"barbell", "grid"}
-
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             load_graph("petersen")
@@ -155,11 +144,6 @@ class TestDatasets:
         ds = synthetic_atp_dblp(scale="small", seed=1)
         degrees = ds.graph.degrees
         assert degrees.max() > 8 * degrees.mean()
-
-    def test_coauthorship_projection(self):
-        g, ids = synthetic_coauthorship(scale="tiny", seed=2)
-        assert g.is_connected()
-        assert g.num_nodes <= 120
 
     def test_community_members_lookup(self):
         ds = synthetic_atp_dblp(scale="tiny", seed=4)
@@ -185,7 +169,7 @@ class TestCoreFramework:
             assert "Problem (5)" in dynamics.describe()
 
     def test_verify_paper_theorem(self, ring):
-        reports = verify_paper_theorem(ring)
+        reports = [dynamics.verify(ring) for dynamics in canonical_dynamics()]
         assert len(reports) == 3
         for report in reports:
             assert report.diffusion_vs_closed_form < 1e-8

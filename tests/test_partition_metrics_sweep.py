@@ -14,11 +14,9 @@ from repro.graph.generators import (
     path_graph,
 )
 from repro.partition.metrics import (
-    balance,
     cheeger_lower_bound,
     cheeger_upper_bound,
     conductance,
-    expansion,
     graph_conductance_exact,
     internal_conductance,
 )
@@ -60,17 +58,6 @@ class TestConductance:
             conductance(triangle, [])
         with pytest.raises(PartitionError):
             conductance(triangle, [0, 1, 2])
-
-    def test_expansion_on_cycle(self):
-        g = cycle_graph(8)
-        assert expansion(g, range(4)) == pytest.approx(2 / 4)
-
-    def test_balance_range(self, whiskered, rng):
-        for _ in range(5):
-            k = int(rng.integers(1, whiskered.num_nodes - 1))
-            side = rng.choice(whiskered.num_nodes, size=k, replace=False)
-            b = balance(whiskered, side)
-            assert 0 < b <= 0.5
 
 
 class TestExactConductance:

@@ -9,10 +9,10 @@ from repro.dynamics import HeatKernel, LazyWalk, PPR
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import roach_graph
 from repro.graph.random_generators import whiskered_expander
-from repro.partition.local import best_local_cluster, local_cluster
+from repro.partition.local import local_cluster
 from repro.partition.metrics import conductance
 from repro.partition.mov import kappa_for_gamma, mov_cluster, mov_vector
-from repro.partition.spectral import cheeger_certificate, spectral_cut
+from repro.partition.spectral import spectral_cut
 
 
 class TestSpectralCut:
@@ -26,8 +26,9 @@ class TestSpectralCut:
     ):
         for graph in (barbell, lollipop, ring, grid, roach, expander,
                       planted):
-            low, phi, high = cheeger_certificate(graph)
-            assert low <= phi <= high
+            result = spectral_cut(graph, method="exact")
+            assert (result.cheeger_lower <= result.conductance
+                    <= result.cheeger_upper)
 
     def test_spectral_bisection_fails_on_roach(self):
         # Guattery–Miller [21]: the combinatorial-Laplacian median bisection
@@ -106,12 +107,6 @@ class TestLocalClustering:
             ring, [0], PPR(alpha=0.1), epsilon=1e-6, max_volume=40.0
         )
         assert ring.volume(result.nodes) <= 40.0
-
-    def test_best_local_cluster_picks_minimum(self, ring):
-        best = best_local_cluster(ring, [2])
-        for dynamics in ("acl", "nibble", "hk"):
-            single = local_cluster(ring, [2], dynamics)
-            assert best.conductance <= single.conductance + 1e-9
 
     def test_grid_valued_spec_rejected(self, ring):
         with pytest.raises(InvalidParameterError):

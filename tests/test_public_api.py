@@ -6,8 +6,9 @@ or a renamed symbol fails loudly, not at a user's first import), asserts
 that every exported module/class/function carries a non-empty docstring,
 that every CLI subcommand and option carries help text, instantiates
 every registered dynamics — default spec, default grid, local point spec
-— through the registry, and holds all three registries (dynamics,
-refiners, executors) to one contract through their public
+— through the registry, drives every executor of the fixed
+``EXECUTORS`` tuple against the serial reference, and holds both
+registries (dynamics, refiners) to one contract through their public
 ``register_*`` / ``unregister_*`` / ``resolve_*_name`` / ``get_*`` /
 ``registered_*`` functions.
 """
@@ -150,17 +151,17 @@ def test_every_registered_dynamics_yields_columns():
 def test_every_registered_executor_instantiates():
     """CI satellite: the public-api-smoke job exercises every executor.
 
-    Each registry entry must resolve by key and by every alias, describe
-    itself, build a default spec with a CLI token and JSON-able params,
-    and drive a real (tiny) chunk plan end to end through
+    Each record of ``EXECUTORS`` must resolve by key and by every alias,
+    describe itself, build a default spec with a CLI token and JSON-able
+    params, and drive a real (tiny) chunk plan end to end through
     :func:`~repro.execution.execute_chunks` with results identical to
     the serial reference.
     """
     from repro.execution import (
+        EXECUTORS,
         build_executor,
         execute_chunks,
         get_executor,
-        registered_executors,
         RetryPolicy,
     )
     from repro.dynamics import PPR
@@ -176,9 +177,9 @@ def test_every_registered_executor_instantiates():
     )
     policy = RetryPolicy(backoff_seconds=0.0, straggler_factor=None)
     reference = None
-    executors = registered_executors()
-    assert set(executors) >= {"serial", "process", "chaos"}
-    for key, kind in executors.items():
+    assert [kind.key for kind in EXECUTORS] == ["serial", "process", "chaos"]
+    for kind in EXECUTORS:
+        key = kind.key
         assert get_executor(key) is kind, key
         for alias in kind.aliases:
             assert get_executor(alias) is kind, (key, alias)
@@ -187,7 +188,7 @@ def test_every_registered_executor_instantiates():
         assert isinstance(spec.token(), str) and spec.token(), key
         assert isinstance(spec.params(), dict), key
 
-        instance, _, _ = build_executor(
+        instance = build_executor(
             key, graph=graph, evaluate=_evaluate_chunk, num_workers=1,
         )
         outcome = execute_chunks(instance, chunks, retry=policy)
@@ -300,21 +301,12 @@ def _refiner_record(key, aliases):
     )
 
 
-def _executor_record(key, aliases):
-    from repro.execution import ExecutorKind
-
-    return ExecutorKind(key=key, description="contract probe",
-                        aliases=aliases, spec_type=_probe_spec_type(key))
-
-
 # module, singular noun, plural noun, error class, record factory.
 REGISTRIES = {
     "dynamics": ("repro.dynamics", "dynamics", "dynamics",
                  "UnknownDynamicsError", _dynamics_record),
     "refiner": ("repro.refine", "refiner", "refiners",
                 "UnknownRefinerError", _refiner_record),
-    "executor": ("repro.execution", "executor", "executors",
-                 "UnknownExecutorError", _executor_record),
 }
 
 PROBE = "contract-probe"
@@ -341,7 +333,7 @@ def registry(request):
 
 
 class TestRegistryContract:
-    """The contract every registry keeps, checked on all three."""
+    """The contract every registry keeps, checked on both."""
 
     def test_normalized_names_and_aliases_resolve(self, registry):
         for spelling in (PROBE, " Contract_Probe ", "PROBE-ALIAS"):
@@ -417,11 +409,9 @@ FACADE_NAMES = frozenset({
     "flow_cluster_ensemble_ncp", "from_edges", "get_dynamics",
     "get_executor", "get_refiner", "load_any_graph", "load_graph",
     "local_cluster", "ppr_push_frontier", "refine_candidates",
-    "register_dynamics", "register_executor", "register_refiner",
-    "registered_dynamics", "registered_executors", "registered_refiners",
-    "run_multidynamics_ncp", "run_ncp_ensemble", "suite_names",
-    "unregister_dynamics", "unregister_executor", "unregister_refiner",
-    "verify_paper_theorem",
+    "register_dynamics", "register_refiner", "registered_dynamics",
+    "registered_refiners", "run_multidynamics_ncp", "run_ncp_ensemble",
+    "suite_names", "unregister_dynamics", "unregister_refiner",
 })
 PACKAGE_ONLY_NAMES = frozenset({
     "__version__", "api", "cli", "core", "datasets", "diffusion", "dynamics",
@@ -469,7 +459,7 @@ def test_no_public_callable_chooses_a_backend():
     assert takers <= NUMPY_ONLY_BACKEND, takers
 
 
-def test_exactly_three_registries():
+def test_exactly_two_registries():
     import pkgutil
 
     import repro
@@ -483,7 +473,7 @@ def test_exactly_three_registries():
         for value in vars(module).values():
             if isinstance(value, Registry):
                 nouns[id(value)] = value.noun
-    assert sorted(nouns.values()) == ["dynamics", "executor", "refiner"]
+    assert sorted(nouns.values()) == ["dynamics", "refiner"]
 
 
 def _loaded_modules_after(code, prefixes):
