@@ -1,10 +1,10 @@
-"""E14 — registry-driven refiner pipelines: improvement power and cost.
+"""E14 — refiner pipelines: improvement power and cost.
 
 Figure 1's flow curve is the paper's evidence that flow-based
 *improvement* systematically lowers conductance over raw proposals; the
-refinement layer (:mod:`repro.refine`) makes that improvement a
-first-class registry.  E14 iterates the registry — a registered
-refiner benchmarks itself — and measures, per refiner, how many
+refinement layer (:mod:`repro.refine`) makes that improvement a fixed
+tuple of refiner records.  E14 iterates ``REFINERS`` — a new record
+benchmarks itself — and measures, per refiner, how many
 multilevel-bisection proposals improve, by how much, and at what
 wall-clock cost; plus the vectorized-vs-scalar ``dilate``
 micro-benchmark behind the FlowImprove stage.
@@ -16,14 +16,13 @@ import time
 
 import numpy as np
 
-from repro.api import registered_refiners
 from repro.core import format_comparison_verdict, format_table
 from repro.datasets import load_graph
 from repro.ncp.profile import _unique_clusters
 from repro.partition.flow_improve import _dilate_scalar, dilate
 from repro.partition.metrics import conductance
 from repro.partition.multilevel import recursive_bisection_clusters
-from repro.refine import apply_refiners
+from repro.refine import REFINERS, apply_refiners
 
 # MOV solves a global linear system per proposal (the Section 3.3 cost
 # contrast), so the shared proposal pool is kept small and on the
@@ -51,16 +50,17 @@ def bisection_proposals(graph):
 
 
 def run_refiner_comparison():
-    """Every registered refiner over the same proposal pool.
+    """Every refiner over the same proposal pool.
 
-    Dispatch is entirely through the registry — registering a refiner
-    adds a row here without touching the harness.
+    The rows come from ``REFINERS`` — a new record adds a row here
+    without touching the harness.
     """
     graph = load_graph(PROPOSAL_GRAPH)
     proposals = bisection_proposals(graph)
     rows = []
     improvements = {}
-    for key, kind in sorted(registered_refiners().items()):
+    for kind in sorted(REFINERS, key=lambda kind: kind.key):
+        key = kind.key
         spec = kind.default_spec()
         improved = 0
         deltas = []
@@ -120,8 +120,8 @@ def test_e14_refiner_pipelines():
         ["refiner", "proposals", "improved", "mean dphi", "seconds"],
         rows,
         title=(
-            f"E14: registered refiners over {PROPOSAL_GRAPH} bisection "
-            f"proposals (a registered refiner benchmarks itself)"
+            f"E14: every REFINERS record over {PROPOSAL_GRAPH} bisection "
+            f"proposals (a new record benchmarks itself)"
         ),
     ))
     print()
@@ -131,7 +131,7 @@ def test_e14_refiner_pipelines():
         True, improvements["mqi"] > 0,
     ))
     assert improvements["mqi"] > 0
-    # Every registered refiner at least ran the pool without worsening
+    # Every refiner at least ran the pool without worsening
     # anything (asserted per proposal inside the loop).
     assert set(improvements) >= {"mqi", "flow", "mov"}
 

@@ -1,10 +1,10 @@
 """Quickstart: the paper's message through the unified dynamics API.
 
-Builds a small community-structured graph, then walks the registry of
+Builds a small community-structured graph, then walks the three
 canonical diffusion dynamics (Heat Kernel, PageRank, Lazy Random Walk):
-each entry verifies — numerically, to machine precision — that its
+each record verifies — numerically, to machine precision — that its
 dynamics *exactly* solves a regularized version of the Fiedler-eigenvector
-SDP (Section 3.1 of the paper), and each entry's operational side (a
+SDP (Section 3.1 of the paper), and each record's operational side (a
 single-point spec) drives a strongly local cluster from a seed node
 through one generic driver (Section 3.3). Run with::
 
@@ -50,7 +50,7 @@ def main():
     print(f"\nLargest gap: {worst:.2e} -> the approximation algorithms ARE "
           "regularized optimizers.")
 
-    # The same registry entries drive the operational side (Section 3.3):
+    # The same records drive the operational side (Section 3.3):
     # one generic local-cluster driver, one single-point spec per dynamics.
     print("\nStrongly local clustering from seed node 0, all dynamics:")
     local_rows = []
@@ -65,7 +65,7 @@ def main():
     print(format_table(
         ["dynamics", "method", "|cluster|", "phi", "edge work"],
         local_rows,
-        title="local_cluster(graph, [0], <spec>) per registered dynamics",
+        title="local_cluster(graph, [0], <spec>) per dynamics",
     ))
 
 

@@ -7,7 +7,7 @@ Data Analysis" (arXiv:1203.0786).
 Subpackages
 -----------
 ``repro.api``
-    The one public facade: graphs, specs, grids, registries, ensembles,
+    The one public facade: graphs, specs, grids, lookups, ensembles,
     local clustering, verification and the error types. Its ``__all__``
     is the package's only hand-written export list; ``repro`` re-exports
     every name in it, so ``repro.PPR is repro.api.PPR``.
@@ -16,11 +16,13 @@ Subpackages
     subcommands over the facade; every run that produces files writes
     a JSON run manifest.
 ``repro.dynamics``
-    The unified dynamics registry: ``PPR`` / ``HeatKernel`` / ``LazyWalk``
-    specs, ``DiffusionGrid``, ``DynamicsKind`` entries, alias table.
+    The three dynamics: ``PPR`` / ``HeatKernel`` / ``LazyWalk`` specs,
+    ``DiffusionGrid``, and the fixed ``DYNAMICS`` tuple of
+    ``DynamicsKind`` records with their aliases.
 ``repro.refine``
-    The unified refiner registry: ``MQI`` / ``FlowImprove`` / ``MOV``
-    specs, ``Pipeline`` workloads, ``RefinerKind`` entries, alias table.
+    The refiners: ``MQI`` / ``FlowImprove`` / ``MOV`` specs, ``Pipeline``
+    workloads, and the fixed ``REFINERS`` tuple of ``RefinerKind``
+    records with their aliases.
 ``repro.execution``
     The fixed ``EXECUTORS`` tuple of ``ExecutorKind`` records
     (``serial`` / ``process`` / ``chaos``), retry + straggler
@@ -43,7 +45,7 @@ Subpackages
 ``repro.datasets``
     Synthetic AtP-DBLP stand-in and the named graph suite.
 ``repro.core``
-    The public implicit-regularization API and reporting.
+    Experiment records and plain-text reporting.
 
 Quickstart
 ----------
@@ -61,7 +63,7 @@ from repro import linalg, ncp, partition, refine, regularization
 from repro import api
 from repro.api import *  # noqa: F401,F403 -- the facade, re-exported whole
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 
 def __getattr__(name):

@@ -1,27 +1,23 @@
-"""One registry implementation behind both extension points.
+"""Name lookup over the fixed record tables.
 
-Dynamics and refiners are each a :class:`Registry` of frozen records: a
-canonical key per record, a table of normalized alternative spellings
-(the record's ``key``, its ``aliases`` and its display ``name``), a
-``spec_type`` whose instances and type resolve to the record, and an
-unknown-name error that is both an
-:class:`~repro.exceptions.InvalidParameterError` (hence ``ValueError``)
-and a ``KeyError`` with a did-you-mean suggestion
-(:func:`unknown_name_error`, which the fixed executor and lint rule sets
-share).  Spec types match exactly: a subclass is its own entry and must
-be registered itself.
-
-Each owning module keeps its public names as bound methods, e.g.
-``register_refiner = REFINERS.register``.
+Dynamics, refiners and executors are each a fixed tuple of frozen
+records (:data:`~repro.dynamics.DYNAMICS`, :data:`~repro.refine.REFINERS`,
+:data:`~repro.execution.EXECUTORS`).  :func:`record_lookup` builds the one
+``get_*`` function all three use: a canonical key per record, a table of
+normalized spellings (the record's ``key``, its ``aliases`` and, for
+records that have one, its display ``name``), a ``spec_type`` whose
+instances and type resolve to the record, and an unknown-name error that
+is both an :class:`~repro.exceptions.InvalidParameterError` (hence
+``ValueError``) and a ``KeyError`` with a did-you-mean suggestion
+(:func:`unknown_name_error`, which the lint rule set shares).  Spec types
+match exactly: a subclass of a spec type resolves to nothing.
 """
 
 from __future__ import annotations
 
 import difflib
 
-from repro.exceptions import InvalidParameterError
-
-__all__ = ["Registry", "normalize", "unknown_name_error"]
+__all__ = ["normalize", "record_lookup", "unknown_name_error"]
 
 
 def normalize(name):
@@ -47,111 +43,43 @@ def unknown_name_error(error_type, noun, name, spellings):
     )
 
 
-class Registry:
-    """Canonical key -> record, with aliases, spec types and typed errors.
+def record_lookup(records, error_type, noun):
+    """The ``get_*`` function of a fixed tuple of records.
 
-    Parameters
-    ----------
-    noun:
-        What the registry holds, for messages (``"refiner"``).
-    kind_type:
-        The record class every registration must be an instance of.
-    error_type:
-        The unknown-name error class (an ``InvalidParameterError`` and
-        ``KeyError`` subclass).
+    The returned function maps a name or alias (case- and
+    separator-insensitive), a record, a spec instance or an exact spec
+    type to its record, and raises ``error_type`` with a did-you-mean
+    suggestion for anything else.
     """
-
-    def __init__(self, noun, kind_type, error_type):
-        self.noun = noun
-        self.kind_type = kind_type
-        self.error_type = error_type
-        self._entries = {}      # canonical key -> record
-        self._aliases = {}      # normalized spelling -> canonical key
-        self._spec_types = {}   # spec type -> canonical key
-
-    def _names(self, kind):
-        names = (kind.key, *kind.aliases, kind.name)
-        return {normalize(name) for name in names}
-
-    def register(self, kind, *, overwrite=False):
-        """Register a record under its key, aliases and display name.
-
-        Raises :class:`~repro.exceptions.InvalidParameterError` when the
-        key, a spelling or the spec type is already taken (pass
-        ``overwrite=True`` to replace a previous registration).  Returns
-        the record, so registration can be used as an expression.
-        """
-        if not isinstance(kind, self.kind_type):
-            raise InvalidParameterError(
-                f"registering a {self.noun} needs an instance of "
-                f"{self.kind_type.__name__}; got {kind!r}"
-            )
-        if not kind.key or kind.spec_type is None:
-            raise InvalidParameterError(
-                f"a {self.kind_type.__name__} needs a canonical key and a "
-                "spec_type"
-            )
-        names = self._names(kind)
-        if kind.key in self._entries:
-            if not overwrite:
-                raise InvalidParameterError(
-                    f"{self.noun} {kind.key!r} is already registered; pass "
-                    "overwrite=True to replace it"
-                )
-            self.unregister(kind.key)
-        if not overwrite:
-            taken = sorted(
-                f"{name!r} (for {self._aliases[name]!r})"
-                for name in names if name in self._aliases
-            )
-            if kind.spec_type in self._spec_types:
-                taken.append(
-                    f"spec type {kind.spec_type.__name__} (for "
-                    f"{self._spec_types[kind.spec_type]!r})"
-                )
-            if taken:
-                raise InvalidParameterError(
-                    f"{self.noun} names already registered: "
-                    + ", ".join(taken)
-                )
-        self._entries[kind.key] = kind
+    record_type = type(records[0])
+    by_key = {record.key: record for record in records}
+    by_spec_type = {record.spec_type: record for record in records}
+    spellings = {}
+    for record in records:
+        names = (record.key, *record.aliases)
+        if getattr(record, "name", None):  # executors have no display name
+            names += (record.name,)
         for name in names:
-            self._aliases[name] = kind.key
-        self._spec_types[kind.spec_type] = kind.key
-        return kind
+            spellings[normalize(name)] = record.key
 
-    def unregister(self, name):
-        """Remove a record (and all its spellings); returns the record."""
-        key = self.resolve(name)
-        kind = self._entries.pop(key)
-        for alias in [a for a, k in self._aliases.items() if k == key]:
-            del self._aliases[alias]
-        self._spec_types.pop(kind.spec_type, None)
-        return kind
-
-    def resolve(self, name):
-        """Canonical key for a name, alias, record, spec, or spec type."""
-        if isinstance(name, self.kind_type):
-            key = name.key
+    def get(name):
+        if isinstance(name, str):
+            record = by_key.get(spellings.get(normalize(name)))
+        elif isinstance(name, record_type):
+            record = by_key.get(name.key)
         elif isinstance(name, type):
-            key = self._spec_types.get(name)
-        elif not isinstance(name, str):
-            key = self._spec_types.get(type(name))
+            record = by_spec_type.get(name)
         else:
-            key = self._aliases.get(normalize(name))
-        if key not in self._entries:
-            raise self._unknown(name)
-        return key
+            record = by_spec_type.get(type(name))
+        if record is None:
+            raise unknown_name_error(error_type, noun, name, spellings)
+        return record
 
-    def get(self, name):
-        """The registered record for anything :meth:`resolve` accepts."""
-        return self._entries[self.resolve(name)]
-
-    def registered(self):
-        """Snapshot of the registry: canonical key -> record."""
-        return dict(self._entries)
-
-    def _unknown(self, name):
-        return unknown_name_error(
-            self.error_type, self.noun, name, self._aliases
-        )
+    get.__name__ = get.__qualname__ = f"get_{noun}"
+    get.__doc__ = (
+        f"The {noun} record for a name, alias, record, spec or spec type.\n\n"
+        "Names match case- and separator-insensitively; a spec or spec "
+        "type matches by exact type.  Anything else raises "
+        f"{error_type.__name__} with a did-you-mean suggestion."
+    )
+    return get

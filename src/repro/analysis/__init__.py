@@ -1,8 +1,8 @@
 """``repro.analysis`` — repro lint: machine-checked codebase contracts.
 
 The repo's correctness rests on conventions no unit test can see from
-the outside: dispatch goes through the registries instead of string
-comparisons (PRs 3/5/7), candidate ensembles replay byte-for-byte at
+the outside: dispatch goes through the ``get_*`` lookups instead of
+string comparisons, candidate ensembles replay byte-for-byte at
 any worker count, ``_CACHE_VERSION`` bumps whenever serialized chunk
 fields change, and process pools are built only in the execution layer.
 This package

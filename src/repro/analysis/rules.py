@@ -8,7 +8,7 @@ encode the conventions the past PRs established by hand:
 * **R001 no-stringly-dispatch** — resolve names through
   :mod:`repro.dynamics`, :mod:`repro.refine` and :mod:`repro.execution`,
   never branch on their vocabulary as string literals or reach into a
-  registry's private dicts (``_entries``, ``_aliases``, ``_spec_types``).
+  lookup's private dicts (``_entries``, ``_aliases``, ``_spec_types``).
 * **R002 cache-version-discipline** — modules that persist memo entries
   or compose cache keys must reference a ``_CACHE_VERSION`` constant, so
   serialization changes force a version bump.
@@ -31,6 +31,7 @@ their codes are not reused.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass
 
 from repro._registry import normalize
@@ -105,7 +106,7 @@ _DISPATCH_NAMES = frozenset({
     "kind", "method", "key", "executor",
 })
 
-# The private dicts of :class:`repro._registry.Registry`.
+# Private lookup-dict names, which only the lookup modules may subscript.
 _PRIVATE_REGISTRY_DICTS = frozenset({"_entries", "_aliases", "_spec_types"})
 
 # The registry modules themselves (and this package) legitimately handle
@@ -119,29 +120,24 @@ _REGISTRY_MODULES = (
 )
 
 
+@functools.cache
 def registry_vocabulary():
     """Every canonical name and alias of the dynamics, refiners and executors.
 
-    Read from :func:`repro.dynamics.registered_dynamics`,
-    :func:`repro.refine.registered_refiners` and the fixed
-    :data:`repro.execution.EXECUTORS` tuple (imported lazily) on every
-    call, so the no-stringly-dispatch rule tracks the two registries,
-    later registrations and removals included, instead of carrying its
-    own drifting word list.
+    One snapshot of the fixed :data:`repro.dynamics.DYNAMICS`,
+    :data:`repro.refine.REFINERS` and :data:`repro.execution.EXECUTORS`
+    tuples (imported lazily), so the no-stringly-dispatch rule carries no
+    word list of its own.
     """
-    from repro.dynamics import registered_dynamics
+    from repro.dynamics import DYNAMICS
     from repro.execution import EXECUTORS
-    from repro.refine import registered_refiners
+    from repro.refine import REFINERS
 
-    entries = [
-        *registered_dynamics().values(), *registered_refiners().values(),
-        *EXECUTORS,
-    ]
-    vocabulary = set()
-    for entry in entries:
-        vocabulary.add(entry.key)
-        vocabulary.update(entry.aliases)
-    return frozenset(vocabulary)
+    return frozenset(
+        name
+        for record in (*DYNAMICS, *REFINERS, *EXECUTORS)
+        for name in (record.key, *record.aliases)
+    )
 
 
 def _terminal_name(node):
@@ -184,7 +180,6 @@ class StringlyDispatchVisitor(RuleVisitor):
 
     def __init__(self, rule, ctx):
         super().__init__(rule, ctx)
-        # One snapshot of the live registries per visited file.
         self._vocabulary = registry_vocabulary()
 
     def visit_Compare(self, node):
@@ -209,8 +204,8 @@ class StringlyDispatchVisitor(RuleVisitor):
             return
         self.add(node, (
             f"stringly dispatch on {name} == {hits[0]!r}: resolve through "
-            "the registry (resolve_*_name / get_*) and compare registry "
-            "objects instead of registry-vocabulary strings"
+            "get_dynamics / get_refiner / get_executor and compare the "
+            "records instead of their name strings"
         ))
 
     def visit_Subscript(self, node):
@@ -218,7 +213,8 @@ class StringlyDispatchVisitor(RuleVisitor):
         if target in _PRIVATE_REGISTRY_DICTS:
             self.add(node, (
                 f"direct access to the private registry dict {target}: use "
-                "the registry's public get_*/resolve_*/registered_* API"
+                "the public get_* lookups or the DYNAMICS / REFINERS / "
+                "EXECUTORS tuples"
             ))
 
 

@@ -3,19 +3,19 @@
 This module holds the only hand-written export list; :mod:`repro`
 re-exports it unchanged, so ``repro.X`` and ``repro.api.X`` are the same
 object for every name below. Everything a downstream user needs to run
-the paper's three canonical diffusion dynamics — and any newly
-registered one — through one vocabulary:
+the paper's three canonical diffusion dynamics through one vocabulary:
 
 * **Graphs** — :class:`Graph` and :func:`from_edges`.
 
 * **Specs & grids** — :class:`PPR`, :class:`HeatKernel`, :class:`LazyWalk`,
-  :class:`DiffusionGrid`; the registry (:func:`get_dynamics`,
-  :func:`canonical_dynamics`, :func:`register_dynamics`).
+  :class:`DiffusionGrid`; the dynamics lookup (:func:`get_dynamics`,
+  :func:`canonical_dynamics`) over the fixed
+  :data:`repro.dynamics.DYNAMICS` tuple.
 * **Refiners & pipelines** — :class:`MQI`, :class:`FlowImprove`,
-  :class:`MOV`, :class:`Pipeline` and the refiner registry
-  (:func:`get_refiner`, :func:`register_refiner`,
-  :func:`apply_refiners`): composable cluster improvement for any NCP
-  or local-clustering entry point.
+  :class:`MOV`, :class:`Pipeline`, :func:`get_refiner` over the fixed
+  :data:`repro.refine.REFINERS` tuple, and :func:`apply_refiners`:
+  composable cluster improvement for any NCP or local-clustering entry
+  point.
 * **Executors** — :class:`ExecutorKind` and :func:`get_executor`: the
   fixed ``serial`` / ``process`` / ``chaos`` execution strategies
   (:data:`repro.execution.EXECUTORS`) behind every ``executor=`` keyword,
@@ -73,9 +73,6 @@ from repro.dynamics import (
     as_diffusion_grid,
     canonical_dynamics,
     get_dynamics,
-    register_dynamics,
-    registered_dynamics,
-    unregister_dynamics,
 )
 from repro.diffusion.engine import (
     BatchPushResult,
@@ -110,9 +107,6 @@ from repro.refine import (
     as_refiner_chain,
     get_refiner,
     refine_candidates,
-    register_refiner,
-    registered_refiners,
-    unregister_refiner,
 )
 from repro.ncp.profile import (
     ClusterCandidate,
@@ -191,13 +185,7 @@ __all__ = [
     "local_cluster",
     "ppr_push_frontier",
     "refine_candidates",
-    "register_dynamics",
-    "register_refiner",
-    "registered_dynamics",
-    "registered_refiners",
     "run_multidynamics_ncp",
     "run_ncp_ensemble",
     "suite_names",
-    "unregister_dynamics",
-    "unregister_refiner",
 ]

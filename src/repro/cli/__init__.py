@@ -7,11 +7,11 @@ into a reproducible one-liner:
 * ``repro datasets`` — list/describe the named graph suite, or export
   any suite graph to an edge-list file;
 * ``repro ncp`` — sharded, memoized NCP candidate ensembles for any
-  registered dynamics grid, on a suite graph or an external edge list;
+  dynamics grid, on a suite graph or an external edge list;
 * ``repro cluster`` — seeded strongly local clustering with any
   single-point dynamics spec (``--dynamics ppr:alpha=0.1,eps=1e-4``);
 * ``repro lint`` — the AST-based invariant checker
-  (:mod:`repro.analysis`): registry dispatch, determinism, cache
+  (:mod:`repro.analysis`): ``get_*`` dispatch, determinism, cache
   versioning, exception policy, executor discipline.
 
 Every run that produces files also writes a JSON **run manifest**

@@ -3,7 +3,7 @@
 Runs :func:`repro.partition.local.local_cluster` from an explicit seed
 set with any single-point dynamics spec parsed from a
 ``--dynamics ppr:alpha=0.1,eps=1e-4`` style string (bare names resolve
-to the dynamics' registered default local point, e.g. the walk's step
+to the dynamics' default local point, e.g. the walk's step
 count scales with the graph).  With ``--out`` set, the cluster and a run
 manifest are written as JSON.
 """
@@ -37,9 +37,8 @@ def configure_parser(subparsers):
         help="seeded local clustering with any single-point dynamics",
         description=(
             "Compute one strongly local cluster from a seed set: a "
-            "single diffusion (PPR / heat kernel / lazy walk / any "
-            "registered dynamics) plus a degree-normalized sweep over "
-            "its support.  --dynamics takes a spec string such as "
+            "single diffusion (PPR / heat kernel / lazy walk) plus a "
+            "degree-normalized sweep over its support.  --dynamics takes a spec string such as "
             "'ppr:alpha=0.1,eps=1e-4'; a bare name uses the dynamics' "
             "default local point."
         ),

@@ -1,7 +1,7 @@
 """``repro ncp`` — sharded NCP candidate ensembles from the command line.
 
 One command runs :func:`repro.ncp.runner.run_ncp_ensemble` for any list
-of registered dynamics on any suite graph or external edge-list file,
+of dynamics on any suite graph or external edge-list file,
 writing three artifacts into ``--out``:
 
 * ``candidates.csv`` — the merged candidate ensemble, one row per
@@ -60,7 +60,7 @@ def configure_parser(subparsers):
         help="run a sharded NCP candidate ensemble (any dynamics grid)",
         description=(
             "Run the network-community-profile candidate ensemble for "
-            "one or more registered dynamics through the process-"
+            "one or more dynamics through the process-"
             "parallel, disk-memoized runner.  Writes candidates.csv + "
             "profile.txt + manifest.json into --out; the candidate file "
             "is byte-identical for any --workers value."
@@ -90,7 +90,7 @@ def configure_parser(subparsers):
         default=None,
         metavar="CHAIN",
         help="refiner chain applied to every candidate of every "
-             "dynamics, e.g. 'mqi' or 'mqi,flow:radius=2' (registry "
+             "dynamics, e.g. 'mqi' or 'mqi,flow:radius=2' (refiner "
              "names/aliases; default: no refinement)",
     )
     parser.add_argument(
@@ -133,7 +133,7 @@ def configure_parser(subparsers):
         "--executor",
         default=None,
         metavar="SPEC",
-        help="execution strategy: any registered repro.execution name "
+        help="execution strategy: any repro.execution.EXECUTORS name "
              "or alias, optionally parameterized ('serial', 'process', "
              "'chaos:seed=3,kills=2'); default: process when --workers "
              ">= 1, serial otherwise. The ensemble is identical under "
@@ -228,7 +228,7 @@ def _replay_argv(args, executor_kind=None, executor_spec=None):
     if args.max_cluster_size is not None:
         argv += ["--max-cluster-size", str(args.max_cluster_size)]
     # Executors never change the candidate bytes, so the replay only pins
-    # one when it was requested explicitly AND the registry marks it
+    # one when it was requested explicitly AND its record marks it
     # replayable (chaos is not: its faults are execution facts, and an
     # abort_after fault would crash the replay).
     if executor_kind is not None and executor_kind.replayable:

@@ -1,16 +1,15 @@
 """Spec-string parsing: ``--dynamics ppr:alpha=0.1,eps=1e-4`` and friends.
 
-The CLI addresses the dynamics registry — and, with the same grammar,
-the refiner registry (``--refine mqi,flow:radius=2``, see
+The CLI addresses the dynamics records — and, with the same grammar,
+the refiner records (``--refine mqi,flow:radius=2``, see
 :func:`parse_refiner_chain`) — with compact spec strings so a whole
 workload fits on one command line.  Dynamics strings:
 
-* ``ppr`` — a bare registered name or alias (``pagerank``, ``acl``, ...)
+* ``ppr`` — a bare dynamics name or alias (``pagerank``, ``acl``, ...)
   selects that dynamics with its default axes;
 * ``ppr:alpha=0.1`` — ``name:key=value`` pairs override spec fields; the
   valid keys are exactly the spec dataclass's fields (``alpha`` for PPR,
-  ``t`` for the heat kernel, ``steps``/``walk_alpha`` for the lazy walk
-  — and whatever fields a newly registered dynamics declares);
+  ``t`` for the heat kernel, ``steps``/``walk_alpha`` for the lazy walk);
 * ``alpha=0.05/0.15`` — ``/``-separated values give a multi-point axis;
 * ``eps=1e-4`` (aliases ``epsilon``, ``epsilons``) sets the truncation
   epsilons of the enclosing :class:`~repro.dynamics.DiffusionGrid` rather
@@ -20,8 +19,10 @@ workload fits on one command line.  Dynamics strings:
   ``key=value`` token extends the one before it.
 
 Parsing resolves names through :func:`repro.dynamics.get_dynamics`, so
-alias spellings and registered extension dynamics work unchanged, and an
-unknown name fails with the registry's own did-you-mean-style error.
+every alias spelling works, and an unknown name fails with the lookup's
+own did-you-mean error.  A new dynamics or refiner is one more record in
+the :data:`~repro.dynamics.DYNAMICS` or :data:`~repro.refine.REFINERS`
+tuple; its spec fields become valid keys here with no parser change.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _parse_value(text, *, context):
 
 @dataclass
 class DynamicsRequest:
-    """One parsed ``--dynamics`` entry: a registry kind plus overrides.
+    """One parsed ``--dynamics`` entry: a dynamics record plus overrides.
 
     Attributes
     ----------
@@ -81,7 +82,7 @@ class DynamicsRequest:
         The resolved :class:`~repro.dynamics.DynamicsKind`.
     params:
         Spec-field overrides parsed from the string (empty for a bare
-        name, which means "use the registered defaults").
+        name, which means "use the record's defaults").
     epsilons:
         Grid epsilons parsed from ``eps=...`` (``None`` = spec defaults).
     raw:
@@ -95,7 +96,7 @@ class DynamicsRequest:
 
     @property
     def key(self):
-        """Canonical registry name of the requested dynamics."""
+        """Canonical key of the requested dynamics."""
         return self.kind.key
 
     def spec(self):
@@ -105,7 +106,7 @@ class DynamicsRequest:
     def local_spec(self, graph=None):
         """Single-point spec for the seed → cluster driver.
 
-        A bare name resolves to the dynamics' registered default local
+        A bare name resolves to the dynamics' default local
         point (e.g. the walk's step count depends on the graph size);
         explicit parameters are honored as given.
         """
@@ -266,13 +267,13 @@ def _build_refiner(name, pairs, raw):
 def parse_refiner_chain(text):
     """Parse a ``--refine`` value into an ordered tuple of refiner specs.
 
-    The same grammar as ``--dynamics``, resolved through the refiner
-    registry (:mod:`repro.refine`): ``"mqi"`` is one default-knob stage,
+    The same grammar as ``--dynamics``, resolved through
+    :func:`repro.refine.get_refiner`: ``"mqi"`` is one default-knob stage,
     ``"mqi,flow:radius=2"`` a two-stage chain, and short parameter
     aliases (``radius`` → ``dilation_radius``, ``rounds`` →
     ``max_rounds``, ``gamma`` → ``gamma_fraction``) come from each
     :class:`~repro.refine.RefinerKind`'s ``field_aliases`` table.
-    Unknown names fail with the registry's own error (listing canonical
+    Unknown names fail with the lookup's own error (listing canonical
     names and aliases).
     """
     groups = _group_spec_tokens(text, option="--refine", kind="refiner")

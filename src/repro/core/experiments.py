@@ -87,12 +87,12 @@ def run_multidynamics_ncp(
 
     The shared driver behind the multi-dynamics benchmarks: every
     requested dynamics (ACL push, heat-kernel push, truncated lazy walk —
-    the three canonical procedures of Section 3.1/3.3, or any newly
-    registered dynamics) is swept over its parameter grid via
-    :func:`repro.ncp.runner.run_ncp_ensemble`, reduced to a size-bucketed
-    profile, and summarized in one :class:`ExperimentRecord`.
+    the three canonical procedures of Section 3.1/3.3) is swept over its
+    parameter grid via :func:`repro.ncp.runner.run_ncp_ensemble`,
+    reduced to a size-bucketed profile, and summarized in one
+    :class:`ExperimentRecord`.
 
-    ``dynamics`` entries may be registry names/aliases, spec instances
+    ``dynamics`` entries may be dynamics names/aliases, spec instances
     (``PPR(...)``, ``HeatKernel(...)``, ``LazyWalk(...)``), or full
     :class:`~repro.dynamics.DiffusionGrid` workloads; names resolve to
     the dynamics' default grid with this function's ``num_seeds``/``seed``.

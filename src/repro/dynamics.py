@@ -1,13 +1,14 @@
-"""The unified dynamics registry: one typed API over PPR / heat kernel / walk.
+"""The three canonical dynamics: one typed API over PPR / heat kernel / walk.
 
 The paper's central claim is that the three canonical diffusion dynamics —
 PageRank, the heat kernel, and the truncated lazy random walk — are
 instances of *one* implicitly-regularized computation.  This module makes
 that claim structural: every dynamics is described once, by a frozen *spec*
-dataclass plus a :class:`DynamicsKind` registry entry, and every consumer
-(the NCP ensemble generators, the sharded runner, the local-cluster
-drivers, the equivalence-verification harness, the benchmarks) dispatches
-through the registry instead of switching on strings.
+dataclass plus a :class:`DynamicsKind` record of the fixed
+:data:`DYNAMICS` tuple, and every consumer (the NCP ensemble generators,
+the sharded runner, the local-cluster drivers, the
+equivalence-verification harness, the benchmarks) dispatches through
+:func:`get_dynamics` instead of switching on strings.
 
 Three layers:
 
@@ -22,23 +23,26 @@ Three layers:
   point parameter for the seed → cluster drivers.
 * **Grids** — :class:`DiffusionGrid`: a spec × epsilons × seed-sampling
   plan, the one workload description every NCP entry point takes.
-* **The registry** — :class:`DynamicsKind` entries pair the NCP-side
-  dispatch with the implicit-regularization framework
-  (:mod:`repro.core.framework`) under canonical names plus an alias
-  table, so ``get_dynamics("ppr")``, ``get_dynamics("pagerank")`` and
-  ``get_dynamics(PPR())`` all return the *same* registry object the
-  runner dispatches on.
+* **Records** — each :class:`DynamicsKind` pairs the NCP-side dispatch
+  with the Section 3.1 implicit-regularization identity under a
+  canonical key plus aliases, so ``get_dynamics("ppr")``,
+  ``get_dynamics("pagerank")`` and ``get_dynamics(PPR())`` all return
+  the *same* record the runner dispatches on.  The identity is one call
+  away::
 
-New dynamics plug in by registering a spec type and a
-:class:`DynamicsKind` — no changes to the runner, the profile layer, or
-the benchmarks are needed (see ``tests/test_dynamics_registry.py`` for a
-worked example).
+      from repro.dynamics import canonical_dynamics
+      for dynamics in canonical_dynamics():
+          report = dynamics.verify(graph)
+          print(dynamics.describe(), report.diffusion_vs_closed_form)
 
-The registry is a :class:`~repro._registry.Registry`, the one
-implementation shared with :class:`~repro.refine.RefinerKind` (refiners).
-A :class:`DiffusionGrid` workload says *what* to diffuse; one of the
-fixed :data:`~repro.execution.EXECUTORS` decides *how* its chunks run,
-and the candidate bytes never depend on that choice.
+A new dynamics is one more record in the :data:`DYNAMICS` tuple (and its
+spec class); the runner, the profile layer and the benchmarks need no
+change.  :data:`~repro.refine.REFINERS` and
+:data:`~repro.execution.EXECUTORS` are fixed tuples of the same shape,
+looked up by the same :func:`~repro._registry.record_lookup`.  A
+:class:`DiffusionGrid` workload says *what* to diffuse; one of the
+executors decides *how* its chunks run, and the candidate bytes never
+depend on that choice.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from repro._registry import Registry
+from repro._registry import record_lookup
 from repro._validation import (
     check_int,
     check_numpy_backend,
@@ -68,6 +72,7 @@ from repro.regularization.equivalence import (
 )
 
 __all__ = [
+    "DYNAMICS",
     "ApproximateComputation",
     "DiffusionGrid",
     "DynamicsKind",
@@ -78,10 +83,6 @@ __all__ = [
     "as_diffusion_grid",
     "canonical_dynamics",
     "get_dynamics",
-    "register_dynamics",
-    "registered_dynamics",
-    "resolve_dynamics_name",
-    "unregister_dynamics",
 ]
 
 # Which seeds share a ``batch_ppr_push`` call: ``_BATCH_ENTRY_BUDGET //
@@ -123,12 +124,13 @@ def _dense(n, rows, values):
 
 
 class UnknownDynamicsError(InvalidParameterError, KeyError):
-    """Raised for a dynamics name or spec that is not in the registry.
+    """Raised for a dynamics name or spec that matches no :data:`DYNAMICS`
+    record.
 
     Inherits both :class:`~repro.exceptions.InvalidParameterError` (hence
     ``ValueError``) and ``KeyError``: historically the NCP runner raised
-    the former and ``core.framework.get_dynamics`` the latter, and callers
-    of either style keep working.
+    the former and the framework lookup the latter, and callers of either
+    style keep working.
     """
 
     __str__ = Exception.__str__
@@ -147,7 +149,7 @@ def _axis(value, name, check):
 class _SpecBase:
     """Shared behavior of the dynamics spec dataclasses.
 
-    Subclasses define the class attributes ``name`` (canonical registry
+    Subclasses define the class attributes ``name`` (canonical record
     key), ``candidate_label`` (``ClusterCandidate.method`` value),
     ``local_method`` (``LocalClusterResult.method`` value) and
     ``default_epsilons``, plus ``grid_params`` / ``from_grid_params`` /
@@ -444,16 +446,16 @@ class ApproximateComputation:
 
 @dataclass(frozen=True)
 class DynamicsKind(ApproximateComputation):
-    """One registered dynamics: verification identity + NCP dispatch.
+    """One dynamics record: verification identity + NCP dispatch.
 
-    Extends :class:`ApproximateComputation` (the Section 3.1 entry that
-    ``core.framework`` has always exposed) with the operational side —
-    the spec type the runner and the local drivers dispatch on.
+    Extends :class:`ApproximateComputation` (the Section 3.1 entry) with
+    the operational side — the spec type the runner and the local drivers
+    dispatch on.
 
     Attributes
     ----------
     key:
-        Canonical registry name (``"ppr"``, ``"hk"``, ``"walk"``).
+        Canonical name (``"ppr"``, ``"hk"``, ``"walk"``).
     aliases:
         Accepted alternative spellings (``"pagerank"``, ``"heat_kernel"``,
         ``"lazy_walk"``, ``"acl"``, ``"nibble"``, ...).
@@ -490,7 +492,7 @@ class DiffusionGrid:
     Attributes
     ----------
     dynamics:
-        A registered spec instance (accepts a canonical name / alias or a
+        A spec instance (accepts a canonical name / alias or a
         :class:`DynamicsKind`, normalized to the default spec).
     epsilons:
         Truncation-threshold axis; ``None`` resolves to the spec's
@@ -514,7 +516,7 @@ class DiffusionGrid:
         if isinstance(spec, (str, DynamicsKind)) or isinstance(spec, type):
             spec = get_dynamics(spec).default_spec()
         else:
-            get_dynamics(spec)  # raises UnknownDynamicsError if unregistered
+            get_dynamics(spec)  # raises UnknownDynamicsError for a stranger
         object.__setattr__(self, "dynamics", spec)
         if self.epsilons is not None:
             object.__setattr__(
@@ -570,19 +572,7 @@ def as_diffusion_grid(grid):
 
 
 # --------------------------------------------------------------------------
-# The registry.
-
-DYNAMICS = Registry("dynamics", DynamicsKind, UnknownDynamicsError)
-register_dynamics = DYNAMICS.register
-unregister_dynamics = DYNAMICS.unregister
-resolve_dynamics_name = DYNAMICS.resolve
-get_dynamics = DYNAMICS.get
-registered_dynamics = DYNAMICS.registered
-
-
-def canonical_dynamics():
-    """The paper's three canonical dynamics (Section 3.1), in paper order."""
-    return [get_dynamics(key) for key in ("hk", "ppr", "walk")]
+# The records.
 
 
 def _default_nibble_steps(graph):
@@ -592,7 +582,7 @@ def _default_nibble_steps(graph):
     return max(10, int(np.ceil(np.log2(graph.num_nodes + 1) ** 2)))
 
 
-HEAT_KERNEL = register_dynamics(DynamicsKind(
+HEAT_KERNEL = DynamicsKind(
     name="Heat Kernel",
     aggressiveness_parameter="time t",
     regularizer="generalized (von Neumann) entropy Tr(X log X)",
@@ -602,9 +592,9 @@ HEAT_KERNEL = register_dynamics(DynamicsKind(
     aliases=("heat_kernel", "heatkernel", "heat-kernel"),
     spec_type=HeatKernel,
     local_spec_factory=lambda graph=None: HeatKernel(t=5.0),
-))
+)
 
-PAGERANK = register_dynamics(DynamicsKind(
+PAGERANK = DynamicsKind(
     name="PageRank",
     aggressiveness_parameter="teleport probability gamma",
     regularizer="log-determinant -log det(X)",
@@ -614,9 +604,9 @@ PAGERANK = register_dynamics(DynamicsKind(
     aliases=("pagerank", "acl", "personalized_pagerank", "spectral"),
     spec_type=PPR,
     local_spec_factory=lambda graph=None: PPR(alpha=0.1),
-))
+)
 
-LAZY_WALK = register_dynamics(DynamicsKind(
+LAZY_WALK = DynamicsKind(
     name="Lazy Random Walk",
     aggressiveness_parameter="number of steps k",
     regularizer="matrix p-norm (1/p) Tr(X^p), p = 1 + 1/k",
@@ -628,4 +618,13 @@ LAZY_WALK = register_dynamics(DynamicsKind(
     local_spec_factory=lambda graph=None: LazyWalk(
         steps=_default_nibble_steps(graph), walk_alpha=0.5
     ),
-))
+)
+
+# The paper's three canonical dynamics (Section 3.1), in paper order.
+DYNAMICS = (HEAT_KERNEL, PAGERANK, LAZY_WALK)
+get_dynamics = record_lookup(DYNAMICS, UnknownDynamicsError, "dynamics")
+
+
+def canonical_dynamics():
+    """The paper's three canonical dynamics (Section 3.1), in paper order."""
+    return list(DYNAMICS)

@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro._registry import normalize, unknown_name_error
+from repro._registry import record_lookup
 from repro._validation import check_int, check_positive
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.execution.errors import InjectedFaultError, RunAbortedError
@@ -587,35 +587,7 @@ EXECUTORS = (
     ),
 )
 
-# Normalized key/alias -> canonical key, and the lookup tables behind it.
-_SPELLINGS = {
-    normalize(name): kind.key
-    for kind in EXECUTORS for name in (kind.key, *kind.aliases)
-}
-_BY_KEY = {kind.key: kind for kind in EXECUTORS}
-_BY_SPEC_TYPE = {kind.spec_type: kind for kind in EXECUTORS}
-
-
-def get_executor(executor):
-    """The :class:`ExecutorKind` for a name, alias, record, spec or spec type.
-
-    Names match case- and separator-insensitively; a spec or spec type
-    matches by exact type.  Anything else raises
-    :class:`UnknownExecutorError` with a did-you-mean suggestion.
-    """
-    if isinstance(executor, str):
-        kind = _BY_KEY.get(_SPELLINGS.get(normalize(executor)))
-    elif isinstance(executor, ExecutorKind):
-        kind = _BY_KEY.get(executor.key)
-    elif isinstance(executor, type):
-        kind = _BY_SPEC_TYPE.get(executor)
-    else:
-        kind = _BY_SPEC_TYPE.get(type(executor))
-    if kind is None:
-        raise unknown_name_error(
-            UnknownExecutorError, "executor", executor, _SPELLINGS
-        )
-    return kind
+get_executor = record_lookup(EXECUTORS, UnknownExecutorError, "executor")
 
 
 def as_executor_spec(executor):

@@ -38,26 +38,6 @@ def is_bipartite(graph):
     return True, color
 
 
-def project_left(graph, num_left):
-    """One-mode projection of a bipartite graph onto its left nodes.
-
-    Two left nodes are joined with weight equal to the number of common right
-    neighbors (e.g. two authors joined by their number of coauthored papers).
-    """
-    num_left = check_int(num_left, "num_left", minimum=1,
-                         maximum=graph.num_nodes)
-    pair_weights = {}
-    for right in range(num_left, graph.num_nodes):
-        members = [int(v) for v in graph.neighbors(right) if v < num_left]
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                key = (u, v) if u < v else (v, u)
-                pair_weights[key] = pair_weights.get(key, 0.0) + 1.0
-    edges = list(pair_weights.keys())
-    weights = [pair_weights[e] for e in edges]
-    return from_edges(num_left, edges, weights)
-
-
 def community_bipartite_graph(
     num_authors,
     num_papers,

@@ -146,20 +146,3 @@ def sketched_least_squares(design, target, sketch_size, *, kind="gaussian",
         solution_norm=float(np.linalg.norm(solution)),
     )
 
-
-def randomized_range_finder(matrix, rank, *, oversampling=10, power_iterations=2,
-                            seed=None):
-    """Orthonormal basis approximating the dominant range of ``matrix``."""
-    A = np.asarray(matrix, dtype=float)
-    rank = check_int(rank, "rank", minimum=1)
-    oversampling = check_int(oversampling, "oversampling", minimum=0)
-    power_iterations = check_int(power_iterations, "power_iterations", minimum=0)
-    rng = as_rng(seed)
-    k = min(rank + oversampling, min(A.shape))
-    omega = rng.standard_normal((A.shape[1], k))
-    Y = A @ omega
-    Q, _ = np.linalg.qr(Y)
-    for _ in range(power_iterations):
-        Z, _ = np.linalg.qr(A.T @ Q)
-        Q, _ = np.linalg.qr(A @ Z)
-    return Q

@@ -225,7 +225,7 @@ def figure1_comparison(
 
     Returns a :class:`Figure1Result`.  ``grid`` is the diffusion-side
     workload — a :class:`~repro.dynamics.DiffusionGrid` (or spec /
-    registered name), or a :class:`~repro.refine.Pipeline` to refine the
+    dynamics name), or a :class:`~repro.refine.Pipeline` to refine the
     diffusion cloud too; by default the paper's LocalSpectral grid,
     ``DiffusionGrid(PPR(), num_seeds=num_seeds or 40, seed=seed)``, is
     used.  ``num_seeds`` applies only to that default grid — an explicit
@@ -236,7 +236,7 @@ def figure1_comparison(
     unchanged.  ``seed`` also drives the flow ensemble's recursive
     bisection, ``flow_refiners`` is the refiner chain the flow cloud is
     improved with (the default ``("mqi",)`` is the paper's Metis+MQI;
-    any registered chain — e.g. ``(FlowImprove(dilation_radius=2),)`` —
+    any refiner chain — e.g. ``(FlowImprove(dilation_radius=2),)`` —
     swaps in through :mod:`repro.refine`), and ``num_buckets`` controls
     the size resolution of the panels.
     """

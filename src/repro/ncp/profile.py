@@ -9,8 +9,8 @@ is the paper's empirical evidence for implicit regularization.
 
 Two ensemble generators:
 
-* :func:`cluster_ensemble_ncp` — the diffusion side, for *any* registered
-  dynamics: a :class:`~repro.dynamics.DiffusionGrid` (spec × epsilons ×
+* :func:`cluster_ensemble_ncp` — the diffusion side, for *any* of the
+  three dynamics: a :class:`~repro.dynamics.DiffusionGrid` (spec × epsilons ×
   seed sampling) is swept column by column, and every best-per-octave
   sweep prefix of every column is a candidate cluster.  PPR reproduces
   the paper's "LocalSpectral (blue)" curve; the heat kernel and the
@@ -18,7 +18,7 @@ Two ensemble generators:
   3.1.
 * :func:`flow_cluster_ensemble_ncp` — the "Metis+MQI (red)" side: recursive
   multilevel bisection proposes clusters at all scales, each improved by
-  a refiner chain from the unified registry (:mod:`repro.refine`;
+  a refiner chain from :data:`repro.refine.REFINERS` (:mod:`repro.refine`;
   ``("mqi",)`` by default — exactly the paper's Metis+MQI pipeline).
 
 Both generators also speak :class:`~repro.refine.Pipeline`:
@@ -156,7 +156,7 @@ def cluster_ensemble_ncp(graph, grid):
     grid:
         A :class:`~repro.dynamics.DiffusionGrid` — or anything
         :func:`~repro.dynamics.as_diffusion_grid` accepts (a spec instance
-        such as ``PPR(alpha=(0.05,))``, a registered name like ``"hk"``,
+        such as ``PPR(alpha=(0.05,))``, a dynamics name like ``"hk"``,
         or a :class:`~repro.dynamics.DynamicsKind`) — or a
         :class:`~repro.refine.Pipeline`, in which case every candidate is
         additionally threaded through the pipeline's refiner chain
@@ -185,7 +185,7 @@ def cluster_ensemble_ncp(graph, grid):
 
 def grid_candidates_for_seed_nodes(graph, seed_nodes, spec, *, epsilons,
                                    max_cluster_size, backend=None):
-    """NCP candidates of one registered dynamics for explicit seed nodes.
+    """NCP candidates of one dynamics for explicit seed nodes.
 
     The sharding entry point used by :mod:`repro.ncp.runner`: the caller
     controls exactly which seed nodes this invocation covers, so grid
@@ -260,7 +260,7 @@ def flow_cluster_ensemble_ncp(graph, *, min_size=4, seed=None,
 
     Every side of every recursive multilevel bisection is a candidate;
     each is additionally threaded through ``refiners`` — any chain from
-    the unified registry (:mod:`repro.refine`) — and the refined set is
+    :data:`repro.refine.REFINERS` — and the refined set is
     appended as a second candidate when it strictly improves conductance.
     The default chain ``("mqi",)`` is exactly the paper's "Metis+MQI"
     pipeline; ``refiners=()`` yields the raw bisection ensemble.
@@ -275,7 +275,7 @@ def flow_cluster_ensemble_ncp(graph, *, min_size=4, seed=None,
         RNG seed for the multilevel coarsening.
     refiners:
         Refiner chain applied to every bisection side — spec instances
-        (``MQI(max_rounds=50)``), registered names/aliases (``"mqi"``,
+        (``MQI(max_rounds=50)``), refiner names/aliases (``"mqi"``,
         ``"flow"``, ``"mov"``, ``"metis_mqi"``, ...), or a mix.
     max_refine_size:
         Skip refinement for sides larger than this many nodes

@@ -1,7 +1,7 @@
 """Process-parallel, disk-memoized NCP ensemble orchestration.
 
 The Figure 1 pipeline reduces thousands of strongly local diffusions —
-a seed × axis × ε grid for any registered dynamics — to candidate
+a seed × axis × ε grid for any of the three dynamics — to candidate
 clusters.  The diffusions are embarrassingly parallel across seed nodes,
 and the batched engines (:mod:`repro.diffusion.engine`) already amortize
 the grid within one process; this module adds the remaining two
@@ -30,10 +30,11 @@ fault-injecting ``chaos`` strategy) and the execution driver adds
 retry, straggler re-dispatch, and typed
 :class:`~repro.execution.ChunkExecutionError` failures on top.
 
-Dispatch is dynamics-agnostic: a chunk records the canonical registry
-name plus the exact grid parameters, and evaluation reconstructs the spec
-through :func:`repro.dynamics.get_dynamics` — a newly registered dynamics
-shards, pools, and memoizes with zero changes here.  Refinement is
+Dispatch is dynamics-agnostic: a chunk records the dynamics' canonical
+key plus the exact grid parameters, and evaluation reconstructs the spec
+through :func:`repro.dynamics.get_dynamics` — a new dynamics is one more
+record in :data:`~repro.dynamics.DYNAMICS` and shards, pools, and
+memoizes with zero changes here.  Refinement is
 refiner-agnostic the same way: a :class:`~repro.refine.Pipeline` workload
 stamps its resolved refiner chain onto every chunk, each chunk threads
 its candidates through the chain (per candidate, so determinism and
@@ -57,7 +58,7 @@ import numpy as np
 
 from repro._validation import as_rng, check_int
 from repro.core.reporting import jsonable
-from repro.dynamics import get_dynamics, resolve_dynamics_name
+from repro.dynamics import get_dynamics
 from repro.execution import (
     as_executor_spec,
     build_executor,
@@ -113,7 +114,7 @@ class GridChunk:
     index:
         Position of the chunk in the deterministic merge order.
     dynamics:
-        Canonical registry name (``"ppr"``, ``"hk"``, ``"walk"``, ...).
+        Canonical dynamics key (``"ppr"``, ``"hk"`` or ``"walk"``).
     seed_nodes:
         The seed nodes this chunk covers (tuple of ints).
     params:
@@ -179,7 +180,7 @@ class NCPRunResult:
     wall_seconds:
         Wall-clock time of the run (diffusions + sweeps + cache traffic).
     executor:
-        Canonical :mod:`repro.execution` registry key of the strategy
+        Canonical :data:`~repro.execution.EXECUTORS` key of the strategy
         that ran the non-cached chunks.
     executor_params:
         The resolved executor spec's JSON-able parameter record.
@@ -353,7 +354,7 @@ def plan_chunks(dynamics, seed_nodes, params, *, seeds_per_chunk=8,
     across machines and pool sizes.
     """
     check_int(seeds_per_chunk, "seeds_per_chunk", minimum=1)
-    dynamics = resolve_dynamics_name(dynamics)
+    dynamics = get_dynamics(dynamics).key
     refiners = as_refiner_chain(refiners)
     seed_nodes = [int(s) for s in seed_nodes]
     return [
@@ -540,7 +541,7 @@ def run_ncp_ensemble(
     grid:
         The workload: a :class:`~repro.dynamics.DiffusionGrid`, a spec
         instance (``PPR(...)`` / ``HeatKernel(...)`` / ``LazyWalk(...)``),
-        a registered dynamics name, a
+        a dynamics name or alias, a
         :class:`~repro.dynamics.DynamicsKind`, or a
         :class:`~repro.refine.Pipeline` (grid + refiner chain, in which
         case every candidate is threaded through the chain inside its

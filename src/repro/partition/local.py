@@ -1,14 +1,14 @@
 """Seed → cluster drivers: the "operational approach" of Section 3.3.
 
 One generic driver, :func:`local_cluster`, runs a strongly local diffusion
-from a seed set — any single-point spec from the unified dynamics registry
+from a seed set — any single-point spec of the three dynamics
 (:mod:`repro.dynamics`) — and sweeps the (degree-normalized) output over
 its support only, so that the total work — diffusion plus sweep — depends
 on the output size, not on ``n``.  The spec supplies the diffusion
 vectors; dynamics whose trajectory matters (the truncated walk) yield one
 vector per step and the driver keeps the best cut, as Nibble does.  A
 :class:`~repro.refine.Pipeline` (or the ``refiners=...`` keyword) chains
-registered refiners — MQI, FlowImprove, MOV — onto the sweep cluster,
+the refiners — MQI, FlowImprove, MOV — onto the sweep cluster,
 with per-stage provenance on the result.
 
 The classic methods are single-point specs: ``PPR(alpha)`` is ACL push on
@@ -52,8 +52,8 @@ class LocalClusterResult:
     work:
         Edge work performed by the diffusion.
     method:
-        ``"acl"``, ``"nibble"``, or ``"hk"`` (a registered spec's
-        ``local_method`` label in general).
+        ``"acl"``, ``"nibble"``, or ``"hk"`` (the spec's
+        ``local_method`` label).
     contains_seed:
         Whether every seed node ended up inside the cluster — Section 3.3
         warns this can be False ("a seed node not being part of 'its own
@@ -108,7 +108,7 @@ def _as_point_spec(graph, dynamics):
 
 def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
                   max_volume=None, min_size=1, refiners=()):
-    """Local cluster via one registered dynamics' diffusion + sweep.
+    """Local cluster via one dynamics' diffusion + sweep.
 
     Parameters
     ----------
@@ -118,7 +118,7 @@ def local_cluster(graph, seed_nodes, dynamics="ppr", *, epsilon=1e-4,
         Seed set (ids).
     dynamics:
         A single-point spec — ``PPR(alpha=0.1)``, ``HeatKernel(t=5.0)``,
-        ``LazyWalk(steps=40)`` — or a registered name / alias
+        ``LazyWalk(steps=40)`` — or a dynamics name / alias
         (``"ppr"``/``"acl"``, ``"hk"``, ``"walk"``/``"nibble"``), which
         resolves to the dynamics' default local point spec (the walk's
         default step count depends on the graph size).  Grid-valued specs

@@ -1,13 +1,14 @@
-"""The unified refiner registry: composable flow/spectral cluster improvement.
+"""The refiners: composable flow/spectral cluster improvement.
 
 The paper's central empirical comparison (Figure 1) is between raw
 diffusion clusters and their flow-improved counterparts — the spectral
 cloud against the "Metis+MQI" cloud.  This module makes the *improvement*
 side first-class, mirroring :mod:`repro.dynamics`: every refiner is a
-frozen *spec* dataclass plus a :class:`RefinerKind` registry entry, and
-every consumer (the flow NCP ensemble, the sharded runner, the local
-cluster driver, the CLI ``--refine`` strings, benchmark E14) dispatches
-through the registry instead of hard-wiring ``mqi(...)`` calls.
+frozen *spec* dataclass plus a :class:`RefinerKind` record of the fixed
+:data:`REFINERS` tuple, and every consumer (the flow NCP ensemble, the
+sharded runner, the local cluster driver, the CLI ``--refine`` strings,
+benchmark E14) dispatches through :func:`get_refiner` instead of
+hard-wiring ``mqi(...)`` calls.
 
 Three layers:
 
@@ -18,8 +19,7 @@ Three layers:
   recording per-stage provenance (:class:`RefinementStep`: pre/post
   conductance, rounds, convergence, whether the set changed).  A refiner
   **never increases conductance** and always returns a nonempty proper
-  subset — the invariants the hypothesis suite pins for every registered
-  refiner.
+  subset — the invariants the hypothesis suite pins for every refiner.
 * **Chains** — :func:`apply_refiners` threads a cluster through an
   ordered refiner chain and returns a :class:`RefinementTrace`;
   :func:`refine_candidates` lifts that over whole NCP candidate
@@ -34,10 +34,9 @@ Three layers:
   dilation_radius=2),)))``, ``local_cluster(graph, seeds,
   Pipeline(PPR(alpha=0.1), refiners=("mqi",)))``.
 
-New refiners plug in by registering a spec type and a
-:class:`RefinerKind` — the flow ensemble, the runner, the CLI parser, and
-benchmark E14 pick them up with zero changes (see
-``tests/test_refine_registry.py`` for a worked example).
+A new refiner is one more record in the :data:`REFINERS` tuple (and its
+spec class, a :class:`_RefinerBase` subclass); the flow ensemble, the
+runner, the CLI parser and benchmark E14 pick it up with no other change.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro._registry import Registry
+from repro._registry import record_lookup
 from repro._validation import check_int, check_probability
 from repro.dynamics import as_diffusion_grid
 from repro.exceptions import (
@@ -63,6 +62,7 @@ from repro.partition.mov import mov_cluster
 from repro.partition.mqi import _checked_side, _mqi_waves
 
 __all__ = [
+    "REFINERS",
     "FlowImprove",
     "MOV",
     "MQI",
@@ -77,20 +77,17 @@ __all__ = [
     "as_refiner_chain",
     "get_refiner",
     "refine_candidates",
-    "register_refiner",
-    "registered_refiners",
-    "resolve_refiner_name",
-    "unregister_refiner",
 ]
 
 # A refined set is accepted only when it beats the input by more than this
-# slack — the same strict-improvement predicate the pre-registry
+# slack — the same strict-improvement predicate the original
 # "Metis+MQI" loop used, so refined and raw ensembles stay comparable.
 _IMPROVEMENT_EPS = 1e-15
 
 
 class UnknownRefinerError(InvalidParameterError, KeyError):
-    """Raised for a refiner name or spec that is not in the registry.
+    """Raised for a refiner name or spec that matches no :data:`REFINERS`
+    record.
 
     Mirrors :class:`~repro.dynamics.UnknownDynamicsError`: inherits both
     :class:`~repro.exceptions.InvalidParameterError` (hence ``ValueError``)
@@ -160,9 +157,9 @@ class RefinementTrace:
 class _RefinerBase:
     """Shared behavior of the refiner spec dataclasses.
 
-    Subclasses define the class attribute ``name`` (canonical registry
+    Subclasses define the class attribute ``name`` (canonical record
     key) and implement ``refine(graph, nodes, pre_conductance=None)``
-    returning ``(nodes, RefinementStep)``.  They may also implement
+    returning ``(nodes, RefinementStep)``.  They may also override
     :meth:`refine_many`, which must give exactly what looping ``refine``
     gives.
     """
@@ -212,7 +209,7 @@ class _RefinerBase:
     def _accept_if_better(self, graph, nodes, candidate_nodes, phi, pre, *,
                           rounds, converged):
         """Keep the refined set only on strict improvement to a nonempty
-        proper subset of the graph — the registry-wide invariant."""
+        proper subset of the graph — the invariant every refiner keeps."""
         size = int(np.asarray(candidate_nodes).size)
         if (
             phi < pre - _IMPROVEMENT_EPS
@@ -257,16 +254,10 @@ class MQI(_RefinerBase):
 
     def refine(self, graph, nodes, pre_conductance=None):
         """One chained-refiner stage: iterated MQI inside ``nodes``."""
-        return self._waves(graph, [nodes], [pre_conductance])[0]
+        return self.refine_many(graph, [nodes], [pre_conductance])[0]
 
     def refine_many(self, graph, node_sets, pre_conductances):
         """:meth:`refine` for every set, all sets' rounds in waves."""
-        if type(self).refine is not MQI.refine:
-            # A subclass that redefines ``refine`` keeps it per set.
-            return super().refine_many(graph, node_sets, pre_conductances)
-        return self._waves(graph, node_sets, pre_conductances)
-
-    def _waves(self, graph, node_sets, pre_conductances):
         pres = [
             self._pre(graph, nodes, pre)
             for nodes, pre in zip(node_sets, pre_conductances)
@@ -319,17 +310,11 @@ class FlowImprove(_RefinerBase):
 
     def refine(self, graph, nodes, pre_conductance=None):
         """One chained-refiner stage: dilation + iterated MQI."""
-        return self._waves(graph, [nodes], [pre_conductance])[0]
+        return self.refine_many(graph, [nodes], [pre_conductance])[0]
 
     def refine_many(self, graph, node_sets, pre_conductances):
         """:meth:`refine` for every set: all sets are dilated, then every
         region's rounds run in waves."""
-        if type(self).refine is not FlowImprove.refine:
-            # A subclass that redefines ``refine`` keeps it per set.
-            return super().refine_many(graph, node_sets, pre_conductances)
-        return self._waves(graph, node_sets, pre_conductances)
-
-    def _waves(self, graph, node_sets, pre_conductances):
         pres = [
             self._pre(graph, nodes, pre)
             for nodes, pre in zip(node_sets, pre_conductances)
@@ -405,14 +390,14 @@ class MOV(_RefinerBase):
 
 @dataclass(frozen=True)
 class RefinerKind:
-    """One registered refiner: identity, spec type, and CLI spellings.
+    """One refiner record: identity, spec type, and CLI spellings.
 
     Attributes
     ----------
     name:
         Display name.
     key:
-        Canonical registry name (``"mqi"``, ``"flow"``, ``"mov"``).
+        Canonical name (``"mqi"``, ``"flow"``, ``"mov"``).
     description:
         One-line description (shown by docs and benchmark tables).
     aliases:
@@ -451,11 +436,11 @@ class Pipeline:
         The diffusion side — anything
         :func:`~repro.dynamics.as_diffusion_grid` accepts (a
         :class:`~repro.dynamics.DiffusionGrid`, a spec instance such as
-        ``PPR(alpha=(0.05,))``, a registered name, or a
+        ``PPR(alpha=(0.05,))``, a dynamics name, or a
         :class:`~repro.dynamics.DynamicsKind`); normalized to a grid.
     refiners:
-        Ordered refiner chain — spec instances, registered names /
-        aliases, or :class:`RefinerKind` entries; normalized to spec
+        Ordered refiner chain — spec instances, refiner names /
+        aliases, or :class:`RefinerKind` records; normalized to spec
         instances.
 
     Every NCP and local-clustering entry point accepts a ``Pipeline``
@@ -524,8 +509,8 @@ def apply_refiners(graph, nodes, refiners, *, pre_conductance=None):
     nodes:
         The starting cluster (a nonempty proper node subset).
     refiners:
-        Chain entries — spec instances, registered names/aliases, or
-        :class:`RefinerKind` entries.
+        Chain entries — spec instances, refiner names/aliases, or
+        :class:`RefinerKind` records.
     pre_conductance:
         φ of ``nodes`` when the caller already knows it (skips one
         conductance evaluation); computed otherwise.
@@ -557,12 +542,8 @@ def _refine_all(graph, node_sets, pre_conductances, chain):
     initial = list(phis)
     steps = [[] for _ in current]
     for spec in chain:
-        # ``refine_many`` is optional: a spec without it loops ``refine``.
-        refine_many = getattr(
-            type(spec), "refine_many", _RefinerBase.refine_many
-        )
         for i, (nodes, step) in enumerate(
-            refine_many(spec, graph, current, phis)
+            spec.refine_many(graph, current, phis)
         ):
             current[i] = nodes
             phis[i] = step.post_conductance
@@ -613,17 +594,6 @@ def refine_candidates(graph, candidates, refiners):
     return refined
 
 
-# --------------------------------------------------------------------------
-# The registry.
-
-REFINERS = Registry("refiner", RefinerKind, UnknownRefinerError)
-register_refiner = REFINERS.register
-unregister_refiner = REFINERS.unregister
-resolve_refiner_name = REFINERS.resolve
-get_refiner = REFINERS.get
-registered_refiners = REFINERS.registered
-
-
 def as_refiner(refiner):
     """Coerce a chain entry (spec, name, alias, kind, or type) to a spec."""
     if isinstance(refiner, (str, RefinerKind)) or isinstance(refiner, type):
@@ -643,7 +613,10 @@ def as_refiner_chain(refiners):
     return tuple(as_refiner(entry) for entry in refiners)
 
 
-METIS_MQI = register_refiner(RefinerKind(
+# --------------------------------------------------------------------------
+# The records.
+
+METIS_MQI = RefinerKind(
     name="MQI",
     key="mqi",
     description=(
@@ -653,9 +626,9 @@ METIS_MQI = register_refiner(RefinerKind(
     aliases=("metis_mqi", "lang_rao", "quotient_improvement"),
     spec_type=MQI,
     field_aliases=(("rounds", "max_rounds"),),
-))
+)
 
-FLOW_IMPROVE = register_refiner(RefinerKind(
+FLOW_IMPROVE = RefinerKind(
     name="FlowImprove",
     key="flow",
     description=(
@@ -665,9 +638,9 @@ FLOW_IMPROVE = register_refiner(RefinerKind(
     aliases=("flow_improve", "flowimprove", "andersen_lang", "improve"),
     spec_type=FlowImprove,
     field_aliases=(("radius", "dilation_radius"), ("rounds", "max_rounds")),
-))
+)
 
-MOV_REFINER = register_refiner(RefinerKind(
+MOV_REFINER = RefinerKind(
     name="MOV",
     key="mov",
     description=(
@@ -677,4 +650,7 @@ MOV_REFINER = register_refiner(RefinerKind(
     aliases=("mov_cluster", "locally_biased", "mahoney_orecchia_vishnoi"),
     spec_type=MOV,
     field_aliases=(("gamma", "gamma_fraction"),),
-))
+)
+
+REFINERS = (METIS_MQI, FLOW_IMPROVE, MOV_REFINER)
+get_refiner = record_lookup(REFINERS, UnknownRefinerError, "refiner")

@@ -1,26 +1,22 @@
-"""Tests for the unified dynamics registry (:mod:`repro.dynamics`).
+"""Tests for the dynamics records and their lookup (:mod:`repro.dynamics`).
 
-Covers the registry round-trip (spec -> grid params -> spec), the alias
-table that heals the historical ``core.framework`` / NCP-runner name
-split, grid chunking as a partition of the seed list (hypothesis), and
-the extension point: a newly registered dynamics runs through the
-sharded NCP runner and the local-cluster driver without touching either.
+Covers the record round-trip (spec -> grid params -> spec), the alias
+table that heals the historical framework / NCP-runner name split, and
+grid chunking as a partition of the seed list (hypothesis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import framework
 from repro.dynamics import (
+    DYNAMICS,
     ApproximateComputation,
     DiffusionGrid,
-    DynamicsKind,
     HeatKernel,
     LazyWalk,
     PPR,
@@ -28,13 +24,9 @@ from repro.dynamics import (
     as_diffusion_grid,
     canonical_dynamics,
     get_dynamics,
-    register_dynamics,
-    registered_dynamics,
-    resolve_dynamics_name,
-    unregister_dynamics,
 )
 from repro.exceptions import InvalidParameterError
-from repro.ncp.runner import plan_chunks, run_ncp_ensemble
+from repro.ncp.runner import plan_chunks
 
 
 class TestRegistryLookup:
@@ -47,14 +39,6 @@ class TestRegistryLookup:
         # Normalization: case / separators.
         assert get_dynamics("Heat Kernel") is get_dynamics("hk")
         assert get_dynamics("Lazy Random Walk") is get_dynamics("walk")
-
-    def test_framework_facade_is_the_same_registry(self):
-        # Satellite regression: core.framework.get_dynamics("ppr") used to
-        # raise KeyError while the runner rejected "pagerank".
-        assert framework.get_dynamics("ppr") is get_dynamics("pagerank")
-        assert framework.canonical_dynamics() == canonical_dynamics()
-        for kind in framework.canonical_dynamics():
-            assert registered_dynamics()[kind.key] is kind
 
     def test_spec_instances_and_types_resolve(self):
         assert get_dynamics(PPR) is get_dynamics("ppr")
@@ -93,16 +77,16 @@ class TestSpecRoundTrip:
         spec = kind.default_spec()
         rebuilt = kind.spec_type.from_grid_params(dict(spec.grid_params()))
         assert rebuilt == spec
-        assert resolve_dynamics_name(rebuilt) == key
+        assert get_dynamics(rebuilt).key == key
 
     def test_every_registered_dynamics_round_trips(self):
-        for key, kind in registered_dynamics().items():
+        for kind in DYNAMICS:
             spec = kind.default_spec()
             rebuilt = kind.spec_type.from_grid_params(
                 dict(spec.grid_params())
             )
-            assert rebuilt == spec, key
-            assert get_dynamics(rebuilt) is kind, key
+            assert rebuilt == spec, kind.key
+            assert get_dynamics(rebuilt) is kind, kind.key
 
     def test_custom_axes_round_trip(self):
         for spec in (
@@ -181,104 +165,6 @@ class TestChunkPartition:
         assert all(c.dynamics == key for c in chunks)
         # Chunks reconstruct the exact spec they were planned from.
         assert all(c.spec() == spec for c in chunks)
-
-
-@dataclass(frozen=True)
-class TwoHop(PPR):
-    """A toy 'new dynamics' for the extension-point test.
-
-    Reuses the PPR machinery but is registered as its own kind — the
-    point is that *registration alone* makes it runnable through the NCP
-    runner and the local driver.
-    """
-
-    name: ClassVar[str] = "twohop"
-    candidate_label: ClassVar[str] = "twohop"
-    local_method: ClassVar[str] = "twohop"
-
-    @classmethod
-    def from_grid_params(cls, params):
-        return cls(alpha=params["alphas"])
-
-
-class TestExtensionPoint:
-    @pytest.fixture
-    def twohop_kind(self):
-        kind = register_dynamics(DynamicsKind(
-            name="Two-Hop Push",
-            aggressiveness_parameter="teleport probability",
-            regularizer="log-determinant -log det(X)",
-            default_parameters={"gamma": 0.2},
-            verifier=lambda graph, **kw: None,
-            key="twohop",
-            aliases=("two_hop",),
-            spec_type=TwoHop,
-            local_spec_factory=lambda graph=None: TwoHop(alpha=0.2),
-        ))
-        yield kind
-        if "twohop" in registered_dynamics():
-            unregister_dynamics("twohop")
-
-    def test_new_dynamics_runs_through_runner_untouched(self, whiskered,
-                                                        twohop_kind):
-        spec = TwoHop(alpha=(0.1,))
-        run = run_ncp_ensemble(
-            whiskered,
-            DiffusionGrid(spec, epsilons=(1e-3,), num_seeds=3, seed=0),
-            seeds_per_chunk=2,
-        )
-        assert run.dynamics == "twohop"
-        assert len(run.candidates) > 0
-        assert all(c.method == "twohop" for c in run.candidates)
-
-    def test_new_dynamics_drives_local_cluster(self, whiskered,
-                                               twohop_kind):
-        from repro.partition.local import local_cluster
-
-        result = local_cluster(whiskered, [41], "two_hop", epsilon=1e-4)
-        assert result.method == "twohop"
-        assert result.nodes.size > 0
-
-    def test_unregistered_spec_is_rejected_again(self, whiskered,
-                                                 twohop_kind):
-        unregister_dynamics("twohop")
-        with pytest.raises(UnknownDynamicsError):
-            DiffusionGrid(TwoHop(alpha=(0.1,)))
-        # Re-register so the fixture teardown can unregister cleanly.
-        register_dynamics(twohop_kind)
-
-    def test_duplicate_key_rejected_without_overwrite(self):
-        # Regression: re-registering an existing canonical key used to
-        # silently replace the built-in entry.
-        ppr_kind = get_dynamics("ppr")
-        with pytest.raises(InvalidParameterError):
-            register_dynamics(DynamicsKind(
-                name="Impostor PageRank",
-                aggressiveness_parameter="x",
-                regularizer="y",
-                default_parameters={},
-                verifier=lambda graph, **kw: None,
-                key="ppr",
-                aliases=(),
-                spec_type=TwoHop,
-                local_spec_factory=lambda graph=None: TwoHop(alpha=0.2),
-            ))
-        assert get_dynamics("ppr") is ppr_kind
-
-    def test_duplicate_spelling_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            register_dynamics(DynamicsKind(
-                name="Impostor",
-                aggressiveness_parameter="x",
-                regularizer="y",
-                default_parameters={},
-                verifier=lambda graph, **kw: None,
-                key="impostor",
-                aliases=("pagerank",),  # taken by ppr
-                spec_type=TwoHop,
-                local_spec_factory=lambda graph=None: TwoHop(alpha=0.2),
-            ))
-        assert "impostor" not in registered_dynamics()
 
 
 class TestGridValidation:

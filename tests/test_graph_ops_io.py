@@ -11,7 +11,6 @@ from repro.graph import ops
 from repro.graph.bipartite import (
     community_bipartite_graph,
     is_bipartite,
-    project_left,
 )
 from repro.graph.build import from_edges
 from repro.graph.generators import cycle_graph, path_graph
@@ -84,12 +83,6 @@ class TestBipartite:
         g, _, _ = community_bipartite_graph(50, 80, 4, seed=1)
         flag, coloring = is_bipartite(g)
         assert flag
-
-    def test_projection_weights_count_common_papers(self):
-        # Two papers, both written by authors 0 and 1.
-        g = from_edges(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
-        co = project_left(g, 2)
-        assert co.edge_weight(0, 1) == 2.0
 
     def test_generator_deterministic(self):
         a = community_bipartite_graph(40, 60, 3, seed=9)[0]

@@ -40,7 +40,7 @@ class TestEndToEndPipelines:
     def test_theorem_then_partition_pipeline(self, ring):
         # Verify the SDP theorem, then use the same graph's Fiedler vector
         # for a certified cut — the two halves of the paper's story.
-        from repro.core import canonical_dynamics
+        from repro.dynamics import canonical_dynamics
         from repro.partition import spectral_cut
 
         reports = [dynamics.verify(ring) for dynamics in canonical_dynamics()]

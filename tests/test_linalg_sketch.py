@@ -8,7 +8,6 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.linalg.sketch import (
     gaussian_sketch,
-    randomized_range_finder,
     sketched_least_squares,
     sparse_sign_sketch,
     srdt_sketch_apply,
@@ -109,11 +108,3 @@ class TestSketchedLeastSquares:
         # Heavily sketched solutions fluctuate but should stay within a few
         # multiples of the exact norm (no catastrophic blowup).
         assert np.median(norms) < 10 * np.linalg.norm(exact)
-
-
-class TestRandomizedSVD:
-
-    def test_range_finder_orthonormal(self, rng):
-        A = rng.standard_normal((50, 30))
-        Q = randomized_range_finder(A, 8, seed=2)
-        assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)

@@ -11,7 +11,6 @@ codes (0 clean / 1 findings / 2 usage / 141 broken pipe).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -34,7 +33,6 @@ from repro.analysis.rules import registry_vocabulary
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
 from repro.execution import EXECUTORS
-from repro.refine import get_refiner, register_refiner, unregister_refiner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
@@ -162,24 +160,6 @@ class TestFixtureHarness:
         assert lint_source(
             source, path="src/repro/_registry.py", rules=rules
         ) == []
-
-    def test_vocabulary_tracks_later_registrations(self):
-        registry_vocabulary()  # a first read must not freeze the names
-        source = 'if refiner == "lint_probe_alias":\n    pass\n'
-        rules = (_rule("no-stringly-dispatch"),)
-        path = "src/repro/ncp/runner.py"
-        probe_spec = dataclasses.make_dataclass(
-            "LintProbeSpec", (), frozen=True
-        )
-        register_refiner(dataclasses.replace(
-            get_refiner("mqi"), key="lint_probe", name="lint probe",
-            aliases=("lint_probe_alias",), spec_type=probe_spec,
-        ))
-        try:
-            assert lint_source(source, path=path, rules=rules)
-        finally:
-            unregister_refiner("lint_probe")
-        assert lint_source(source, path=path, rules=rules) == []
 
     def test_vocabulary_holds_every_executor_name(self):
         vocabulary = registry_vocabulary()

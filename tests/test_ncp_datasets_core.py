@@ -1,4 +1,4 @@
-"""Tests for the NCP engine, datasets, and the core framework."""
+"""Tests for the NCP engine, datasets, and the canonical dynamics."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.experiments import Stopwatch
-from repro.core.framework import canonical_dynamics, get_dynamics
+from repro.dynamics import canonical_dynamics, get_dynamics
 from repro.core.reporting import (
     format_comparison_verdict,
     format_table,

@@ -422,7 +422,7 @@ class TestFlowInvariants:
 
 
 class TestRefinerInvariants:
-    """Registry-wide refiner contracts: every registered refiner maps a
+    """Contracts every refiner keeps: each record of ``REFINERS`` maps a
     nonempty proper subset to a nonempty proper subset and never
     increases conductance — on arbitrary inputs, including ones that
     violate a refiner's own preconditions (those pass through
@@ -431,7 +431,7 @@ class TestRefinerInvariants:
     @given(connected_graphs(min_nodes=4), st.integers(0, 10_000))
     def test_every_registered_refiner_contract(self, graph, salt):
         from repro.partition.metrics import conductance
-        from repro.refine import apply_refiners, registered_refiners
+        from repro.refine import REFINERS, apply_refiners
 
         rng = np.random.default_rng(salt)
         k = int(rng.integers(1, graph.num_nodes))
@@ -439,7 +439,8 @@ class TestRefinerInvariants:
         if side.size == graph.num_nodes:
             side = side[:-1]
         phi = conductance(graph, side)
-        for key, kind in registered_refiners().items():
+        for kind in REFINERS:
+            key = kind.key
             trace = apply_refiners(graph, side, (kind.default_spec(),))
             assert trace.final_conductance <= phi + 1e-9, key
             assert trace.final_conductance == pytest.approx(

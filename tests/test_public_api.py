@@ -5,34 +5,37 @@ every name exported by each package's ``__all__`` (so a broken re-export
 or a renamed symbol fails loudly, not at a user's first import), asserts
 that every exported module/class/function carries a non-empty docstring,
 that every CLI subcommand and option carries help text, instantiates
-every registered dynamics — default spec, default grid, local point spec
-— through the registry, drives every executor of the fixed
-``EXECUTORS`` tuple against the serial reference, and holds both
-registries (dynamics, refiners) to one contract through their public
-``register_*`` / ``unregister_*`` / ``resolve_*_name`` / ``get_*`` /
-``registered_*`` functions.
+every dynamics record — default spec, default grid, local point spec —
+through :func:`~repro.dynamics.get_dynamics`, drives every executor of
+the fixed ``EXECUTORS`` tuple against the serial reference, and holds
+the four fixed tables (``DYNAMICS``, ``REFINERS``, ``EXECUTORS``,
+``RULES``) to one lookup contract.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
-from types import SimpleNamespace
 
 import pytest
 
+from repro._registry import normalize
+from repro.analysis import RULES, UnknownRuleError, select_rules
 from repro.cli import build_parser
 from repro.exceptions import InvalidParameterError
 from repro.dynamics import (
+    DYNAMICS,
     DiffusionGrid,
+    UnknownDynamicsError,
     get_dynamics,
-    registered_dynamics,
 )
+from repro.execution import EXECUTORS, UnknownExecutorError, get_executor
 from repro.graph.generators import ring_of_cliques
 from repro.refine import (
+    REFINERS,
     Pipeline,
+    UnknownRefinerError,
     get_refiner,
-    registered_refiners,
 )
 
 PACKAGES = [
@@ -118,9 +121,9 @@ def test_every_cli_subcommand_documents_itself():
 
 def test_every_registered_dynamics_instantiates():
     graph = ring_of_cliques(4, 5)
-    kinds = registered_dynamics()
-    assert set(kinds) >= {"ppr", "hk", "walk"}
-    for key, kind in kinds.items():
+    assert [kind.key for kind in DYNAMICS] == ["hk", "ppr", "walk"]
+    for kind in DYNAMICS:
+        key = kind.key
         spec = kind.default_spec()
         assert get_dynamics(spec) is kind, key
         assert spec.default_epsilons, key
@@ -139,12 +142,12 @@ def test_every_registered_dynamics_instantiates():
 
 def test_every_registered_dynamics_yields_columns():
     graph = ring_of_cliques(4, 5)
-    for key, kind in registered_dynamics().items():
+    for kind in DYNAMICS:
         spec = kind.default_spec()
         columns = list(
             spec.iter_columns(graph, [0], epsilons=(1e-3,))
         )
-        assert len(columns) == spec.grid_size((1e-3,)), key
+        assert len(columns) == spec.grid_size((1e-3,)), kind.key
         assert all(column.shape == (graph.num_nodes,) for column in columns)
 
 
@@ -157,13 +160,7 @@ def test_every_registered_executor_instantiates():
     :func:`~repro.execution.execute_chunks` with results identical to
     the serial reference.
     """
-    from repro.execution import (
-        EXECUTORS,
-        build_executor,
-        execute_chunks,
-        get_executor,
-        RetryPolicy,
-    )
+    from repro.execution import build_executor, execute_chunks, RetryPolicy
     from repro.dynamics import PPR
     from repro.ncp.runner import _evaluate_chunk, _grid_params, plan_chunks
 
@@ -207,14 +204,15 @@ def test_every_registered_executor_instantiates():
 def test_every_registered_refiner_instantiates():
     """CI satellite: the public-api-smoke job instantiates every refiner.
 
-    Each registry entry must produce a default spec that round-trips
-    through the registry, carries a deterministic token, rebuilds from
-    its own params, and composes into a :class:`Pipeline`.
+    Each record of ``REFINERS`` must produce a default spec that
+    round-trips through :func:`get_refiner`, carries a deterministic
+    token, rebuilds from its own params, and composes into a
+    :class:`Pipeline`.
     """
     graph = ring_of_cliques(4, 5)
-    kinds = registered_refiners()
-    assert set(kinds) >= {"mqi", "flow", "mov"}
-    for key, kind in kinds.items():
+    assert [kind.key for kind in REFINERS] == ["mqi", "flow", "mov"]
+    for kind in REFINERS:
+        key = kind.key
         spec = kind.default_spec()
         assert get_refiner(spec) is kind, key
         assert get_refiner(key) is kind, key
@@ -228,7 +226,7 @@ def test_every_registered_refiner_instantiates():
         assert pipeline.refiners == (spec,), key
         assert pipeline.refiner_tokens() == (spec.token(),), key
 
-        # Every refiner honors the registry-wide invariant on a real set.
+        # Every refiner honors the shared invariant on a real set.
         from repro.refine import apply_refiners
 
         trace = apply_refiners(graph, list(range(5)), (spec,))
@@ -246,7 +244,7 @@ def test_every_registered_lint_rule_instantiates(capsys):
     """
     from pathlib import Path
 
-    from repro.analysis import RULES, lint_paths, lint_source, select_rules
+    from repro.analysis import lint_paths, lint_source
     from repro.cli import main
 
     assert [rule.key for rule in RULES] == [
@@ -273,120 +271,81 @@ def test_every_registered_lint_rule_instantiates(capsys):
     assert report.ok, [f.format_human() for f in report.findings]
 
 
-class _ProbeSpec:
-    """Spec-type base of the contract-test records."""
+def _select_rule(name):
+    """The one lint rule ``name`` (a key, code or alias) selects."""
+    (rule,) = select_rules(name)
+    return rule
 
 
-def _probe_spec_type(key):
-    return type(f"Spec_{key.replace('-', '_')}", (_ProbeSpec,), {})
-
-
-def _dynamics_record(key, aliases):
-    from repro.dynamics import DynamicsKind
-
-    return DynamicsKind(
-        name=f"{key} dynamics", aggressiveness_parameter="x",
-        regularizer="y", default_parameters={},
-        verifier=lambda graph, **kw: None, key=key, aliases=aliases,
-        spec_type=_probe_spec_type(key),
-    )
-
-
-def _refiner_record(key, aliases):
-    from repro.refine import RefinerKind
-
-    return RefinerKind(
-        name=f"{key} refiner", key=key, description="contract probe",
-        aliases=aliases, spec_type=_probe_spec_type(key),
-    )
-
-
-# module, singular noun, plural noun, error class, record factory.
-REGISTRIES = {
-    "dynamics": ("repro.dynamics", "dynamics", "dynamics",
-                 "UnknownDynamicsError", _dynamics_record),
-    "refiner": ("repro.refine", "refiner", "refiners",
-                "UnknownRefinerError", _refiner_record),
+# noun -> (records, lookup, unknown-name error) of the four fixed tables.
+FIXED_TABLES = {
+    "dynamics": (DYNAMICS, get_dynamics, UnknownDynamicsError),
+    "refiner": (REFINERS, get_refiner, UnknownRefinerError),
+    "executor": (EXECUTORS, get_executor, UnknownExecutorError),
+    "rule": (RULES, _select_rule, UnknownRuleError),
 }
+# Lint rules have no spec types.
+SPEC_TABLES = ("dynamics", "refiner", "executor")
 
-PROBE = "contract-probe"
 
-
-@pytest.fixture(params=sorted(REGISTRIES))
-def registry(request):
-    """One registry's public functions, with a probe record registered."""
-    module_name, one, many, error, make = REGISTRIES[request.param]
-    module = importlib.import_module(module_name)
-    api = SimpleNamespace(
-        register=getattr(module, f"register_{one}"),
-        unregister=getattr(module, f"unregister_{one}"),
-        resolve=getattr(module, f"resolve_{one}_name"),
-        get=getattr(module, f"get_{one}"),
-        registered=getattr(module, f"registered_{many}"),
-        error=getattr(module, error),
-        make=make,
-    )
-    api.probe = api.register(make(PROBE, ("probe_alias",)))
-    yield api
-    if PROBE in api.registered():
-        api.unregister(PROBE)
+def _spellings(record):
+    """Every normalized spelling of a record: key, aliases, name, code."""
+    names = (record.key, *record.aliases, getattr(record, "name", None),
+             getattr(record, "code", None))
+    return {normalize(name) for name in names if name}
 
 
 class TestRegistryContract:
-    """The contract every registry keeps, checked on both."""
+    """The lookup contract every fixed table keeps, checked on all four."""
 
-    def test_normalized_names_and_aliases_resolve(self, registry):
-        for spelling in (PROBE, " Contract_Probe ", "PROBE-ALIAS"):
-            assert registry.resolve(spelling) == PROBE
-        assert registry.get("probe alias") is registry.probe
-        assert registry.get(registry.probe) is registry.probe
-        assert registry.registered()[PROBE] is registry.probe
+    @pytest.mark.parametrize("noun", sorted(FIXED_TABLES))
+    def test_normalized_names_and_aliases_resolve(self, noun):
+        records, lookup, _ = FIXED_TABLES[noun]
+        for record in records:
+            for spelling in _spellings(record):
+                for variant in (spelling, f" {spelling.upper()} ",
+                                spelling.replace("_", "-")):
+                    assert lookup(variant) is record, (noun, variant)
 
-    def test_unknown_name_suggests_the_canonical_key(self, registry):
-        with pytest.raises(registry.error) as excinfo:
-            registry.get("probe_alais")
-        error = excinfo.value
-        assert isinstance(error, InvalidParameterError)
-        assert isinstance(error, ValueError)
-        assert isinstance(error, KeyError)
-        assert f"did you mean {PROBE!r}" in str(error)
+    @pytest.mark.parametrize("noun", sorted(FIXED_TABLES))
+    def test_unknown_name_suggests_the_canonical_key(self, noun):
+        records, lookup, error_type = FIXED_TABLES[noun]
+        for record in records:
+            with pytest.raises(error_type) as excinfo:
+                lookup(record.key + record.key[-1])
+            error = excinfo.value
+            assert isinstance(error, InvalidParameterError)
+            assert isinstance(error, ValueError)
+            assert isinstance(error, KeyError)
+            assert f"did you mean {record.key!r}" in str(error), noun
 
-    def test_collisions_are_refused(self, registry):
-        with pytest.raises(InvalidParameterError, match="already"):
-            registry.register(registry.make(PROBE, ()))
-        with pytest.raises(InvalidParameterError, match="already"):
-            registry.register(
-                registry.make("contract-other", ("probe-alias",))
-            )
-        assert "contract-other" not in registry.registered()
-        with pytest.raises(InvalidParameterError):
-            registry.register(PROBE)
+    @pytest.mark.parametrize("noun", SPEC_TABLES)
+    def test_spec_types_resolve_exactly(self, noun):
+        records, lookup, error_type = FIXED_TABLES[noun]
+        for record in records:
+            spec_type = record.spec_type
+            assert lookup(record) is record
+            assert lookup(spec_type) is record
+            assert lookup(spec_type()) is record
+            # A subclass of a spec type is not in the table.
+            derived = type("Derived", (spec_type,), {})
+            for stranger in (derived, derived(), object()):
+                with pytest.raises(error_type):
+                    lookup(stranger)
 
-    def test_overwrite_replaces_the_registration(self, registry):
-        replacement = registry.make(PROBE, ("fresh_alias",))
-        assert registry.register(replacement, overwrite=True) is replacement
-        assert registry.get(PROBE) is replacement
-        assert registry.get("fresh-alias") is replacement
-        # The replaced record's spellings leave with it.
-        with pytest.raises(registry.error):
-            registry.resolve("probe_alias")
-
-    def test_unregister_round_trip(self, registry):
-        assert registry.unregister("probe-alias") is registry.probe
-        for name in (PROBE, "probe_alias", registry.probe):
-            with pytest.raises(registry.error):
-                registry.resolve(name)
-        assert registry.register(registry.probe) is registry.probe
-        assert registry.get("probe_alias") is registry.probe
-
-    def test_spec_types_resolve_exactly(self, registry):
-        spec_type = registry.probe.spec_type
-        assert registry.get(spec_type) is registry.probe
-        assert registry.get(spec_type()) is registry.probe
-        # A subclass is its own entry and must be registered itself.
-        for stranger in (type("Derived", (spec_type,), {})(), object()):
-            with pytest.raises(registry.error):
-                registry.resolve(stranger)
+    @pytest.mark.parametrize("noun", sorted(FIXED_TABLES))
+    def test_no_spelling_or_spec_type_is_shared(self, noun):
+        records = FIXED_TABLES[noun][0]
+        owners = {}
+        for record in records:
+            for spelling in _spellings(record):
+                assert owners.setdefault(spelling, record.key) == record.key, (
+                    f"{noun} spelling {spelling!r} belongs to "
+                    f"{owners[spelling]!r} and {record.key!r}"
+                )
+        if noun in SPEC_TABLES:
+            spec_types = [record.spec_type for record in records]
+            assert len(set(spec_types)) == len(spec_types), noun
 
 
 # The public names both ``repro`` and ``repro.api`` export: the union of
@@ -409,9 +368,7 @@ FACADE_NAMES = frozenset({
     "flow_cluster_ensemble_ncp", "from_edges", "get_dynamics",
     "get_executor", "get_refiner", "load_any_graph", "load_graph",
     "local_cluster", "ppr_push_frontier", "refine_candidates",
-    "register_dynamics", "register_refiner", "registered_dynamics",
-    "registered_refiners", "run_multidynamics_ncp", "run_ncp_ensemble",
-    "suite_names", "unregister_dynamics", "unregister_refiner",
+    "run_multidynamics_ncp", "run_ncp_ensemble", "suite_names",
 })
 PACKAGE_ONLY_NAMES = frozenset({
     "__version__", "api", "cli", "core", "datasets", "diffusion", "dynamics",
@@ -457,23 +414,6 @@ def test_no_public_callable_chooses_a_backend():
                 if "backend" in parameters:
                     takers.add(member.__name__)
     assert takers <= NUMPY_ONLY_BACKEND, takers
-
-
-def test_exactly_two_registries():
-    import pkgutil
-
-    import repro
-    from repro._registry import Registry
-
-    nouns = {}
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.endswith("__main__"):
-            continue
-        module = importlib.import_module(info.name)
-        for value in vars(module).values():
-            if isinstance(value, Registry):
-                nouns[id(value)] = value.noun
-    assert sorted(nouns.values()) == ["dynamics", "refiner"]
 
 
 def _loaded_modules_after(code, prefixes):

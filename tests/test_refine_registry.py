@@ -1,14 +1,12 @@
-"""Tests for the refiner registry, Pipeline specs, and refiner-aware NCP.
+"""Tests for the refiner records, Pipeline specs, and refiner-aware NCP.
 
-Covers the refinement layer end to end: registry round-trips and alias
+Covers the refinement layer end to end: record round-trips and alias
 identity, spec tokens, chain application with per-stage provenance, the
 registry-driven flow ensemble, refiner-aware runner chunks (determinism,
 cache-key versioning, provenance round-trip through the npz memo), the
 ``--refine`` spec-string parser and CLI runs, MQI convergence reporting,
 the vectorized ``dilate``, and the previously untested
-``mov.kappa_for_gamma`` / ``mqi_certificate`` paths.  An extension-point
-test registers a toy refiner and runs it through the flow ensemble, the
-runner, and the CLI parser untouched.
+``mov.kappa_for_gamma`` / ``mqi_certificate`` paths.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ from repro.partition.metrics import conductance
 from repro.partition.mov import kappa_for_gamma
 from repro.partition.mqi import mqi, mqi_certificate
 from repro.refine import (
+    REFINERS,
     FlowImprove,
     MOV,
     MQI,
     Pipeline,
     RefinementStep,
-    RefinerKind,
     UnknownRefinerError,
     apply_refiners,
     as_pipeline,
@@ -55,10 +53,6 @@ from repro.refine import (
     as_refiner_chain,
     get_refiner,
     refine_candidates,
-    register_refiner,
-    registered_refiners,
-    resolve_refiner_name,
-    unregister_refiner,
 )
 
 
@@ -71,7 +65,7 @@ def candidate_signature(candidates):
 
 class TestRegistry:
     def test_canonical_keys_present(self):
-        assert set(registered_refiners()) >= {"mqi", "flow", "mov"}
+        assert [kind.key for kind in REFINERS] == ["mqi", "flow", "mov"]
 
     @pytest.mark.parametrize("spelling, key", [
         ("mqi", "mqi"), ("metis_mqi", "mqi"), ("Metis-MQI", "mqi"),
@@ -79,8 +73,8 @@ class TestRegistry:
         ("mov", "mov"), ("mov_cluster", "mov"),
     ])
     def test_alias_identity(self, spelling, key):
-        assert get_refiner(spelling) is registered_refiners()[key]
-        assert resolve_refiner_name(spelling) == key
+        assert get_refiner(spelling) is get_refiner(key)
+        assert get_refiner(spelling).key == key
 
     def test_lookup_by_spec_instance_type_and_kind(self):
         kind = get_refiner("mqi")
@@ -103,12 +97,6 @@ class TestRegistry:
         with pytest.raises(UnknownRefinerError):
             as_refiner(Foreign())
 
-    def test_register_rejects_taken_spellings(self):
-        with pytest.raises(InvalidParameterError, match="already"):
-            register_refiner(RefinerKind(
-                name="Clash", key="mqi", description="x", spec_type=MQI,
-            ))
-
     def test_tokens_are_canonical(self):
         assert MQI().token() == "mqi(max_rounds=100)"
         assert FlowImprove(dilation_radius=2).token() == (
@@ -117,10 +105,10 @@ class TestRegistry:
         assert MOV().token() == "mov(gamma_fraction=0.5, min_size=1)"
 
     def test_params_round_trip(self):
-        for key, kind in registered_refiners().items():
+        for kind in REFINERS:
             spec = kind.default_spec()
             rebuilt = kind.spec_type(**dict(spec.params()))
-            assert rebuilt == spec, key
+            assert rebuilt == spec, kind.key
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -703,90 +691,6 @@ class TestMOVAndCertificateCoverage:
         improved = mqi(whiskered, loose)
         if improved.conductance < base - 1e-12:
             assert best_random < base + 1e-12
-
-
-class TestExtensionPoint:
-    """A newly registered refiner flows through every consumer untouched."""
-
-    def test_toy_refiner_everywhere(self, whiskered):
-        @dataclass(frozen=True)
-        class Shave(MQI):
-            """Toy refiner: plain MQI under its own registry identity."""
-
-            name: ClassVar[str] = "shave"
-
-        kind = register_refiner(RefinerKind(
-            name="Shave",
-            key="shave",
-            description="toy extension refiner (MQI in a trench coat)",
-            aliases=("shaver",),
-            spec_type=Shave,
-            field_aliases=(("rounds", "max_rounds"),),
-        ))
-        try:
-            assert get_refiner("shaver") is kind
-            chain = parse_refiner_chain("shave:rounds=7")
-            assert chain == (Shave(max_rounds=7),)
-            candidates = flow_cluster_ensemble_ncp(
-                whiskered, min_size=4, seed=0, refiners=("shave",)
-            )
-            assert any(
-                c.refinement
-                and c.refinement[0].refiner == "shave(max_rounds=100)"
-                for c in candidates
-            )
-            run = run_ncp_ensemble(
-                whiskered,
-                Pipeline(
-                    DiffusionGrid(
-                        PPR(alpha=(0.1,)), epsilons=(1e-3,), num_seeds=4,
-                        seed=0,
-                    ),
-                    refiners=("shave",),
-                ),
-            )
-            assert run.refiners == (Shave(),)
-        finally:
-            unregister_refiner("shave")
-        with pytest.raises(UnknownRefinerError):
-            get_refiner("shave")
-
-
-    @pytest.mark.parametrize("base", [MQI, FlowImprove])
-    def test_overridden_refine_runs_once_per_candidate(self, whiskered,
-                                                       base):
-        calls = []
-
-        @dataclass(frozen=True)
-        class Counted(base):
-            """Wave-capable refiner whose subclass redefines ``refine``."""
-
-            name: ClassVar[str] = "counted"
-
-            def refine(self, graph, nodes, pre_conductance=None):
-                calls.append(np.array(nodes))
-                return super().refine(
-                    graph, nodes, pre_conductance=pre_conductance
-                )
-
-        register_refiner(RefinerKind(
-            name="Counted", key="counted", description="counts refine",
-            spec_type=Counted,
-        ))
-        try:
-            raw = cluster_ensemble_ncp(whiskered, DiffusionGrid(
-                PPR(alpha=(0.1,)), epsilons=(1e-3,), num_seeds=5, seed=3,
-            ))
-            refined = refine_candidates(whiskered, raw, ("counted",))
-        finally:
-            unregister_refiner("counted")
-        assert len(calls) == len(raw)
-        for nodes, candidate in zip(calls, raw):
-            assert np.array_equal(nodes, np.unique(candidate.nodes))
-        waves = refine_candidates(whiskered, raw, (base(),))
-        for mine, theirs in zip(refined, waves):
-            assert np.array_equal(mine.nodes, theirs.nodes)
-            assert mine.conductance == theirs.conductance
 
 
 class TestCandidateDataclass:
