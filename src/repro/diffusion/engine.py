@@ -59,8 +59,13 @@ entry with ``r_u ≥ ε d_u``, the finished ones are written to the outputs
 and dropped from every per-column array. A column with no such entry
 never pushes again, since only its own pushes change its residual, and
 every op of a sweep (the sparse matmul included) is per column, so
-retiring columns changes no bit of any output. The sweep's temporaries are
-written with ``out=`` into buffers allocated on the first wide sweep.
+retiring columns changes no bit of any output. The retired working arrays
+are C-contiguous copies, like the buffers that the sweep's temporaries are
+written into with ``out=`` (allocated on the first wide sweep), so no op
+of a later sweep runs strided. Each wide sweep copies its ``r_u ≥ ε d_u``
+mask into a 0/1 float matrix and takes its frontier rows from that
+matrix's row sums and its live columns from the push counts it books
+anyway; both are exact integer matmuls.
 
 Results hold each column on the rows the batch reached: ``sparse_column``
 gives column ``b`` as the ``(rows, values)`` pair of its nonzero entries,
@@ -511,6 +516,7 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
     n = graph.num_nodes
     indptr = graph.indptr
     retained = 0.5 * (1.0 - alpha_col)
+    spread_share = 1.0 - alpha_col
     slot_of = np.empty(n, dtype=np.int64)
     # The state (approximation, residual, pushed-row flags) on the rows
     # reached so far; ``None`` once the first wide sweep has moved the
@@ -545,7 +551,13 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             active = np.greater_equal(
                 residual, thresholds, out=_view(active_buffer, residual.shape)
             )
-            rows = slots = np.flatnonzero(active.any(axis=1))
+            # ``update`` holds ``active`` as 0/1 floats until the pushes
+            # are counted; row sums and push counts are integers below
+            # 2**53, so the float matmuls that test for any active entry
+            # are exact.
+            update = _view(sweep_buffers[2], residual.shape)
+            np.copyto(update, active)
+            rows = slots = np.flatnonzero(update @ column_ones[:columns.size])
             mask = None
         else:
             active = None
@@ -573,6 +585,8 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
                            pushed_volume)
                 adjacency = adjacency_matrix(graph)
                 thresholds = degrees[:, None] * eps_col
+                twice_degrees = 2.0 * degrees[:, None]
+                column_ones = np.ones(num_columns)
                 # Per-row weights of the push counters: one push and
                 # ``1 + deg(u)`` work.
                 push_weights = np.stack((np.ones(n), 1.0 + np.diff(indptr)))
@@ -581,45 +595,46 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
                 sweep_buffers = np.empty((3, residual.size))
                 active_buffer = np.empty(residual.size, dtype=bool)
             if active is None:
-                active = _view(active_buffer, residual.shape)
-                active.fill(False)
-                active[rows] = mask
-            live = active.any(axis=0)
+                # The frontier came from the candidate rows.
+                update = _view(sweep_buffers[2], residual.shape)
+                update.fill(0.0)
+                update[rows] = mask
+            # A column is live while it has a push to make.
+            counts = push_weights @ update
+            live = counts[0] > 0
             if 2 * np.count_nonzero(live) <= live.size:
                 # Retire the finished columns.  None has an active entry,
                 # and only a column's own pushes change its residual, so
                 # none pushes again: store them and drop them from every
                 # per-column array.  Each op of a sweep is per column, so
                 # the live columns' results are bitwise unchanged.
+                # ``compress`` copies each array C-contiguous, as the
+                # sweep buffers are, so no later op runs strided.
                 state = (approximation, residual, num_pushes, work,
                          pushed_volume)
                 _store(outputs, state, columns, ~live)
                 (approximation, residual, num_pushes, work, pushed_volume,
-                 alpha_col, eps_col, retained, push_caps, thresholds,
-                 columns, active) = (
-                    values[..., live] for values in (
-                        *state, alpha_col, eps_col, retained, push_caps,
-                        thresholds, columns, active,
+                 alpha_col, eps_col, retained, spread_share, push_caps,
+                 thresholds, columns, update, counts) = (
+                    np.compress(live, values, axis=-1) for values in (
+                        *state, alpha_col, eps_col, retained, spread_share,
+                        push_caps, thresholds, columns, update, counts,
                     )
                 )
-            pushed, scaled, update = (
-                _view(buffer, residual.shape) for buffer in sweep_buffers
+            pushed, scaled = (
+                _view(buffer, residual.shape) for buffer in sweep_buffers[:2]
             )
-            # ``update`` holds ``active`` as 0/1 floats until the pushes
-            # are counted; the counts are integers below 2**53, so the
-            # float matmul is exact.
-            np.copyto(update, active)
             np.multiply(residual, update, out=pushed)
-            pushes, arcs = push_weights @ update
+            pushes, arcs = counts
             num_pushes += pushes.astype(np.int64)
             work += arcs.astype(np.int64)
             pushed_volume += degrees @ update
             np.multiply(alpha_col, pushed, out=update)
             approximation += update
-            np.divide(pushed, 2.0 * degrees[:, None], out=scaled)
+            np.divide(pushed, twice_degrees, out=scaled)
             spread = adjacency @ scaled
             # residual += (1 - α) spread + retained pushed - pushed
-            np.multiply(1.0 - alpha_col, spread, out=spread)
+            np.multiply(spread_share, spread, out=spread)
             np.multiply(retained, pushed, out=update)
             np.add(spread, update, out=update)
             np.subtract(update, pushed, out=update)
@@ -638,7 +653,7 @@ def batch_ppr_push(graph, seeds, *, alphas=(0.15,), epsilons=(1e-4,),
             pushed_volume += degrees[rows] @ mask
             approximation[slots] += alpha_col * pushed
             residual[slots] -= pushed
-            share = (1.0 - alpha_col) * pushed / (2.0 * degrees[rows, None])
+            share = spread_share * pushed / (2.0 * degrees[rows, None])
             targets, spread = _spread(graph, rows, share, mask, slot_of)
             candidates = _sorted_union(rows, targets)
             if reached is None:

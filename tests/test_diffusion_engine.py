@@ -572,6 +572,9 @@ class TestCompactKernelPath:
                     )
                     assert np.all(column.residual < bound)
                     assert push_invariant_residual(graph, column, s) < 1e-10
+                    assert epsilon * alpha * batch.pushed_volume[b] <= (
+                        s.sum() * (1 + 1e-12)
+                    )
                     single = batch_ppr_push(
                         graph, [seed_node], alphas=(alpha,),
                         epsilons=(epsilon,),
@@ -811,6 +814,10 @@ class TestWidePathRetirement:
                     )
                     assert np.all(column.residual < bound)
                     assert push_invariant_residual(graph, column, s) < 1e-10
+                    # The O(1/(eps alpha)) locality bound of Section 3.3.
+                    assert epsilon * alpha * batch.pushed_volume[b] <= (
+                        s.sum() * (1 + 1e-12)
+                    )
                     alone = batch_ppr_push(
                         graph, [seed_node], alphas=(alpha,),
                         epsilons=(epsilon,),
@@ -824,24 +831,70 @@ class TestWidePathRetirement:
         assert max(alone_sweeps) == batch.num_sweeps
         assert np.median(alone_sweeps) < batch.num_sweeps / 4
 
-    def test_atp_default_grid_bytes_are_pinned(self, wide_path_used):
+    @staticmethod
+    def pin_digest(batch):
         import hashlib
 
+        digest = hashlib.sha256()
+        for part in (batch.approximation, batch.residual, batch.num_pushes,
+                     batch.work, np.int64(batch.num_sweeps)):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        return digest.hexdigest()
+
+    def test_atp_default_grid_bytes_are_pinned(self, wide_path_used):
         from repro.datasets import load_graph
 
         batch = batch_ppr_push(
             load_graph("atp"), self.PIN_SEEDS, alphas=PPR().alpha,
             epsilons=PPR.default_epsilons,
         )
-        digest = hashlib.sha256()
-        for part in (batch.approximation, batch.residual, batch.num_pushes,
-                     batch.work, np.int64(batch.num_sweeps)):
-            digest.update(np.ascontiguousarray(part).tobytes())
-        assert digest.hexdigest() == self.PIN_SHA256
+        assert self.pin_digest(batch) == self.PIN_SHA256
         # The volume is a BLAS matrix-vector product, so it is compared
         # to roundoff rather than pinned bit for bit.
         assert batch.pushed_volume.sum() == pytest.approx(
             self.PIN_PUSHED_VOLUME, rel=1e-15
+        )
+
+    # The same call on atp's edges with non-integer weights drawn by
+    # ``default_rng(0)``: the unit-weight pin above cannot see a change
+    # that only moves the rounding of weighted spreads.
+    WEIGHTED_PIN_SHA256 = (
+        "bf9fddfb3a88d9d762323f570829a773b1bbbf5e33bbb0dbd33f360cf6b37311"
+    )
+    WEIGHTED_PIN_PUSHED_VOLUME = 24686416.748913538
+
+    def test_atp_weighted_grid_bytes_are_pinned(self, wide_path_used,
+                                                monkeypatch):
+        import repro.diffusion.engine as engine
+        from repro.datasets import load_graph
+
+        atp = load_graph("atp")
+        us, vs, _ = atp.edge_array()
+        weights = np.random.default_rng(0).uniform(0.25, 4.0, size=us.size)
+        graph = from_edges(atp.num_nodes, np.column_stack((us, vs)), weights)
+        # The wide phase must retire columns and then sweep narrow.
+        events = []
+        store, narrow = engine._store, engine._spread
+
+        def stored(outputs, state, columns, which):
+            events.append("store" if isinstance(which, slice) else "retire")
+            return store(outputs, state, columns, which)
+
+        def spread(*args):
+            events.append("narrow")
+            return narrow(*args)
+
+        monkeypatch.setattr(engine, "_store", stored)
+        monkeypatch.setattr(engine, "_spread", spread)
+        batch = batch_ppr_push(
+            graph, self.PIN_SEEDS, alphas=PPR().alpha,
+            epsilons=PPR.default_epsilons,
+        )
+        assert "retire" in events
+        assert "narrow" in events[events.index("retire"):]
+        assert self.pin_digest(batch) == self.WEIGHTED_PIN_SHA256
+        assert batch.pushed_volume.sum() == pytest.approx(
+            self.WEIGHTED_PIN_PUSHED_VOLUME, rel=1e-15
         )
 
 
