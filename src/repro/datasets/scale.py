@@ -14,12 +14,21 @@ entirely through vectorized NumPy (no per-edge Python):
   degrees, power-law community sizes, and a mixing parameter ``mu``
   giving each node a tunable fraction of inter-community stubs.
 
-Both return compacted largest components by default (via the vectorized
-:func:`~repro.graph.build.largest_component_fast`, never the per-node
-Python BFS), are deterministic given an integer seed, and register a
-named tier in :data:`SCALE_SUITE` so the CLI and
-:func:`repro.datasets.load_any_graph` reach them by name — e.g.
-``rmat-18`` or ``lfr-50k`` anywhere a suite name is accepted.
+Both return compacted largest components by default, are deterministic
+given an integer seed, and register a named tier in :data:`SCALE_SUITE`
+so the CLI and :func:`repro.datasets.load_any_graph` reach them by name —
+e.g. ``rmat-18`` or ``lfr-50k`` anywhere a suite name is accepted.
+
+Each generator builds its CSR exactly once. The sampled edges become
+sorted, deduplicated ``lo * n + hi`` keys (the keys step of
+:func:`~repro.graph.build.from_edges`); the component labels come from
+the upper-triangle CSR those keys already are; and the keys of the
+largest component are renumbered in place of a second, induced-subgraph
+CSR (the step :func:`~repro.graph.build.largest_component_fast` uses
+too). So a build holds little more than the keys and the graph it
+returns: ``rmat_graph(17)`` peaks at 87 MB traced for a 61 MB graph,
+where building the full CSR and then its induced subgraph peaked at
+308 MB.
 """
 
 from __future__ import annotations
@@ -30,7 +39,12 @@ import numpy as np
 
 from repro._validation import as_rng, check_int, check_probability
 from repro.exceptions import InvalidParameterError
-from repro.graph.build import from_edges, largest_component_fast
+from repro.graph.build import (
+    _csr_from_sorted_keys,
+    _largest_component_keys,
+    _sorted_edge_keys,
+    _upper_component_labels,
+)
 
 __all__ = [
     "SCALE_SUITE",
@@ -51,7 +65,8 @@ def rmat_graph(scale, edge_factor=16, *, a=0.57, b=0.19, c=0.19,
     duplicates collapsed, so the realized simple-edge count lands a few
     percent below ``edge_factor * n``.  Each level's draws are
     whole-array NumPy operations: ``rmat_graph(17)`` (1.86M edges after
-    compaction) takes about 1 s on a 2-vCPU host.
+    compaction) takes about 0.6 s on a 2-vCPU host and peaks at about
+    1.4x the bytes of the graph it returns.
 
     Parameters
     ----------
@@ -112,17 +127,25 @@ def rmat_graph(scale, edge_factor=16, *, a=0.57, b=0.19, c=0.19,
         col_bit ^= flip
         v <<= 1
         v |= col_bit
+    del draw, row_bit, col_bit, flip
     if permute:
-        relabeling = rng.permutation(n)
+        relabeling = rng.permutation(n).astype(np.int32)
         u = relabeling[u]
         v = relabeling[v]
+        del relabeling
     simple = u != v
-    graph = from_edges(
-        n, np.stack([u[simple], v[simple]], axis=1), combine="max"
-    )
+    edges = np.empty((np.count_nonzero(simple), 2), dtype=np.int32)
+    np.compress(simple, u, out=edges[:, 0])
+    np.compress(simple, v, out=edges[:, 1])
+    del u, v, simple
+    key, weights = _sorted_edge_keys(n, edges, None, "max")
+    del edges
     if keep == "largest":
-        graph, _ = largest_component_fast(graph)
-    return graph
+        key, weights, kept = _largest_component_keys(
+            n, key, weights, *_upper_component_labels(n, key, weights)
+        )
+        n = kept.size
+    return _csr_from_sorted_keys(n, key, weights)
 
 
 def _bounded_powerlaw(rng, exponent, low, high, size):
@@ -262,10 +285,14 @@ def lfr_graph(num_nodes, *, mu=0.1, min_degree=8, max_degree=None,
 
     edges = np.concatenate([internal_edges, external_edges])
     simple = edges[:, 0] != edges[:, 1]
-    graph = from_edges(n, edges[simple], combine="max")
+    key, weights = _sorted_edge_keys(n, edges[simple], None, "max")
+    del edges, simple
     original_ids = np.arange(n)
     if keep == "largest":
-        graph, original_ids = largest_component_fast(graph)
+        key, weights, original_ids = _largest_component_keys(
+            n, key, weights, *_upper_component_labels(n, key, weights)
+        )
+    graph = _csr_from_sorted_keys(original_ids.size, key, weights)
     if return_communities:
         return graph, labels[original_ids]
     return graph

@@ -184,10 +184,7 @@ def load_any_graph(source, *, seed=0):
         return load_graph(name, seed=seed)
     path = Path(name)
     if path.is_file():
-        from repro.graph.build import (
-            connected_component_labels,
-            largest_component_fast,
-        )
+        from repro.graph.build import largest_component_fast
         from repro.graph.io import read_edge_list, read_json
         from repro.graph.storage import BINARY_SUFFIX, read_binary
 
@@ -199,10 +196,10 @@ def load_any_graph(source, *, seed=0):
         else:
             reader = read_edge_list
         graph = reader(path)
-        _labels, component_count = connected_component_labels(graph)
-        if graph.num_nodes and component_count > 1:
-            full_size = graph.num_nodes
+        full_size = graph.num_nodes
+        if full_size:
             graph, _original_ids = largest_component_fast(graph)
+        if graph.num_nodes < full_size:
             warnings.warn(
                 f"graph file {name!r} is disconnected: kept the largest "
                 f"component ({graph.num_nodes} of {full_size} nodes) and "

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.graph.build as build
 from repro.datasets import (
     SCALE_SUITE,
     describe,
@@ -15,7 +19,7 @@ from repro.datasets import (
     suite_names,
 )
 from repro.datasets.suite import UnknownGraphError
-from repro.exceptions import EmptyGraphError, InvalidParameterError
+from repro.exceptions import EmptyGraphError, GraphError, InvalidParameterError
 from repro.graph.build import (
     connected_component_labels,
     from_edges,
@@ -63,6 +67,22 @@ class TestRmat:
     def test_bad_keep_raises(self):
         with pytest.raises(InvalidParameterError, match="keep"):
             rmat_graph(5, keep="most")
+
+    def test_build_peak_stays_near_the_graph_it_returns(self):
+        # The build holds the edge keys and the one CSR it returns, not a
+        # second CSR or int64 copies of the sampled endpoints.
+        tracemalloc.start()
+        try:
+            graph = rmat_graph(14, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        graph_bytes = sum(
+            array.nbytes for array in (
+                graph.indptr, graph.indices, graph.weights, graph.degrees
+            )
+        )
+        assert peak <= 2.5 * graph_bytes
 
 
 class TestLfr:
@@ -140,13 +160,13 @@ class TestFastComponentHelpers:
     def cases(self):
         rng = np.random.default_rng(0)
         graphs = []
-        for n in (1, 2, 13, 40):
-            for p in (0.0, 0.05, 0.2):
+        for n in (1, 2, 13, 40, 120):
+            for p in (0.0, 0.01, 0.05, 0.2):
                 m = rng.random((n, n)) < p
-                edges = np.argwhere(np.triu(m, k=1))
-                graphs.append(
-                    from_edges(n, edges.reshape(-1, 2))
-                )
+                edges = np.argwhere(np.triu(m, k=1)).reshape(-1, 2)
+                graphs.append(from_edges(n, edges))
+                weights = rng.random(edges.shape[0]) + 0.5
+                graphs.append(from_edges(n, edges, weights))
         return graphs
 
     def test_labels_match_bfs(self):
@@ -162,6 +182,7 @@ class TestFastComponentHelpers:
             slow, slow_ids = g.largest_component()
             assert np.array_equal(fast_ids, slow_ids)
             assert fast == slow
+            assert np.array_equal(fast.degrees, slow.degrees)
 
     def test_induced_subgraph_matches_slow(self):
         g = union_disjoint(
@@ -176,6 +197,12 @@ class TestFastComponentHelpers:
         assert np.array_equal(fast_ids, slow_ids)
         assert fast == slow
 
+    def test_connected_graph_comes_back_unchanged(self):
+        g = rmat_graph(9, seed=3)
+        same, ids = largest_component_fast(g)
+        assert same is g
+        assert np.array_equal(ids, np.arange(g.num_nodes))
+
     def test_empty_graph_raises(self):
         with pytest.raises(EmptyGraphError):
             largest_component_fast(from_edges(0, []))
@@ -189,3 +216,60 @@ class TestFastComponentHelpers:
         fast, fast_ids = largest_component_fast(g)
         slow, slow_ids = g.largest_component()
         assert np.array_equal(fast_ids, slow_ids)
+
+
+class TestFromEdgesDtypes:
+    EDGES = [(3, 1), (0, 2), (2, 4), (1, 3), (4, 0), (2, 0)]
+
+    @pytest.mark.parametrize("dtype", [
+        np.int32, np.uint32, np.uint64, np.int16, np.float64, np.float32,
+    ])
+    @pytest.mark.parametrize("combine", ["sum", "max"])
+    def test_every_id_dtype_builds_the_int64_bytes(self, dtype, combine):
+        want = from_edges(5, np.array(self.EDGES, dtype=np.int64),
+                          combine=combine)
+        got = from_edges(5, np.array(self.EDGES, dtype=dtype),
+                         combine=combine)
+        assert got == want
+        assert got.indices.dtype == want.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("edges, message", [
+        (np.array([[0, -1]], dtype=np.int16), r"must lie in \[0, 5\)"),
+        (np.array([[-3, 1]], dtype=np.int32), r"must lie in \[0, 5\)"),
+        (np.array([[0, 5]], dtype=np.uint32), r"must lie in \[0, 5\)"),
+        (np.array([[0, 2**63]], dtype=np.uint64), r"must lie in \[0, 5\)"),
+        (np.array([[2**64 - 1, 1]], dtype=np.uint64),
+         r"must lie in \[0, 5\)"),
+        (np.array([[0, -1.0]]), r"must lie in \[0, 5\)"),
+        (np.array([[2, 2]], dtype=np.uint64), "self-loops are not allowed"),
+        (np.array([[1, 1]], dtype=np.int16), "self-loops are not allowed"),
+        (np.array([[0, 1.5]]), "edge endpoints must be integers"),
+    ])
+    def test_bad_ids_raise_the_same_errors(self, edges, message):
+        with pytest.raises(GraphError, match=message):
+            from_edges(5, edges)
+
+
+def test_file_graph_is_compacted_with_one_label_pass(tmp_path, monkeypatch):
+    path = tmp_path / "two_parts.tsv"
+    path.write_text("0\t1\n1\t2\n3\t4\n4\t5\n5\t6\n", encoding="utf-8")
+    calls = []
+    component_labels = build._component_labels
+
+    def spy(*args):
+        calls.append(args[0])
+        return component_labels(*args)
+
+    monkeypatch.setattr(build, "_component_labels", spy)
+    with pytest.warns(UserWarning, match="kept the largest component"):
+        graph = load_any_graph(str(path))
+    assert calls == [7]
+    assert graph.num_nodes == 4
+
+    path.write_text("0\t1\n1\t2\n", encoding="utf-8")
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = load_any_graph(str(path))
+    assert calls == [3]
+    assert graph.num_nodes == 3

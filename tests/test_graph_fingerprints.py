@@ -9,11 +9,14 @@ downstream result and must be deliberate.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.datasets import lfr_graph, load_graph, rmat_graph
 from repro.dynamics import PPR, DiffusionGrid
+from repro.graph.build import from_edges, largest_component_fast
 from repro.graph.generators import ring_of_cliques
 from repro.graph.graph import Graph
 from repro.ncp import runner
@@ -36,6 +39,40 @@ PINNED = {
         lambda: lfr_graph(3000, seed=0),
         "5732fa6c91a2b2034a20e137cb1b2aad8fde03f87f0c42013bf12fe802e23ab7",
     ),
+    "rmat-12-seed2-unpermuted": (
+        lambda: rmat_graph(12, seed=2, permute=False),
+        "cdc24324a42bcfefd2ccdbc87767531b286857e175e9da9bc312d8ec2a4a2b6d",
+    ),
+    # Sparser, so the largest-component filter drops more nodes.
+    "rmat-13-seed0-ef4": (
+        lambda: rmat_graph(13, seed=0, edge_factor=4),
+        "d6092a1b285f8b883a1298a4b4767465ae5ec3ce1d3a956298156b79c8e6d7ff",
+    ),
+}
+
+
+def weighted_disconnected_component():
+    """``largest_component_fast`` on a random graph with fractional weights."""
+    rng = np.random.default_rng(0)
+    edges = rng.integers(0, 400, size=(500, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    weights = rng.random(edges.shape[0]) + 0.5
+    return largest_component_fast(from_edges(400, edges, weights))
+
+
+#: Builders returning ``(graph, node_array)``: the graph's fingerprint and
+#: the SHA-256 of the int64 node array (community labels or original ids).
+PINNED_WITH_NODES = {
+    "lfr-3000-seed0-communities": (
+        lambda: lfr_graph(3000, seed=0, return_communities=True),
+        "5732fa6c91a2b2034a20e137cb1b2aad8fde03f87f0c42013bf12fe802e23ab7",
+        "40d4e796ceb2953964de0df7c7f92307689faaca5d12079f23d00ae8d89cd5f0",
+    ),
+    "largest-component-weighted": (
+        weighted_disconnected_component,
+        "9f8c02eda39cac3e865f848f8e29b9e5db3a8b3061a27f5568e9d4ecf010262c",
+        "bc9087f8a67163bee01f3d0549f444712036e87f43e2e4962b4d70b39501d65e",
+    ),
 }
 
 
@@ -46,6 +83,15 @@ def test_generated_graph_fingerprint_is_pinned(name):
     assert graph_fingerprint(graph) == expected
     # The second call is served from the memo, with the same digest.
     assert graph_fingerprint(graph) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITH_NODES))
+def test_generated_graph_and_node_array_are_pinned(name):
+    build, expected_graph, expected_nodes = PINNED_WITH_NODES[name]
+    graph, nodes = build()
+    assert graph_fingerprint(graph) == expected_graph
+    assert nodes.dtype == np.int64
+    assert hashlib.sha256(nodes.tobytes()).hexdigest() == expected_nodes
 
 
 class TestFingerprintMemo:
